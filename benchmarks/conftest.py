@@ -10,11 +10,17 @@ shrink or grow the workload; the shape assertions hold across scales.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import Workload
+
+# the test oracles (``tests.oracles``) import from the repository root
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
 MiB = 1024 * 1024
 OUTPUT_DIR = Path(__file__).parent / "output"

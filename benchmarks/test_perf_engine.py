@@ -37,7 +37,7 @@ from repro.interconnect import HostPath
 from repro.nvm import ONFI3_SDR400, SLC
 from repro.ssd import Geometry, OpCode, TransactionScheduler
 from repro.ssd.ftl import Txn
-from repro.ssd.reference_scheduler import ReferenceScheduler
+from tests.oracles.reference_scheduler import ReferenceScheduler
 
 MiB = 1024 * 1024
 BENCH_WORKLOAD = Workload(panels=2, panel_bytes=2 * MiB)

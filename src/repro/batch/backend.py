@@ -23,14 +23,11 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..experiments.runner import ConfigResult, Workload, emit_replay_spans
-from ..interconnect.host import HostPath
 from ..obs import trace as obs
-from ..nvm.bus import BusSpec
-from ..ssd.controller import SSDevice
 from ..ssd.scheduler import TxnLog
 from .metrics import compute_metrics_batch
-from .plan import BatchUnsupported, CellPlan, PlannedFTL, plan_cell, stack_plans
-from .scheduler import ColumnarScheduler
+from .plan import BatchUnsupported, CellPlan, plan_cell, stack_plans
+from .scheduler import replay_lane
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..experiments.cache import ResultCache
@@ -52,23 +49,6 @@ class BatchReport:
     stacked_rows: int = 0
     stack_seconds: float = 0.0
     metrics_seconds: float = 0.0
-
-
-def _install_lane(device: SSDevice, plan: CellPlan, lane: str) -> None:
-    """Point the device at the plan's columns for one lane's replay."""
-    cols = plan.lanes[lane]
-    device.ftl = PlannedFTL(device.ftl.n_logical_pages, device.geom.page_bytes)
-    device.scheduler_factory = lambda: ColumnarScheduler(
-        device.geom, device.bus, device.host, cols
-    )
-    device.defer_metrics = True
-
-
-def _make_unconstrained(device: SSDevice) -> None:
-    """Mutate the device into the Figs-7b/8b peak configuration."""
-    device.bus = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
-    device.host = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
-    device.command_overhead_ns = 0
 
 
 def _aggregate_mb(log: TxnLog) -> float:
@@ -150,19 +130,13 @@ def run_cells_batch(
                 continue
         t0 = time.perf_counter()
         device = plan.path.device
-        _install_lane(device, plan, "main")
-        main_log = device.run(plan.groups, posix_window=plan.posix_window).log
+        main_log = replay_lane(plan, "main")
         if with_remaining:
             peak = None
             if cache is not None:
                 peak = cache.get_peak(plan.label, plan.kind_name, workload, seed)
             if peak is None:
-                _make_unconstrained(device)
-                _install_lane(device, plan, "peak")
-                peak_log = device.run(
-                    plan.groups, posix_window=plan.posix_window
-                ).log
-                peak = _aggregate_mb(peak_log)
+                peak = _aggregate_mb(replay_lane(plan, "peak"))
                 if cache is not None:
                     cache.put_peak(plan.label, plan.kind_name, workload, seed, peak)
             peaks[cell] = peak

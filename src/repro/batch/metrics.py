@@ -17,17 +17,15 @@ Bit-identity argument, per quantity:
   contention split, the breakdown normalization, bandwidth division
   and utilization ratios — is replayed here operation-for-operation in
   the same order (channels ascending, BREAKDOWN_KEYS order),
-* the pattern-peak replay reuses the inherited ``_schedule_arrays``
-  recurrence on the lane's own log columns — the same int64 inputs the
-  scalar ``media_pattern_peak`` rebuilds from tuples.
+* the pattern peak is the scalar pass's own function,
+  :func:`repro.ssd.metrics.media_pattern_peak`, bound here as
+  ``pattern_peak_from_log``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..interconnect.host import HostPath
-from ..nvm.bus import BusSpec
 from ..nvm.kinds import NVMKind
 from ..ssd.geometry import Geometry
 from ..ssd.metrics import (
@@ -36,58 +34,12 @@ from ..ssd.metrics import (
     RunMetrics,
     _client_bandwidth,
 )
+from ..ssd.metrics import media_pattern_peak as pattern_peak_from_log
 from ..ssd.request import OpCode
-from ..ssd.scheduler import TransactionScheduler, TxnLog
+from ..ssd.scheduler import TxnLog
 from .segments import distinct_count, measure_sorted, sorted_filter, union_measure
 
 __all__ = ["compute_metrics_batch", "pattern_peak_from_log"]
-
-
-def pattern_peak_from_log(log: TxnLog, geom: Geometry, kind: NVMKind) -> float:
-    """Media ceiling of the observed pattern, from log columns.
-
-    Equivalent to :func:`repro.ssd.metrics.media_pattern_peak` minus
-    the tuple round-trip: the unconstrained scheduler's vectorized
-    pre-pass is applied to the log's own int64 columns and fed to the
-    inherited recurrence.
-    """
-    n = len(log)
-    if n == 0:
-        return 0.0
-    host = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
-    bus = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
-    sched = TransactionScheduler(geom, bus, host, kind=kind)
-
-    op_a = log["op"]
-    flat_a = log["flat"]
-    nbytes_a = log["nbytes"]
-    group_a = log["group"]
-    pib_a = log["pib"]
-    u_a = flat_a % geom.plane_units
-    read_ladder = sched._read_ladder_a
-    prog_ladder = sched._prog_ladder_a
-    cell_a = np.full(n, kind.erase_ns, dtype=np.int64)
-    is_read = op_a == OpCode.READ
-    is_write = op_a == OpCode.WRITE
-    if is_read.any():
-        cell_a[is_read] = read_ladder[pib_a[is_read] % len(read_ladder)]
-    if is_write.any():
-        cell_a[is_write] = prog_ladder[pib_a[is_write] % len(prog_ladder)]
-    fb_a = (nbytes_a * sched._bus_ns_per_byte).astype(np.int64)
-    hb_a = (nbytes_a * sched._host_ns_per_byte).astype(np.int64)
-    shared = np.zeros(n, dtype=bool)
-    if n > 1:
-        shared[1:] = (group_a[1:] >= 0) & (group_a[1:] == group_a[:-1])
-    cmd_a = np.where(shared, 0, sched._cmd_ns)
-
-    end = sched._schedule_arrays(
-        0, 0, 0, "data",
-        op_a, flat_a, nbytes_a, group_a, pib_a,
-        u_a, log["plane"], log["channel"], log["package"], log["die"],
-        cell_a, fb_a, hb_a, cmd_a,
-    )
-    payload = int(nbytes_a[log["kind_code"] == 0].sum())
-    return payload * 1e9 / end if end > 0 else 0.0
 
 
 def compute_metrics_batch(

@@ -13,32 +13,42 @@ command-sharing discount).
 translation cannot express (writes, trims, cold reads, fault models,
 non-FIFO queueing, geometries without plane pairs).  ``stack_plans``
 then concatenates all planned cells into one stacked int64 block and
-evaluates the shared arithmetic for the whole matrix in a single numpy
-sweep; each plan receives per-cell views (``lanes``) that the columnar
-scheduler slices per command at dispatch time.
+runs the scheduler's own :func:`~repro.ssd.scheduler.prepass` over it
+once, with each cell's device constants broadcast per row; each plan
+receives per-cell views (``lanes``) that the stock
+:class:`~repro.ssd.scheduler.TransactionScheduler` replays window by
+window (:mod:`repro.batch.scheduler`).
 
 Two lanes are materialized per cell from the same transaction columns:
 
 * ``main`` — the configured bus/host/command-overhead constants,
-* ``peak`` — the unconstrained-interface constants of
-  :func:`repro.experiments.runner._unconstrained_media_peak` (infinite
-  bus and host, zero command overhead), reusing the plan instead of
-  re-translating the identical deterministic stream.
+* ``peak`` — the unconstrained interface
+  (:data:`~repro.ssd.scheduler.INFINITE_BUS`,
+  :data:`~repro.ssd.scheduler.INFINITE_HOST`, zero command overhead)
+  of :func:`repro.experiments.runner._unconstrained_media_peak`,
+  reusing the plan instead of re-translating the identical
+  deterministic stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ..core.architecture import StoragePath
 from ..experiments.configs import ExpConfig, config_by_label
-from ..interconnect.host import HostPath
-from ..nvm.bus import BusSpec
 from ..nvm.kinds import NVMKind, kind_by_name
 from ..ssd.request import CommandGroup, DeviceCommand, OpCode
+from ..ssd.scheduler import (
+    INFINITE_BUS,
+    INFINITE_HOST,
+    LaneCols,
+    Link,
+    MediaConsts,
+    TxnSlice,
+    prepass,
+)
 from ..trace.replay import _interleave
 
 __all__ = [
@@ -70,31 +80,20 @@ class PlannedCommand(DeviceCommand):
     hi: int = 0
 
 
-class TxnSlice:
-    """A contiguous row range of a cell's transaction columns."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-
 class PlannedFTL:
     """Stand-in FTL whose translations were precomputed by the plan.
 
     Only ever sees :class:`PlannedCommand`s (the plan refused anything
-    that could mutate FTL state), so translation is a slice lookup and
-    the stats roll-up is identically zero — exactly what the real
-    :class:`~repro.ssd.ftl.DeviceFTL` reports for a pure-read replay.
+    that could mutate FTL state), so translation is a window of the
+    installed lane's rows and the stats roll-up is identically zero —
+    exactly what the real :class:`~repro.ssd.ftl.DeviceFTL` reports for
+    a pure-read replay.
     """
 
-    def __init__(self, n_logical_pages: int, page_bytes: int):
+    def __init__(self, n_logical_pages: int, page_bytes: int, lane: LaneCols):
         self.n_logical_pages = n_logical_pages
         self.page_bytes = page_bytes
+        self.lane = lane
         self.stats = {
             "gc_runs": 0,
             "gc_moved_pages": 0,
@@ -107,32 +106,7 @@ class PlannedFTL:
 
     def translate(self, cmd: DeviceCommand) -> TxnSlice:
         assert isinstance(cmd, PlannedCommand), "planned FTL needs planned commands"
-        return TxnSlice(cmd.lo, cmd.hi)
-
-
-@dataclass
-class LaneCols:
-    """Per-row columns one scheduler lane consumes (all int64).
-
-    ``op`` .. ``cell_ns`` are shared between lanes (views of the
-    stacked block); ``fb``/``hb``/``cmd`` carry the lane's bus, host
-    and command-overhead arithmetic.
-    """
-
-    op: np.ndarray
-    flat: np.ndarray
-    nbytes: np.ndarray
-    group: np.ndarray
-    pib: np.ndarray
-    unit: np.ndarray
-    plane: np.ndarray
-    chan: np.ndarray
-    pkg: np.ndarray
-    die: np.ndarray
-    cell_ns: np.ndarray
-    fb: np.ndarray
-    hb: np.ndarray
-    cmd: np.ndarray
+        return TxnSlice(self.lane, cmd.lo, cmd.hi)
 
 
 @dataclass
@@ -315,144 +289,40 @@ def plan_cell(
 
 
 def stack_plans(plans: list[CellPlan]) -> int:
-    """Evaluate the shared per-transaction arithmetic for all plans.
+    """Pre-pass every planned row of the matrix at once.
 
     Concatenates every planned cell into one (cell x txn) int64 block
-    and computes address decode, ladder latencies, bus/host transfer
-    times and command-sharing discounts in one vectorized pass — the
-    same formulas ``TransactionScheduler.submit`` applies per command,
-    hoisted across the whole matrix.  Each plan receives ``main`` and
-    ``peak`` lane views over its rows.  Returns the stacked row count.
+    and runs :func:`~repro.ssd.scheduler.prepass` over it with each
+    cell's geometry, ladders, bus and host broadcast per row.  Each
+    plan receives ``main`` and ``peak`` lane views over its rows.
+    Returns the stacked row count.
     """
-    plans = [p for p in plans]
     if not plans:
         return 0
-    ncells = len(plans)
     ns = np.array([p.n for p in plans], dtype=np.int64)
     total = int(ns.sum())
-    cellidx = np.repeat(np.arange(ncells, dtype=np.int64), ns)
+    cell = np.repeat(np.arange(len(plans), dtype=np.int64), ns)
+    flat = np.concatenate([p.flat for p in plans])
+    nbytes = np.concatenate([p.nbytes for p in plans])
+    group = np.concatenate([p.group_ids for p in plans])
+    # a multi-plane pair shares command cycles only within one command
+    cmd_key = np.concatenate([p.cmd_ord + i * (1 << 32) for i, p in enumerate(plans)])
 
-    def const(vals) -> np.ndarray:
-        return np.asarray(vals, dtype=np.int64)[cellidx]
-
-    flat = (
-        np.concatenate([p.flat for p in plans]) if total else np.empty(0, np.int64)
+    devices = [p.path.device for p in plans]
+    media = MediaConsts.stack(
+        [MediaConsts.of(d.geom, p.kind) for d, p in zip(devices, plans)], cell
     )
-    nbytes = (
-        np.concatenate([p.nbytes for p in plans]) if total else np.empty(0, np.int64)
+    ppb = np.array([d.geom.pages_per_block for d in devices], dtype=np.int64)[cell]
+    pib = (flat // media.U) % ppb
+    op = np.full(total, OpCode.READ, dtype=np.int64)  # reads by plan construction
+    main_link = Link.stack([Link.of(d.bus, d.host) for d in devices], cell)
+    peak_link = Link.of(INFINITE_BUS, INFINITE_HOST)
+    main, peak = prepass(
+        media, (main_link, peak_link), op, flat, nbytes, group, pib, same_cmd=cmd_key
     )
-    group = (
-        np.concatenate([p.group_ids for p in plans])
-        if total
-        else np.empty(0, np.int64)
-    )
-
-    geoms = [p.path.device.geom for p in plans]
-    U = const([g.plane_units for g in geoms])
-    P = const([g.planes_per_die for g in geoms])
-    C = const([g.channels for g in geoms])
-    D = const([g.dies_per_package for g in geoms])
-    K = const([g.packages_per_channel for g in geoms])
-    ppb = const([g.pages_per_block for g in geoms])
-
-    # address decode — the exact integer formulas of the scalar pre-pass
-    u = flat % U
-    plane = u % P
-    rest = u // P
-    chan = rest % C
-    rest = rest // C
-    pkg = rest // D + K * chan
-    die = rest % D + D * pkg
-    pib = (flat // U) % ppb
-
-    # read-latency ladder gather (the stream is all reads by plan
-    # construction); ladders differ per kind, so gather through one
-    # concatenated ladder table with per-cell bases
-    ladders = [np.asarray(p.kind.read_ladder, dtype=np.int64) for p in plans]
-    lad_table = np.concatenate(ladders) if ladders else np.empty(0, np.int64)
-    lad_lens = np.array([len(lad) for lad in ladders], dtype=np.int64)
-    lad_base = np.cumsum(lad_lens) - lad_lens
-    cell_ns = (
-        lad_table[lad_base[cellidx] + pib % lad_lens[cellidx]]
-        if total
-        else np.empty(0, np.int64)
-    )
-    op = np.full(total, OpCode.READ, dtype=np.int64)
-
-    # command-sharing discount: within one submitted command, members
-    # of a multi-plane group after the first ride the already-paid
-    # command/address cycles
-    cmd_key = np.concatenate(
-        [p.cmd_ord + i * (1 << 32) for i, p in enumerate(plans)]
-        or [np.empty(0, np.int64)]
-    )
-    shared = np.zeros(total, dtype=bool)
-    if total > 1:
-        shared[1:] = (
-            (group[1:] >= 0)
-            & (group[1:] == group[:-1])
-            & (cmd_key[1:] == cmd_key[:-1])
-        )
-
-    # lane transfer arithmetic: main uses each cell's configured bus and
-    # host; peak uses the unconstrained-interface constants
-    bus_npb = np.asarray(
-        [1e9 / p.path.device.bus.bytes_per_sec for p in plans], dtype=np.float64
-    )[cellidx]
-    host_npb = np.asarray(
-        [1e9 / p.path.device.host.bytes_per_sec for p in plans], dtype=np.float64
-    )[cellidx]
-    cmd_ns = const([p.path.device.bus.cmd_ns for p in plans])
-    fb_main = (nbytes * bus_npb).astype(np.int64)
-    hb_main = (nbytes * host_npb).astype(np.int64)
-    cmd_main = np.where(shared, 0, cmd_ns)
-
-    inf_bus = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
-    inf_host = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
-    fb_peak = (nbytes * (1e9 / inf_bus.bytes_per_sec)).astype(np.int64)
-    hb_peak = (nbytes * (1e9 / inf_host.bytes_per_sec)).astype(np.int64)
-    cmd_peak = np.where(shared, 0, np.int64(inf_bus.cmd_ns))
 
     offsets = np.cumsum(ns) - ns
-    for i, p in enumerate(plans):
-        sl = slice(int(offsets[i]), int(offsets[i] + ns[i]))
-        shared_cols = dict(
-            op=op[sl],
-            flat=flat[sl],
-            nbytes=nbytes[sl],
-            group=group[sl],
-            pib=pib[sl],
-            unit=u[sl],
-            plane=plane[sl],
-            chan=chan[sl],
-            pkg=pkg[sl],
-            die=die[sl],
-            cell_ns=cell_ns[sl],
-        )
-        p.lanes = {
-            "main": LaneCols(
-                fb=fb_main[sl], hb=hb_main[sl], cmd=cmd_main[sl], **shared_cols
-            ),
-            "peak": LaneCols(
-                fb=fb_peak[sl], hb=hb_peak[sl], cmd=cmd_peak[sl], **shared_cols
-            ),
-        }
+    for p, off, n in zip(plans, offsets.tolist(), ns.tolist()):
+        rows = slice(off, off + n)
+        p.lanes = {"main": main.window(rows), "peak": peak.window(rows)}
     return total
-
-
-def unconstrained_interface() -> tuple[BusSpec, HostPath]:
-    """The infinite bus/host pair of the peak (Figs 7b/8b) replays."""
-    return (
-        BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0),
-        HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0),
-    )
-
-
-def plan_or_none(
-    label: str, kind_name: str, workload, seed: int
-) -> tuple[Optional[CellPlan], Optional[str]]:
-    """``plan_cell`` that reports the refusal reason instead of raising."""
-    try:
-        return plan_cell(label, kind_name, workload, seed), None
-    except BatchUnsupported as exc:
-        return None, str(exc)

@@ -1,208 +1,35 @@
-"""Array-native transaction scheduler for planned (columnar) cells.
+"""Replay one of a planned cell's lanes on the stock scheduler.
 
-The stock :class:`~repro.ssd.scheduler.TransactionScheduler` computes a
-vectorized pre-pass per submitted command, runs the sequential
-resource-timeline recurrence, and writes 23 log columns per command
-into its buffers.  For a planned cell the pre-pass already happened —
-once, for the whole matrix, in :func:`repro.batch.plan.stack_plans` —
-so this subclass keeps the lane's columns as whole-lane Python lists
-(one ``tolist`` per lane instead of nine per command), runs the
-*verbatim read recurrence* of the reference ``_schedule_arrays`` over
-``lo:hi`` row windows, and assembles the columnar log in one vectorized
-pass at :meth:`finish`.
-
-Bit-identity: the recurrence below is a line-for-line copy of the READ
-branch of ``TransactionScheduler._schedule_arrays`` (the frozen
-reference), operating on the same Python ints over the same resource
-state; the planner guarantees every transaction is a read.  Golden
-tests assert RunMetrics equality for all 52 Table-2 cells.
+:func:`~repro.batch.plan.stack_plans` pre-passes every planned row of
+the matrix in one sweep and hands each cell a ``main`` and a ``peak``
+lane.  :func:`replay_lane` points the cell's device at one of them:
+the FTL becomes a :class:`~repro.batch.plan.PlannedFTL` whose
+translations are :class:`~repro.ssd.scheduler.TxnSlice` windows of the
+lane, so the controller's flow control and the stock
+:class:`~repro.ssd.scheduler.TransactionScheduler` replay the cell
+unchanged, minus the per-command pre-pass.  Metrics are deferred to
+the stacked pass of :mod:`repro.batch.metrics`.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from ..ssd.scheduler import TxnLog
+from .plan import CellPlan, PlannedFTL
 
-from ..interconnect.host import HostPath
-from ..nvm.bus import BusSpec
-from ..nvm.kinds import NVMKind
-from ..ssd.geometry import Geometry
-from ..ssd.scheduler import KIND_CODES, TransactionScheduler, TxnLog
-from .plan import LaneCols, TxnSlice
-
-__all__ = ["ColumnarScheduler"]
+__all__ = ["replay_lane"]
 
 
-class ColumnarScheduler(TransactionScheduler):
-    """Scheduler whose per-transaction pre-pass was hoisted to plan time."""
+def replay_lane(plan: CellPlan, lane: str) -> TxnLog:
+    """Replay ``plan``'s ``"main"`` or ``"peak"`` lane; return its log.
 
-    def __init__(
-        self,
-        geometry: Geometry,
-        bus: BusSpec,
-        host: HostPath,
-        cols: LaneCols,
-        kind: NVMKind | None = None,
-    ):
-        super().__init__(geometry, bus, host, kind=kind)
-        self._cols = cols
-        # whole-lane scalar views (one tolist per lane, not per command)
-        self._unit_l = cols.unit.tolist()
-        self._die_l = cols.die.tolist()
-        self._pkg_l = cols.pkg.tolist()
-        self._chan_l = cols.chan.tolist()
-        self._cell_l = cols.cell_ns.tolist()
-        self._fb_l = cols.fb.tolist()
-        self._hb_l = cols.hb.tolist()
-        self._cmd_l = cols.cmd.tolist()
-        n = len(cols.op)
-        # per-row interval outputs, in submission order
-        self._cs = [0] * n
-        self._ce = [0] * n
-        self._fs = [0] * n
-        self._fe = [0] * n
-        self._ss = [0] * n
-        self._se = [0] * n
-        self._hs = [0] * n
-        self._he = [0] * n
-        self._out = 0  # rows emitted so far
-        # per-command metadata, in submission order
-        self._cmd_meta: list[tuple[int, int, int, int, int, int]] = []
-
-    def submit(
-        self,
-        txns,
-        arrival: int,
-        req_id: int,
-        client: int = 0,
-        kind_label: str = "data",
-    ) -> int:
-        if not isinstance(txns, TxnSlice):
-            raise TypeError(
-                "ColumnarScheduler replays planned lanes only; "
-                "unplanned transactions must use the scalar path"
-            )
-        if arrival < 0:
-            raise ValueError("negative arrival")
-        lo, hi = txns.lo, txns.hi
-        if hi <= lo:
-            return arrival
-        self._cmd_meta.append(
-            (req_id, client, KIND_CODES.get(kind_label, 0), arrival, lo, hi)
-        )
-
-        unit_l = self._unit_l
-        die_l = self._die_l
-        pkg_l = self._pkg_l
-        chan_l = self._chan_l
-        cell_l = self._cell_l
-        fb_l = self._fb_l
-        hb_l = self._hb_l
-        cmd_l = self._cmd_l
-        chan_free = self.chan_free
-        pkg_free = self.pkg_free
-        die_free = self.die_free
-        plane_free = self.plane_free
-        host_free = self.host_free
-        cs_l, ce_l = self._cs, self._ce
-        fs_l, fe_l = self._fs, self._fe
-        ss_l, se_l = self._ss, self._se
-        hs_l, he_l = self._hs, self._he
-        out = self._out
-        completion = arrival
-
-        # the reference READ recurrence, verbatim, over the lane window
-        for i in range(lo, hi):
-            unit = unit_l[i]
-            die_g = die_l[i]
-            c_start = arrival
-            df = die_free[die_g]
-            if df > c_start:
-                c_start = df
-            pl = plane_free[unit]
-            if pl > c_start:
-                c_start = pl
-            c_end = c_start + cell_l[i]
-            die_free[die_g] = c_end
-            fb_ns = fb_l[i]
-            pkg_g = pkg_l[i]
-            pf = pkg_free[pkg_g]
-            f_start = pf if pf > c_end else c_end
-            f_end = f_start + fb_ns
-            pkg_free[pkg_g] = f_end
-            channel = chan_l[i]
-            cf = chan_free[channel]
-            s_start = cf if cf > f_end else f_end
-            s_end = s_start + cmd_l[i] + fb_ns
-            chan_free[channel] = s_end
-            plane_free[unit] = s_end  # register drains with the bus
-            h_start = host_free if host_free > s_end else s_end
-            h_end = h_start + hb_l[i]
-            host_free = h_end
-            if h_end > completion:
-                completion = h_end
-            cs_l[out] = c_start
-            ce_l[out] = c_end
-            fs_l[out] = f_start
-            fe_l[out] = f_end
-            ss_l[out] = s_start
-            se_l[out] = s_end
-            hs_l[out] = h_start
-            he_l[out] = h_end
-            out += 1
-
-        self.host_free = host_free
-        self._out = out
-        self._n = out
-        return completion
-
-    def finish(self) -> TxnLog:
-        """Assemble the columnar log in one vectorized gather."""
-        n = self._out
-        meta = self._cmd_meta
-        c = self._cols
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            from ..ssd.scheduler import LOG_COLUMNS
-
-            return TxnLog({name: empty for name in LOG_COLUMNS})
-        m = np.asarray(meta, dtype=np.int64)
-        lo = m[:, 4]
-        hi = m[:, 5]
-        lens = hi - lo
-        starts = np.cumsum(lens) - lens
-        pos = np.arange(n, dtype=np.int64)
-        # plan-order row index of each log row, in submission order
-        idx = np.repeat(lo, lens) + (pos - np.repeat(starts, lens))
-        rep = lambda col: np.repeat(m[:, col], lens)  # noqa: E731
-        ss_arr = np.asarray(self._ss[:n], dtype=np.int64)
-        he_arr = np.asarray(self._he[:n], dtype=np.int64)
-        se_arr = np.asarray(self._se[:n], dtype=np.int64)
-        return TxnLog(
-            {
-                "req": rep(0),
-                "client": rep(1),
-                "op": c.op[idx],
-                "channel": c.chan[idx],
-                "package": c.pkg[idx],
-                "die": c.die[idx],
-                "plane": c.plane[idx],
-                "nbytes": c.nbytes[idx],
-                "group": c.group[idx],
-                "kind_code": rep(2),
-                "flat": c.flat[idx],
-                "pib": c.pib[idx],
-                "arrival": rep(3),
-                "cell_start": np.asarray(self._cs[:n], dtype=np.int64),
-                "cell_end": np.asarray(self._ce[:n], dtype=np.int64),
-                "fb_start": np.asarray(self._fs[:n], dtype=np.int64),
-                "fb_end": np.asarray(self._fe[:n], dtype=np.int64),
-                "ch_start": ss_arr,
-                "ch_end": se_arr,
-                "h_start": np.asarray(self._hs[:n], dtype=np.int64),
-                "h_end": he_arr,
-                # reads: media completes with the channel transfer and
-                # the request with the host transfer (reference branch)
-                "media_done": se_arr,
-                "done": he_arr,
-            }
-        )
+    The peak lane leaves the device unconstrained for good, so replay
+    it after the main lane.
+    """
+    device = plan.path.device
+    if lane == "peak":
+        device.unconstrain()
+    device.ftl = PlannedFTL(
+        device.ftl.n_logical_pages, device.geom.page_bytes, plan.lanes[lane]
+    )
+    device.defer_metrics = True
+    return device.run(plan.groups, posix_window=plan.posix_window).log

@@ -191,13 +191,8 @@ def _unconstrained_media_peak(
     large remainder, while a file system whose own request stream is
     the bottleneck shows a small one.
     """
-    from ..interconnect.host import HostPath
-    from ..nvm.bus import BusSpec
-
     path = config.build(kind, workload.bytes_per_client, seed=seed)
-    path.device.bus = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
-    path.device.host = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
-    path.device.command_overhead_ns = 0
+    path.device.unconstrain()
     if traces is None or len(traces) != path.clients:
         traces = workload.traces(path.clients)
     summary = replay(path, traces, posix_window=workload.posix_window)

@@ -206,9 +206,7 @@ _ESCAPE_BASENAMES = {
     "WearFTL": "ftl",
     "CellPlan": "plan",
     "LaneCols": "plan",
-    "ColumnarScheduler": "plan",
     "plan_cell": "plan",
-    "plan_or_none": "plan",
 }
 
 #: project factories whose *return value* carries an escape kind even

@@ -15,7 +15,7 @@ in ways that surface far from the submit site:
   never advances — silently correlated "randomness".  Ship the seed,
   construct the RNG worker-side;
 * ``POOL004`` — a columnar batch-plan object (``CellPlan``,
-  ``LaneCols``, ``ColumnarScheduler``, or a ``plan_cell`` result).
+  ``LaneCols``, or a ``plan_cell`` result).
   The batch kernel (:mod:`repro.batch`) is in-process *by design*: its
   lane columns are views into one shared stacked matrix, so pickling a
   plan silently ships every worker a private copy of the whole stack —
@@ -63,14 +63,11 @@ _RNG_CTORS = frozenset(
 _PLAN_CTORS = frozenset(
     {
         "plan_cell",
-        "plan_or_none",
         "CellPlan",
         "LaneCols",
-        "ColumnarScheduler",
         "batch.plan_cell",
         "repro.batch.plan_cell",
         "repro.batch.plan.plan_cell",
-        "repro.batch.scheduler.ColumnarScheduler",
     }
 )
 

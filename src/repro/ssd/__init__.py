@@ -1,7 +1,6 @@
 """SSD models: geometry, FTL, transaction scheduling, metrics."""
 
 from .controller import ReplayResult, SSDevice
-from .des_model import DesRunStats, DesSSD
 from .ftl import DeviceFTL, FTLError, Txn
 from .geometry import PAPER_GEOMETRY_KW, Geometry, PhysAddr
 from .metrics import (
@@ -32,8 +31,6 @@ __all__ = [
     "SSDevice",
     "ReplayResult",
     "PaqQueue",
-    "DesSSD",
-    "DesRunStats",
     "reorder_die_round_robin",
     "CommandGroup",
     "DeviceCommand",

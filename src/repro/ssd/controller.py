@@ -28,7 +28,7 @@ bit-identical to the fault-free path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..interconnect.host import HostPath
 from ..nvm.bus import BusSpec
@@ -37,7 +37,7 @@ from .geometry import Geometry
 from .metrics import RunMetrics, compute_metrics
 from .queueing import reorder_die_round_robin
 from .request import CommandGroup
-from .scheduler import TransactionScheduler, TxnLog
+from .scheduler import INFINITE_BUS, INFINITE_HOST, TransactionScheduler, TxnLog
 
 __all__ = ["SSDevice", "ReplayResult"]
 
@@ -102,14 +102,20 @@ class SSDevice:
         #: only already-computed DES timestamps.  The lifetime sweep
         #: uses it for per-cell p99 latency.
         self.latency_recorder = None
-        #: optional zero-arg factory overriding the transaction
-        #: scheduler; the columnar batch backend installs its
-        #: array-native subclass here (``None`` = stock scheduler)
-        self.scheduler_factory: Optional[Callable[[], TransactionScheduler]] = None
         #: skip the in-replay metrics pass (``ReplayResult.metrics`` is
         #: ``None``); the batch backend computes metrics for many lanes
         #: in one stacked pass after all replays finish
         self.defer_metrics = False
+
+    def unconstrain(self) -> None:
+        """Switch to an infinite bus and host path, no command overhead.
+
+        The Figs 7b/8b baseline: only the media and the request stream
+        itself constrain a replay on the unconstrained device.
+        """
+        self.bus = INFINITE_BUS
+        self.host = INFINITE_HOST
+        self.command_overhead_ns = 0
 
     def attach_faults(self, model) -> None:
         """Overlay a device fault model onto subsequent replays."""
@@ -139,11 +145,7 @@ class SSDevice:
         """
         if posix_window < 1:
             raise ValueError("posix_window must be >= 1")
-        sched = (
-            self.scheduler_factory()
-            if self.scheduler_factory is not None
-            else TransactionScheduler(self.geom, self.bus, self.host)
-        )
+        sched = TransactionScheduler(self.geom, self.bus, self.host)
         per_req_ns = self.host.per_request_ns + self.command_overhead_ns
         ra = self.readahead_bytes
         ftl = self.ftl
@@ -229,7 +231,7 @@ class SSDevice:
                 )
                 if faults is not None:
                     done = faults.on_command(
-                        req_id, cmd.op, txns, done, sched._decode
+                        req_id, cmd.op, txns, done, self.geom.resource_ids
                     )
                 if self.latency_recorder is not None:
                     self.latency_recorder.record(done - cmd_arrival)

@@ -129,6 +129,20 @@ class Geometry:
         package = u // D
         return channel, package, die, plane
 
+    def resource_ids(self, flat: int) -> tuple[int, int, int, int]:
+        """Flat stripe index -> (channel, global package, global die, plane).
+
+        The scalar form of the scheduler's address decode, for callers
+        that need the resources one transaction occupies.
+        """
+        channel, package, die, plane = self.unit_decode(flat % self.plane_units)
+        return (
+            channel,
+            self.global_package(channel, package),
+            self.global_die(channel, package, die),
+            plane,
+        )
+
     # -- flat stripe codec -------------------------------------------------
     def encode(self, addr: PhysAddr) -> int:
         """Physical address -> flat stripe index."""

@@ -34,7 +34,16 @@ from ..nvm.kinds import NVMKind
 from ..sim import intervals as iv
 from .geometry import Geometry
 from .request import OpCode
-from .scheduler import TransactionScheduler, TxnLog
+from .scheduler import (
+    INFINITE_BUS,
+    INFINITE_HOST,
+    Link,
+    MediaConsts,
+    Resources,
+    TxnLog,
+    prepass,
+    recurrence,
+)
 
 __all__ = ["RunMetrics", "compute_metrics", "media_pattern_peak"]
 
@@ -103,9 +112,7 @@ def _client_bandwidth(log: TxnLog) -> dict[int, float]:
     return out
 
 
-def media_pattern_peak(
-    log: TxnLog, geom: Geometry, bus: BusSpec, kind: NVMKind
-) -> float:
+def media_pattern_peak(log: TxnLog, geom: Geometry, kind: NVMKind) -> float:
     """Media ceiling of the observed transaction pattern (bytes/sec).
 
     Re-schedules the identical transaction stream with all arrivals at
@@ -113,24 +120,23 @@ def media_pattern_peak(
     cell-level media resources constrain it.  This is the NVM-media
     headroom the paper's "bandwidth remaining" (Figs 7b/8b) measures
     against: media that "completes its requests faster and ends up
-    idling" shows a large remainder.
+    idling" shows a large remainder.  The log's own columns are
+    pre-passed and fed straight to the timing recurrence; only its
+    completion time is kept.
     """
     n = len(log)
     if n == 0:
         return 0.0
-    unconstrained_host = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
-    unconstrained_bus = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
-    sched = TransactionScheduler(geom, unconstrained_bus, unconstrained_host, kind=kind)
-    txns = list(
-        zip(
-            log["op"].tolist(),
-            log["flat"].tolist(),
-            log["nbytes"].tolist(),
-            log["group"].tolist(),
-            log["pib"].tolist(),
-        )
+    (lane,) = prepass(
+        MediaConsts.of(geom, kind),
+        (Link.of(INFINITE_BUS, INFINITE_HOST),),
+        log["op"],
+        log["flat"],
+        log["nbytes"],
+        log["group"],
+        log["pib"],
     )
-    end = sched.submit(txns, arrival=0, req_id=0)
+    end = recurrence(lane.lists(), 0, n, 0, Resources(geom))
     payload = int(log["nbytes"][log["kind_code"] == 0].sum())
     return payload * 1e9 / end if end > 0 else 0.0
 
@@ -327,7 +333,7 @@ def compute_metrics(
     payload = int(log["nbytes"][data_mask].sum())
     makespan = int(log["done"].max() - log["arrival"].min())
     bw = payload * 1e9 / makespan if makespan > 0 else 0.0
-    peak = media_pattern_peak(log, geom, bus, kind)
+    peak = media_pattern_peak(log, geom, kind)
 
     # utilization over the device-active window
     inflight_all = np.column_stack(

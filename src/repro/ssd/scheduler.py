@@ -26,22 +26,31 @@ The scheduler is deterministic and processes transactions in submission
 order; parallelism emerges from the per-resource availability times
 exactly as in a non-preemptive list schedule.
 
-Implementation note (performance): per :class:`CommandGroup` batch, the
-address decode, cell-latency ladder lookups, bus/host transfer times
-and command-sharing discounts carry no cross-transaction dependency, so
-they are precomputed with numpy in one vectorized pass; only the
-irreducibly sequential resource-timeline recurrence runs as a scalar
-loop over plain ints.  Log rows land in preallocated int64 column
-buffers (one row per :data:`LOG_COLUMNS` entry), so :meth:`finish`
-returns views without the list-of-tuples transpose copy.  The schedule
-itself is bit-identical to the scalar reference implementation kept in
-:mod:`repro.ssd.reference_scheduler` (enforced by the golden test).
+The timing kernel has two halves, shared by every replay:
+
+* :func:`prepass` computes everything without a cross-transaction
+  dependency — address decode, latency-ladder lookup, bus/host
+  transfer times and the multi-plane command-sharing discount — with
+  numpy over any number of rows.  Its constants are Python ints for one
+  device, or per-row arrays (:meth:`MediaConsts.stack`,
+  :meth:`Link.stack`) when a planner pre-passes many devices' rows in
+  one sweep.
+* :func:`recurrence` is the irreducibly sequential resource-timeline
+  recurrence, a scalar loop over plain ints for READ/WRITE/ERASE rows.
+
+:class:`TransactionScheduler` pre-passes raw :data:`~repro.ssd.ftl.Txn`
+tuples per submitted command, or takes a :class:`TxnSlice` window of
+rows a planner already pre-passed (the batch backend's lanes); either
+way it runs the same recurrence, and :meth:`TransactionScheduler.finish`
+assembles the 23-column log in one gather.  The media pattern peak
+(:func:`repro.ssd.metrics.media_pattern_peak`) calls the two halves
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,7 +61,19 @@ from .ftl import Txn
 from .geometry import Geometry
 from .request import OpCode
 
-__all__ = ["TransactionScheduler", "TxnLog"]
+__all__ = [
+    "INFINITE_BUS",
+    "INFINITE_HOST",
+    "LaneCols",
+    "Link",
+    "MediaConsts",
+    "Resources",
+    "TransactionScheduler",
+    "TxnLog",
+    "TxnSlice",
+    "prepass",
+    "recurrence",
+]
 
 #: Column names of the transaction log (all int64 ns except noted).
 LOG_COLUMNS = (
@@ -83,8 +104,27 @@ LOG_COLUMNS = (
 
 KIND_CODES = {"data": 0, "journal": 1, "metadata": 2}
 
-#: name -> row index in the scheduler's preallocated column buffer
-_COL = {name: i for i, name in enumerate(LOG_COLUMNS)}
+#: the infinite bus/host pair of the unconstrained replays: the pattern
+#: peak and the Figs 7b/8b "bandwidth remaining" baseline
+INFINITE_BUS = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
+INFINITE_HOST = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
+
+#: lane columns the recurrence reads, in its unpacking order
+_RECURRENCE_COLS = ("op", "unit", "die", "pkg", "chan", "cell_ns", "fb", "hb", "cmd")
+#: log columns gathered from the replayed rows: log name -> lane column
+_ROW_COLS = {
+    "op": "op",
+    "channel": "chan",
+    "package": "pkg",
+    "die": "die",
+    "plane": "plane",
+    "nbytes": "nbytes",
+    "group": "group",
+    "flat": "flat",
+    "pib": "pib",
+}
+
+Ints = Union[int, np.ndarray]
 
 
 @dataclass
@@ -102,6 +142,324 @@ class TxnLog:
         return self.columns[name]
 
 
+@dataclass(frozen=True)
+class MediaConsts:
+    """Address-decode and cell-latency constants for :func:`prepass`.
+
+    For one device the geometry fields are Python ints; :meth:`stack`
+    broadcasts several devices' constants to per-row arrays.  Cell
+    latency is a lookup in ``lat``, the concatenated (read ladder,
+    program ladder, erase time) tables: a row with op code ``op`` reads
+    ``lat[lat_base[k] + pib % lat_len[k]]`` with ``k = op + key_base``.
+    """
+
+    U: Ints  # plane units
+    P: Ints  # planes per die
+    C: Ints  # channels
+    D: Ints  # dies per package
+    K: Ints  # packages per channel
+    lat: np.ndarray
+    lat_base: np.ndarray
+    lat_len: np.ndarray
+    key_base: Ints = 0
+
+    @classmethod
+    def of(cls, geom: Geometry, kind: NVMKind) -> "MediaConsts":
+        n_read = len(kind.read_ladder)
+        n_prog = len(kind.program_ladder)
+        return cls(
+            U=geom.plane_units,
+            P=geom.planes_per_die,
+            C=geom.channels,
+            D=geom.dies_per_package,
+            K=geom.packages_per_channel,
+            lat=np.asarray(
+                (*kind.read_ladder, *kind.program_ladder, kind.erase_ns),
+                dtype=np.int64,
+            ),
+            # indexed by OpCode: READ, WRITE, ERASE
+            lat_base=np.array([0, n_read, n_read + n_prog], dtype=np.int64),
+            lat_len=np.array([n_read, n_prog, 1], dtype=np.int64),
+        )
+
+    @classmethod
+    def stack(cls, consts: Sequence["MediaConsts"], cell: np.ndarray) -> "MediaConsts":
+        """Per-row constants; ``cell`` maps each row to its ``consts`` entry."""
+
+        def per_row(name: str) -> np.ndarray:
+            return np.array([getattr(c, name) for c in consts], dtype=np.int64)[cell]
+
+        sizes = np.array([len(c.lat) for c in consts], dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        return cls(
+            **{name: per_row(name) for name in "UPCDK"},
+            lat=np.concatenate([c.lat for c in consts]),
+            lat_base=np.concatenate(
+                [c.lat_base + off for c, off in zip(consts, offsets)]
+            ),
+            lat_len=np.concatenate([c.lat_len for c in consts]),
+            key_base=cell * len(OpCode.NAMES),
+        )
+
+
+class Link(NamedTuple):
+    """Interface constants for :func:`prepass`: bus and host ns per byte
+    and the channel command/address cycles, per device or per row."""
+
+    bus_ns_per_byte: Union[float, np.ndarray]
+    host_ns_per_byte: Union[float, np.ndarray]
+    cmd_ns: Ints
+
+    @classmethod
+    def of(cls, bus: BusSpec, host: HostPath) -> "Link":
+        return cls(1e9 / bus.bytes_per_sec, 1e9 / host.bytes_per_sec, bus.cmd_ns)
+
+    @classmethod
+    def stack(cls, links: Sequence["Link"], cell: np.ndarray) -> "Link":
+        """Per-row constants; ``cell`` maps each row to its ``links`` entry."""
+        return cls(*(np.asarray(vals)[cell] for vals in zip(*links)))
+
+
+@dataclass
+class LaneCols:
+    """Pre-passed per-row columns one scheduler lane consumes (int64).
+
+    ``op`` .. ``cell_ns`` depend only on the transactions and the
+    media; ``fb``/``hb``/``cmd`` carry the lane's bus, host and
+    command-overhead arithmetic.
+    """
+
+    op: np.ndarray
+    flat: np.ndarray
+    nbytes: np.ndarray
+    group: np.ndarray
+    pib: np.ndarray
+    unit: np.ndarray
+    plane: np.ndarray
+    chan: np.ndarray
+    pkg: np.ndarray
+    die: np.ndarray
+    cell_ns: np.ndarray
+    fb: np.ndarray
+    hb: np.ndarray
+    cmd: np.ndarray
+
+    def window(self, rows: slice) -> "LaneCols":
+        """Views of ``rows`` of every column."""
+        return LaneCols(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def lists(self) -> tuple[list[int], ...]:
+        """The :func:`recurrence` columns as Python lists."""
+        return tuple(getattr(self, name).tolist() for name in _RECURRENCE_COLS)
+
+
+class TxnSlice:
+    """Rows ``lo:hi`` of a pre-passed lane: one command's transactions."""
+
+    __slots__ = ("lane", "lo", "hi")
+
+    def __init__(self, lane: LaneCols, lo: int, hi: int):
+        self.lane = lane
+        self.lo = lo
+        self.hi = hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+
+def prepass(
+    media: MediaConsts,
+    links: Sequence[Link],
+    op: np.ndarray,
+    flat: np.ndarray,
+    nbytes: np.ndarray,
+    group: np.ndarray,
+    pib: np.ndarray,
+    same_cmd: Optional[np.ndarray] = None,
+) -> list[LaneCols]:
+    """Every per-row timing input of a transaction stream, one lane per link.
+
+    The lanes share the decode and latency columns.  A row rides the
+    command/address cycles of the row before it (``cmd`` 0) when both
+    belong to one multi-plane group — and, if ``same_cmd`` is given, to
+    one command (equal keys).
+    """
+    u = flat % media.U
+    plane = u % media.P
+    rest = u // media.P
+    chan = rest % media.C
+    rest = rest // media.C
+    pkg = rest // media.D + media.K * chan
+    die = rest % media.D + media.D * pkg
+    key = op + media.key_base
+    cell_ns = media.lat[media.lat_base[key] + pib % media.lat_len[key]]
+
+    shared = np.zeros(len(op), dtype=bool)
+    if len(op) > 1:
+        shared[1:] = (group[1:] >= 0) & (group[1:] == group[:-1])
+        if same_cmd is not None:
+            shared[1:] &= same_cmd[1:] == same_cmd[:-1]
+
+    return [
+        LaneCols(
+            op=op,
+            flat=flat,
+            nbytes=nbytes,
+            group=group,
+            pib=pib,
+            unit=u,
+            plane=plane,
+            chan=chan,
+            pkg=pkg,
+            die=die,
+            cell_ns=cell_ns,
+            fb=(nbytes * link.bus_ns_per_byte).astype(np.int64),
+            hb=(nbytes * link.host_ns_per_byte).astype(np.int64),
+            cmd=np.where(shared, 0, link.cmd_ns),
+        )
+        for link in links
+    ]
+
+
+class Resources:
+    """Availability time (ns) of every contended resource of one device."""
+
+    __slots__ = ("chan_free", "pkg_free", "die_free", "plane_free", "host_free")
+
+    def __init__(self, geom: Geometry):
+        # plain Python lists: scalar indexing is much faster than ndarray
+        self.chan_free = [0] * geom.channels
+        self.pkg_free = [0] * geom.packages
+        #: cell-array availability per die (senses/programs serialize)
+        self.die_free = [0] * geom.dies
+        #: page-register availability per plane unit: the register holds
+        #: its data until the channel transfer drains, so a die can run
+        #: at most one outstanding transfer per plane (dual-register
+        #: architecture) — this throttles sensing to the bus rate
+        self.plane_free = [0] * geom.plane_units
+        self.host_free = 0
+
+
+def recurrence(
+    cols: tuple[list[int], ...],
+    lo: int,
+    hi: int,
+    arrival: int,
+    res: Resources,
+    out: Optional[list[list[int]]] = None,
+    at: int = 0,
+) -> int:
+    """Schedule rows ``lo:hi`` of ``cols`` (:meth:`LaneCols.lists`).
+
+    Every row arrives at ``arrival``; ``res`` advances in place.  With
+    ``out``, the k-th row's interval bounds — cell, flash bus, channel
+    and host, start then end — land at index ``at + k`` of the eight
+    ``out`` lists.  Returns the latest completion: host transfer end
+    for reads, media completion for writes and erases.
+    """
+    op_l, unit_l, die_l, pkg_l, chan_l, cell_l, fb_l, hb_l, cmd_l = cols
+    chan_free = res.chan_free
+    pkg_free = res.pkg_free
+    die_free = res.die_free
+    plane_free = res.plane_free
+    host_free = res.host_free
+    record = out is not None
+    if out is not None:
+        cs_l, ce_l, fs_l, fe_l, ss_l, se_l, hs_l, he_l = out
+    READ, WRITE = OpCode.READ, OpCode.WRITE
+    completion = arrival
+    k = at
+
+    for i in range(lo, hi):
+        op = op_l[i]
+        unit = unit_l[i]
+        die_g = die_l[i]
+        if op == READ:
+            # full-page sense regardless of payload size; the sense
+            # needs the cell array free AND this plane's register
+            # drained from its previous transfer
+            c_start = arrival
+            df = die_free[die_g]
+            if df > c_start:
+                c_start = df
+            pl = plane_free[unit]
+            if pl > c_start:
+                c_start = pl
+            c_end = c_start + cell_l[i]
+            die_free[die_g] = c_end
+            fb_ns = fb_l[i]
+            pkg_g = pkg_l[i]
+            pf = pkg_free[pkg_g]
+            f_start = pf if pf > c_end else c_end
+            f_end = f_start + fb_ns
+            pkg_free[pkg_g] = f_end
+            channel = chan_l[i]
+            cf = chan_free[channel]
+            s_start = cf if cf > f_end else f_end
+            s_end = s_start + cmd_l[i] + fb_ns
+            chan_free[channel] = s_end
+            plane_free[unit] = s_end  # register drains with the bus
+            h_start = host_free if host_free > s_end else s_end
+            h_end = h_start + hb_l[i]
+            host_free = h_end
+            if h_end > completion:
+                completion = h_end
+        elif op == WRITE:
+            h_start = host_free if host_free > arrival else arrival
+            h_end = h_start + hb_l[i]
+            host_free = h_end
+            fb_ns = fb_l[i]
+            channel = chan_l[i]
+            cf = chan_free[channel]
+            s_start = cf if cf > h_end else h_end
+            s_end = s_start + cmd_l[i] + fb_ns
+            chan_free[channel] = s_end
+            # loading the register needs it drained from prior use
+            pkg_g = pkg_l[i]
+            pf = pkg_free[pkg_g]
+            f_start = pf if pf > s_end else s_end
+            pl = plane_free[unit]
+            if pl > f_start:
+                f_start = pl
+            f_end = f_start + fb_ns
+            pkg_free[pkg_g] = f_end
+            df = die_free[die_g]
+            c_start = df if df > f_end else f_end
+            c_end = c_start + cell_l[i]
+            die_free[die_g] = c_end
+            plane_free[unit] = c_end  # register held during program
+            if c_end > completion:
+                completion = c_end
+        else:  # ERASE
+            c_start = arrival
+            df = die_free[die_g]
+            if df > c_start:
+                c_start = df
+            pl = plane_free[unit]
+            if pl > c_start:
+                c_start = pl
+            c_end = c_start + cell_l[i]
+            die_free[die_g] = c_end
+            plane_free[unit] = c_end
+            f_start = f_end = s_start = s_end = h_start = h_end = c_end
+            if c_end > completion:
+                completion = c_end
+
+        if record:
+            cs_l[k] = c_start
+            ce_l[k] = c_end
+            fs_l[k] = f_start
+            fe_l[k] = f_end
+            ss_l[k] = s_start
+            se_l[k] = s_end
+            hs_l[k] = h_start
+            he_l[k] = h_end
+            k += 1
+
+    res.host_free = host_free
+    return completion
+
+
 class TransactionScheduler:
     """Greedy list scheduler over the SSD's resource timelines."""
 
@@ -116,77 +474,43 @@ class TransactionScheduler:
         self.bus = bus
         self.host = host
         self.kind = kind or geometry.kind
-
-        g = geometry
-        # plain Python lists: scalar indexing is much faster than ndarray
-        self.chan_free = [0] * g.channels
-        self.pkg_free = [0] * g.packages
-        #: cell-array availability per die (senses/programs serialize)
-        self.die_free = [0] * g.dies
-        #: page-register availability per plane unit: the register holds
-        #: its data until the channel transfer drains, so a die can run
-        #: at most one outstanding transfer per plane (dual-register
-        #: architecture) — this throttles sensing to the bus rate
-        self.plane_free = [0] * g.plane_units
-        self.host_free = 0
-        # decode constants
-        self._U = g.plane_units
-        self._P = g.planes_per_die
-        self._C = g.channels
-        self._D = g.dies_per_package
-        self._K = g.packages_per_channel
-        self._ppb = g.pages_per_block
-        # cached timing
-        self._cmd_ns = bus.cmd_ns
-        self._bus_ns_per_byte = 1e9 / bus.bytes_per_sec
-        self._host_ns_per_byte = 1e9 / host.bytes_per_sec
-        # cached latency ladders as ndarrays for vectorized lookup
-        k = self.kind
-        self._read_ladder_a = np.asarray(k.read_ladder, dtype=np.int64)
-        self._prog_ladder_a = np.asarray(k.program_ladder, dtype=np.int64)
-        # preallocated columnar log: one row per LOG_COLUMNS entry
-        self._buf = np.empty((len(LOG_COLUMNS), 1024), dtype=np.int64)
+        self.res = Resources(geometry)
+        self._media = MediaConsts.of(geometry, self.kind)
+        self._links = (Link.of(bus, host),)
+        #: the planner's lane that submitted slices index (None for raw
+        #: tuple submits) and its recurrence lists
+        self._lane: Optional[LaneCols] = None
+        self._lane_lists: tuple[list[int], ...] = ()
+        #: raw-tuple submits' (op, flat, nbytes, group, pib) rows
+        self._raw: list[np.ndarray] = []
+        #: (req, client, kind code, arrival, lo, hi) per submitted
+        #: command; lo:hi index the lane, or the concatenated raw rows
+        self._meta: list[tuple[int, int, int, int, int, int]] = []
+        #: the recurrence's eight interval-bound columns, preallocated
+        self._out: list[list[int]] = [[] for _ in range(8)]
         self._n = 0
-        self._txn_counter = 0
+
+    def _bind(self, lane: LaneCols) -> tuple[list[int], ...]:
+        if lane is not self._lane:
+            if self._lane is not None or self._raw:
+                raise ValueError("one scheduler replays rows of one lane only")
+            self._lane = lane
+            self._lane_lists = lane.lists()
+        return self._lane_lists
 
     def _reserve(self, extra: int) -> None:
-        """Grow the column buffers to hold ``extra`` more rows."""
+        """Grow the interval-bound lists to hold ``extra`` more rows."""
+        have = len(self._out[0])
         need = self._n + extra
-        cap = self._buf.shape[1]
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        buf = np.empty((len(LOG_COLUMNS), cap), dtype=np.int64)
-        buf[:, : self._n] = self._buf[:, : self._n]
-        self._buf = buf
-
-    # ------------------------------------------------------------------
-    def _decode(self, flat: int) -> tuple[int, int, int, int]:
-        """flat -> (channel, global package, global die, plane)."""
-        u = flat % self._U
-        plane = u % self._P
-        rest = u // self._P
-        channel = rest % self._C
-        rest //= self._C
-        die_in_pkg = rest % self._D
-        pkg_in_ch = rest // self._D
-        pkg_g = pkg_in_ch + self._K * channel
-        die_g = die_in_pkg + self._D * pkg_g
-        return channel, pkg_g, die_g, plane
-
-    def _cell_ns(self, op: int, page_in_block: int) -> int:
-        k = self.kind
-        if op == OpCode.READ:
-            return k.read_latency_ns(page_in_block)
-        if op == OpCode.WRITE:
-            return k.program_latency_ns(page_in_block)
-        return k.erase_ns
+        if need > have:
+            grow = [0] * max(need - have, have)
+            for col in self._out:
+                col.extend(grow)
 
     # ------------------------------------------------------------------
     def submit(
         self,
-        txns: Sequence[Txn],
+        txns: Union[Sequence[Txn], TxnSlice],
         arrival: int,
         req_id: int,
         client: int = 0,
@@ -194,254 +518,75 @@ class TransactionScheduler:
     ) -> int:
         """Schedule the transactions of one block request.
 
-        Returns the request's completion time: for reads, when the last
-        byte has crossed the host path; for writes/erases, when the
-        media operation is durable.
+        ``txns`` are raw transaction tuples, or a :class:`TxnSlice` of
+        a lane pre-passed by a planner.  Returns the request's
+        completion time: for reads, when the last byte has crossed the
+        host path; for writes/erases, when the media operation is
+        durable.
         """
         if arrival < 0:
             raise ValueError("negative arrival")
-        if not isinstance(txns, (list, tuple)):
-            txns = list(txns)
-        n = len(txns)
-        if n == 0:
-            return arrival
+        if isinstance(txns, TxnSlice):
+            lo, hi = txns.lo, txns.hi
+            if hi <= lo:
+                return arrival
+            cols = self._bind(txns.lane)
+            rows = (lo, hi)
+        else:
+            if self._lane is not None:
+                raise ValueError("one scheduler replays rows of one lane only")
+            if not isinstance(txns, (list, tuple)):
+                txns = list(txns)
+            n = len(txns)
+            if n == 0:
+                return arrival
+            arr = np.asarray(txns, dtype=np.int64).reshape(n, 5)
+            self._raw.append(arr)
+            (chunk,) = prepass(self._media, self._links, *arr.T)
+            cols = chunk.lists()
+            lo, hi = 0, n
+            rows = (self._n, self._n + n)
 
-        # -- vectorized pre-pass: everything without a cross-transaction
-        # dependency (address decode, latency ladders, transfer times,
-        # command-sharing discounts) in one numpy sweep
-        arr = np.asarray(txns, dtype=np.int64).reshape(n, 5)
-        op_a = arr[:, 0]
-        flat_a = arr[:, 1]
-        nbytes_a = arr[:, 2]
-        group_a = arr[:, 3]
-        pib_a = arr[:, 4]
-
-        u_a = flat_a % self._U
-        plane_a = u_a % self._P
-        rest = u_a // self._P
-        chan_a = rest % self._C
-        rest = rest // self._C
-        pkg_a = rest // self._D + self._K * chan_a
-        die_a = rest % self._D + self._D * pkg_a
-
-        read_ladder = self._read_ladder_a
-        prog_ladder = self._prog_ladder_a
-        cell_a = np.full(n, self.kind.erase_ns, dtype=np.int64)
-        is_read = op_a == OpCode.READ
-        is_write = op_a == OpCode.WRITE
-        if is_read.any():
-            cell_a[is_read] = read_ladder[pib_a[is_read] % len(read_ladder)]
-        if is_write.any():
-            cell_a[is_write] = prog_ladder[pib_a[is_write] % len(prog_ladder)]
-
-        fb_a = (nbytes_a * self._bus_ns_per_byte).astype(np.int64)
-        hb_a = (nbytes_a * self._host_ns_per_byte).astype(np.int64)
-        # members of a multi-plane group after the first share the
-        # command/address cycles already paid on the channel
-        shared = np.zeros(n, dtype=bool)
-        if n > 1:
-            shared[1:] = (group_a[1:] >= 0) & (group_a[1:] == group_a[:-1])
-        cmd_a = np.where(shared, 0, self._cmd_ns)
-
-        return self._schedule_arrays(
-            arrival, req_id, client, kind_label,
-            op_a, flat_a, nbytes_a, group_a, pib_a,
-            u_a, plane_a, chan_a, pkg_a, die_a,
-            cell_a, fb_a, hb_a, cmd_a,
+        self._reserve(hi - lo)
+        completion = recurrence(cols, lo, hi, arrival, self.res, self._out, self._n)
+        self._meta.append(
+            (req_id, client, KIND_CODES.get(kind_label, 0), arrival, *rows)
         )
-
-    def _schedule_arrays(
-        self,
-        arrival: int,
-        req_id: int,
-        client: int,
-        kind_label: str,
-        op_a: np.ndarray,
-        flat_a: np.ndarray,
-        nbytes_a: np.ndarray,
-        group_a: np.ndarray,
-        pib_a: np.ndarray,
-        u_a: np.ndarray,
-        plane_a: np.ndarray,
-        chan_a: np.ndarray,
-        pkg_a: np.ndarray,
-        die_a: np.ndarray,
-        cell_a: np.ndarray,
-        fb_a: np.ndarray,
-        hb_a: np.ndarray,
-        cmd_a: np.ndarray,
-    ) -> int:
-        """Resource-timeline recurrence over fully pre-passed columns.
-
-        ``submit`` computes the pre-pass (decode, ladders, transfer
-        times, command sharing) from transaction tuples and delegates
-        here; the columnar batch backend computes the identical pre-pass
-        for many cells in one stacked numpy sweep at plan time and
-        submits slices directly.  Either way the schedule is the same
-        recurrence over the same int64 values — bit-identical by
-        construction.
-        """
-        n = len(op_a)
-        # -- scalar recurrence over plain ints (ndarray item access is
-        # slower than list indexing in the dependency loop)
-        op_l = op_a.tolist()
-        unit_l = u_a.tolist()
-        chan_l = chan_a.tolist()
-        pkg_l = pkg_a.tolist()
-        die_l = die_a.tolist()
-        cell_l = cell_a.tolist()
-        fb_l = fb_a.tolist()
-        hb_l = hb_a.tolist()
-        cmd_l = cmd_a.tolist()
-
-        chan_free = self.chan_free
-        pkg_free = self.pkg_free
-        die_free = self.die_free
-        plane_free = self.plane_free
-        host_free = self.host_free
-        READ, WRITE = OpCode.READ, OpCode.WRITE
-        completion = arrival
-
-        cs_l = [0] * n
-        ce_l = [0] * n
-        fs_l = [0] * n
-        fe_l = [0] * n
-        ss_l = [0] * n
-        se_l = [0] * n
-        hs_l = [0] * n
-        he_l = [0] * n
-        md_l = [0] * n
-        dn_l = [0] * n
-
-        for i in range(n):
-            op = op_l[i]
-            unit = unit_l[i]
-            die_g = die_l[i]
-            if op == READ:
-                # full-page sense regardless of payload size; the sense
-                # needs the cell array free AND this plane's register
-                # drained from its previous transfer
-                c_start = arrival
-                df = die_free[die_g]
-                if df > c_start:
-                    c_start = df
-                pl = plane_free[unit]
-                if pl > c_start:
-                    c_start = pl
-                c_end = c_start + cell_l[i]
-                die_free[die_g] = c_end
-                fb_ns = fb_l[i]
-                pkg_g = pkg_l[i]
-                pf = pkg_free[pkg_g]
-                f_start = pf if pf > c_end else c_end
-                f_end = f_start + fb_ns
-                pkg_free[pkg_g] = f_end
-                channel = chan_l[i]
-                cf = chan_free[channel]
-                s_start = cf if cf > f_end else f_end
-                s_end = s_start + cmd_l[i] + fb_ns
-                chan_free[channel] = s_end
-                plane_free[unit] = s_end  # register drains with the bus
-                h_start = host_free if host_free > s_end else s_end
-                h_end = h_start + hb_l[i]
-                host_free = h_end
-                media_done = s_end
-                done = h_end
-            elif op == WRITE:
-                h_start = host_free if host_free > arrival else arrival
-                h_end = h_start + hb_l[i]
-                host_free = h_end
-                fb_ns = fb_l[i]
-                channel = chan_l[i]
-                cf = chan_free[channel]
-                s_start = cf if cf > h_end else h_end
-                s_end = s_start + cmd_l[i] + fb_ns
-                chan_free[channel] = s_end
-                # loading the register needs it drained from prior use
-                pkg_g = pkg_l[i]
-                pf = pkg_free[pkg_g]
-                f_start = pf if pf > s_end else s_end
-                pl = plane_free[unit]
-                if pl > f_start:
-                    f_start = pl
-                f_end = f_start + fb_ns
-                pkg_free[pkg_g] = f_end
-                df = die_free[die_g]
-                c_start = df if df > f_end else f_end
-                c_end = c_start + cell_l[i]
-                die_free[die_g] = c_end
-                plane_free[unit] = c_end  # register held during program
-                media_done = c_end
-                done = c_end
-            else:  # ERASE
-                c_start = arrival
-                df = die_free[die_g]
-                if df > c_start:
-                    c_start = df
-                pl = plane_free[unit]
-                if pl > c_start:
-                    c_start = pl
-                c_end = c_start + cell_l[i]
-                die_free[die_g] = c_end
-                plane_free[unit] = c_end
-                f_start = f_end = c_end
-                s_start = s_end = c_end
-                h_start = h_end = c_end
-                media_done = c_end
-                done = c_end
-
-            if done > completion:
-                completion = done
-            cs_l[i] = c_start
-            ce_l[i] = c_end
-            fs_l[i] = f_start
-            fe_l[i] = f_end
-            ss_l[i] = s_start
-            se_l[i] = s_end
-            hs_l[i] = h_start
-            he_l[i] = h_end
-            md_l[i] = media_done
-            dn_l[i] = done
-
-        self.host_free = host_free
-
-        # -- bulk write into the preallocated column buffers
-        self._reserve(n)
-        base = self._n
-        end = base + n
-        buf = self._buf
-        buf[_COL["req"], base:end] = req_id
-        buf[_COL["client"], base:end] = client
-        buf[_COL["op"], base:end] = op_a
-        buf[_COL["channel"], base:end] = chan_a
-        buf[_COL["package"], base:end] = pkg_a
-        buf[_COL["die"], base:end] = die_a
-        buf[_COL["plane"], base:end] = plane_a
-        buf[_COL["nbytes"], base:end] = nbytes_a
-        buf[_COL["group"], base:end] = group_a
-        buf[_COL["kind_code"], base:end] = KIND_CODES.get(kind_label, 0)
-        buf[_COL["flat"], base:end] = flat_a
-        buf[_COL["pib"], base:end] = pib_a
-        buf[_COL["arrival"], base:end] = arrival
-        buf[_COL["cell_start"], base:end] = cs_l
-        buf[_COL["cell_end"], base:end] = ce_l
-        buf[_COL["fb_start"], base:end] = fs_l
-        buf[_COL["fb_end"], base:end] = fe_l
-        buf[_COL["ch_start"], base:end] = ss_l
-        buf[_COL["ch_end"], base:end] = se_l
-        buf[_COL["h_start"], base:end] = hs_l
-        buf[_COL["h_end"], base:end] = he_l
-        buf[_COL["media_done"], base:end] = md_l
-        buf[_COL["done"], base:end] = dn_l
-        self._n = end
+        self._n += hi - lo
         return completion
 
     # ------------------------------------------------------------------
     def finish(self) -> TxnLog:
-        """Freeze the log into columnar arrays (views, no transpose copy)."""
+        """The columnar log: one gather of the replayed rows, per column."""
         n = self._n
-        buf = self._buf
-        return TxnLog({name: buf[i, :n] for i, name in enumerate(LOG_COLUMNS)})
+        if n == 0:
+            return TxnLog({name: np.empty(0, dtype=np.int64) for name in LOG_COLUMNS})
+        meta = np.asarray(self._meta, dtype=np.int64)
+        lens = meta[:, 5] - meta[:, 4]
+        starts = np.cumsum(lens) - lens
+        # lane row of each log row, in submission order
+        idx = np.repeat(meta[:, 4] - starts, lens) + np.arange(n, dtype=np.int64)
+        lane = self._lane
+        if lane is None:
+            # the columns the log keeps do not depend on where one
+            # command ends, so the raw rows pre-pass in one sweep
+            (lane,) = prepass(self._media, self._links, *np.concatenate(self._raw).T)
+        cols = {name: getattr(lane, col)[idx] for name, col in _ROW_COLS.items()}
+        for j, name in enumerate(("req", "client", "kind_code", "arrival")):
+            cols[name] = np.repeat(meta[:, j], lens)
+        bounds = (
+            "cell_start", "cell_end", "fb_start", "fb_end",
+            "ch_start", "ch_end", "h_start", "h_end",
+        )
+        for name, out in zip(bounds, self._out):
+            cols[name] = np.array(out[:n], dtype=np.int64)
+        # reads complete on the media with the channel transfer and for
+        # the requester with the host transfer; writes and erases with
+        # the cell operation
+        is_read = cols["op"] == OpCode.READ
+        cols["media_done"] = np.where(is_read, cols["ch_end"], cols["cell_end"])
+        cols["done"] = np.where(is_read, cols["h_end"], cols["cell_end"])
+        return TxnLog({name: cols[name] for name in LOG_COLUMNS})
 
     @property
     def n_txns(self) -> int:

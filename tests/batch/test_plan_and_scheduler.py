@@ -1,9 +1,8 @@
-"""Planner guardrails and the columnar scheduler's contract.
+"""Planner guardrails and the scheduler's planned-lane contract.
 
 The planner must refuse — loudly, with :class:`BatchUnsupported` —
 anything the static columnar plan cannot express, because a silent
-mis-plan would corrupt numbers instead of falling back.  The scheduler
-must reject unplanned transactions for the same reason.
+mis-plan would corrupt numbers instead of falling back.
 """
 
 from __future__ import annotations
@@ -18,10 +17,9 @@ from repro.batch.plan import (
     plan_cell,
     stack_plans,
 )
-from repro.batch.scheduler import ColumnarScheduler
 from repro.experiments.runner import Workload
-from repro.ssd.ftl import Txn
 from repro.ssd.request import OpCode
+from repro.ssd.scheduler import TransactionScheduler
 
 KiB = 1024
 TINY = Workload(panels=2, panel_bytes=256 * KiB)
@@ -61,7 +59,8 @@ def test_impossible_workload_fails_exactly_like_scalar():
 
 
 def test_planned_ftl_is_stateless_passthrough():
-    ftl = PlannedFTL(n_logical_pages=128, page_bytes=4096)
+    plan = _stacked_plan()
+    ftl = PlannedFTL(n_logical_pages=128, page_bytes=4096, lane=plan.lanes["main"])
     assert set(ftl.stats) == {
         "gc_runs", "gc_moved_pages", "host_writes_pages", "rmw_reads"
     }
@@ -75,25 +74,22 @@ def _stacked_plan():
     return plan
 
 
-def test_columnar_scheduler_rejects_unplanned_txns():
+def _lane_scheduler():
     plan = _stacked_plan()
     dev = plan.path.device
-    sched = ColumnarScheduler(
-        dev.geom, dev.bus, dev.host, plan.lanes["main"], kind=dev.kind
-    )
-    with pytest.raises(TypeError, match="planned lanes only"):
-        sched.submit([Txn(OpCode.READ, 0, 4096, -1, 0)], arrival=0, req_id=0)
+    sched = TransactionScheduler(dev.geom, dev.bus, dev.host, kind=dev.kind)
+    return sched, plan.lanes["main"]
+
+
+def test_lane_submit_rejects_negative_arrival():
+    sched, lane = _lane_scheduler()
     with pytest.raises(ValueError, match="negative arrival"):
-        sched.submit(TxnSlice(0, 1), arrival=-1, req_id=0)
+        sched.submit(TxnSlice(lane, 0, 1), arrival=-1, req_id=0)
 
 
-def test_columnar_scheduler_empty_slice_is_noop():
-    plan = _stacked_plan()
-    dev = plan.path.device
-    sched = ColumnarScheduler(
-        dev.geom, dev.bus, dev.host, plan.lanes["main"], kind=dev.kind
-    )
-    assert sched.submit(TxnSlice(3, 3), arrival=42, req_id=0) == 42
+def test_lane_submit_empty_slice_is_noop():
+    sched, lane = _lane_scheduler()
+    assert sched.submit(TxnSlice(lane, 3, 3), arrival=42, req_id=0) == 42
     log = sched.finish()
     assert len(log) == 0
     assert set(log.columns) and all(

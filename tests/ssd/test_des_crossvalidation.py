@@ -14,7 +14,7 @@ import pytest
 from repro.interconnect import HostPath, bridged_pcie2
 from repro.nvm import ONFI3_SDR400, PCM, SLC, TLC
 from repro.ssd import DeviceFTL, Geometry, TransactionScheduler
-from repro.ssd.des_model import DesSSD
+from tests.oracles.des_model import DesSSD
 from repro.ssd.request import DeviceCommand
 
 MiB = 1024 * 1024

@@ -76,7 +76,7 @@ class TestPatternPeak:
     def test_empty(self):
         geom = Geometry(kind=SLC)
         sched = TransactionScheduler(geom, ONFI3_SDR400, FAST)
-        assert media_pattern_peak(sched.finish(), geom, ONFI3_SDR400, SLC) == 0.0
+        assert media_pattern_peak(sched.finish(), geom, SLC) == 0.0
 
 
 class TestUtilization:

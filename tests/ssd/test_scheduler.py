@@ -183,7 +183,13 @@ class TestBookkeeping:
     def test_decode_matches_geometry(self):
         sched, geom = sched_for()
         for flat in range(geom.plane_units):
-            ch, pkg, die, plane = sched._decode(flat)
+            sched.submit([read_txn(flat)], arrival=0, req_id=flat)
+        log = sched.finish()
+        for flat in range(geom.plane_units):
+            ids = (log["channel"][flat], log["package"][flat],
+                   log["die"][flat], log["plane"][flat])
+            assert ids == geom.resource_ids(flat)
+            ch, pkg, die, plane = ids
             addr = geom.decode(flat)
             assert ch == addr.channel
             assert plane == addr.plane

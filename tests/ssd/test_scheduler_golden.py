@@ -18,7 +18,7 @@ from repro.nvm import ONFI3_SDR400
 from repro.nvm.kinds import kind_by_name
 from repro.ssd import Geometry, controller
 from repro.ssd.ftl import DeviceFTL
-from repro.ssd.reference_scheduler import ReferenceScheduler
+from tests.oracles.reference_scheduler import ReferenceScheduler
 from repro.ssd.scheduler import LOG_COLUMNS, TransactionScheduler
 from repro.trace.replay import replay
 from repro.trace.synth import random_mix_trace
