@@ -20,7 +20,11 @@ takes effect at interpreter start):
 * ``--workers 2`` — fans cells over a process pool (the dynamic face
   of FLOW003: results must not depend on which process computed them),
 * ``--backend scalar`` — the frozen scalar reference vs the columnar
-  batch kernel (claimed bit-identical; DetSan enforces it).
+  batch kernel (claimed bit-identical; DetSan enforces it),
+* ``--split-batch`` — every cell in its own engine call, so the batch
+  kernel's lockstep replay never steps its lanes beside another
+  cell's: any leak between lanes through the shared resource-state
+  arrays (or a step-width-dependent result) shows as a diff.
 
 Exit codes: 0 all variants byte-identical, 1 divergence (diff printed),
 2 usage/runtime error.
@@ -73,6 +77,7 @@ def canonical_payload(
     scale: float,
     workers: int,
     backend: str,
+    split_batch: bool = False,
 ) -> str:
     """Run the slice and render results + sim span tree canonically.
 
@@ -93,7 +98,13 @@ def canonical_payload(
     tracer = obs.install(obs.Tracer())
     try:
         engine = MatrixEngine(workers=workers, backend=backend)
-        results = engine.run_matrix(labels, kinds, workload=workload)
+        if split_batch:
+            results = {}
+            for label in labels:
+                for kind in kinds:
+                    results.update(engine.run_matrix([label], [kind], workload=workload))
+        else:
+            results = engine.run_matrix(labels, kinds, workload=workload)
     finally:
         obs.uninstall()
 
@@ -135,6 +146,7 @@ def _variants(workers: int) -> list[tuple[str, dict, list[str]]]:
         ("tiebreak-lifo", {"REPRO_SIM_TIEBREAK": "lifo"}, []),
         (f"workers-{workers}", {}, ["--workers", str(workers)]),
         ("backend-scalar", {}, ["--backend", "scalar"]),
+        ("batch-split", {}, ["--split-batch"]),
     ]
 
 
@@ -204,7 +216,7 @@ def run_sanitizer(args) -> int:
         return 1
     print(
         "detsan: OK — results and sim span trees byte-identical across "
-        "hash seeds, DES tie order, worker counts, and backends"
+        "hash seeds, DES tie order, worker counts, backends and batch splits"
     )
     return 0
 
@@ -297,8 +309,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="scripts/detsan.py",
         description="Determinism sanitizer: byte-compares a Table-2 "
-        "slice across hash seeds, DES tie order, worker counts and "
-        "backends.",
+        "slice across hash seeds, DES tie order, worker counts, "
+        "backends and batch splits.",
     )
     parser.add_argument("--labels", default=DEFAULT_LABELS)
     parser.add_argument("--kinds", default=DEFAULT_KINDS)
@@ -314,6 +326,11 @@ def main(argv=None) -> int:
         choices=("batch", "scalar"),
         default="batch",
         help="(payload mode) engine backend",
+    )
+    parser.add_argument(
+        "--split-batch",
+        action="store_true",
+        help="(payload mode) run every cell in its own engine call",
     )
     parser.add_argument(
         "--emit",
@@ -335,7 +352,8 @@ def main(argv=None) -> int:
     if args.emit:
         sys.stdout.write(
             canonical_payload(
-                labels, kinds, args.scale, args.workers, args.backend
+                labels, kinds, args.scale, args.workers, args.backend,
+                args.split_batch,
             )
         )
         return 0

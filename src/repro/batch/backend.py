@@ -4,9 +4,10 @@ Per cell the scalar path pays two full replays (main + unconstrained
 peak), two FTL preloads, two command-stream translations, two complete
 metrics passes (each containing its own pattern-peak re-schedule) and a
 tuple round-trip per command.  The batch backend pays one vectorized
-plan, one stacked pre-pass shared by the whole matrix, two slim replays
-(flow control + recurrence only), and one stacked metrics pass; the
-peak replay produces its aggregate bandwidth straight from the log.
+plan, one stacked pre-pass shared by the whole matrix, one lockstep
+replay of every cell's main and peak lane (:mod:`repro.batch.scheduler`)
+and one stacked metrics pass; the peak lane yields its aggregate
+bandwidth without a log.
 
 Caching matches :func:`repro.experiments.runner.run_config`: the peak
 replay is served from / recorded into ``ResultCache`` per cell, and the
@@ -24,10 +25,9 @@ import numpy as np
 
 from ..experiments.runner import ConfigResult, Workload, emit_replay_spans
 from ..obs import trace as obs
-from ..ssd.scheduler import TxnLog
 from .metrics import compute_metrics_batch
 from .plan import BatchUnsupported, CellPlan, plan_cell, stack_plans
-from .scheduler import replay_lane
+from .scheduler import replay_plans
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..experiments.cache import ResultCache
@@ -44,21 +44,24 @@ class BatchReport:
     planned: list[Cell] = field(default_factory=list)
     #: cell -> BatchUnsupported reason; these must run on the scalar path
     fallback: dict[Cell, str] = field(default_factory=dict)
-    #: per-cell wall seconds (plan + replays + amortized stacked passes)
+    #: per-cell wall seconds: the cell's own plan time plus its share of
+    #: the stacked pre-pass (by planned rows) and of the lockstep replay
+    #: and stacked metrics (by stepped rows); they sum to the four
+    #: phase totals below
     seconds: dict[Cell, float] = field(default_factory=dict)
     stacked_rows: int = 0
+    plan_seconds: float = 0.0
     stack_seconds: float = 0.0
+    replay_seconds: float = 0.0
     metrics_seconds: float = 0.0
 
 
-def _aggregate_mb(log: TxnLog) -> float:
-    """Aggregate bandwidth of a finished log, as compute_metrics reports."""
-    if len(log) == 0:
-        return 0.0
-    payload = int(log["nbytes"][log["kind_code"] == 0].sum())
-    makespan = int(log["done"].max() - log["arrival"].min())
-    bw = payload * 1e9 / makespan if makespan > 0 else 0.0
-    return bw / 1e6
+def _shares(total: float, weights: list[int]) -> list[float]:
+    """``total`` split in proportion to ``weights`` (evenly if all 0)."""
+    w = sum(weights)
+    if w == 0:
+        return [total / len(weights)] * len(weights)
+    return [total * x / w for x in weights]
 
 
 def run_cells_batch(
@@ -94,6 +97,7 @@ def run_cells_batch(
         secs[cell] = time.perf_counter() - t0
         plans.append(plan)
         report.planned.append(cell)
+    report.plan_seconds = sum(secs.values())
     if tr is not None and cells:
         tr.wall_event(
             "ftl", "plan_cells", time.perf_counter() - plan_t0,
@@ -110,9 +114,11 @@ def run_cells_batch(
             "ftl", "stack_plans", report.stack_seconds,
             rows=report.stacked_rows,
         )
+    stack_shares = _shares(report.stack_seconds, [p.n for p in plans])
+    for i, cell in enumerate(report.planned):
+        secs[cell] += stack_shares[i]
 
     peaks: dict[Cell, float] = {}
-    lane_items = []
     replayed: list[CellPlan] = []
     for plan in plans:
         cell = (plan.label, plan.kind_name)
@@ -128,39 +134,42 @@ def run_cells_batch(
                 results[cell] = hit
                 report.seconds[cell] = secs[cell]
                 continue
-        t0 = time.perf_counter()
-        device = plan.path.device
-        main_log = replay_lane(plan, "main")
-        if with_remaining:
-            peak = None
-            if cache is not None:
-                peak = cache.get_peak(plan.label, plan.kind_name, workload, seed)
-            if peak is None:
-                peak = _aggregate_mb(replay_lane(plan, "peak"))
-                if cache is not None:
-                    cache.put_peak(plan.label, plan.kind_name, workload, seed, peak)
-            peaks[cell] = peak
-        lane_items.append((main_log, device.geom, device.kind))
+        if with_remaining and cache is not None:
+            peak = cache.get_peak(plan.label, plan.kind_name, workload, seed)
+            if peak is not None:
+                peaks[cell] = peak
         replayed.append(plan)
-        cell_seconds = time.perf_counter() - t0
-        secs[cell] += cell_seconds
-        if tr is not None:
-            tr.wall_event("scheduler", f"{plan.label}|{plan.kind_name}",
-                          cell_seconds)
     if not replayed:
         return results, report
 
     t0 = time.perf_counter()
-    metrics_list = compute_metrics_batch(lane_items)
+    with_peak = [
+        with_remaining and (p.label, p.kind_name) not in peaks for p in replayed
+    ]
+    logs, replay_peaks = replay_plans(replayed, with_peak)
+    report.replay_seconds = time.perf_counter() - t0
+    for plan, peak in zip(replayed, replay_peaks):
+        if peak is not None:
+            peaks[(plan.label, plan.kind_name)] = peak
+            if cache is not None:
+                cache.put_peak(plan.label, plan.kind_name, workload, seed, peak)
+
+    t0 = time.perf_counter()
+    metrics_list = compute_metrics_batch(
+        [(log, p.path.device.geom, p.path.device.kind) for log, p in zip(logs, replayed)]
+    )
     report.metrics_seconds = time.perf_counter() - t0
     if tr is not None:
         tr.wall_event(
             "metrics", "stacked_metrics", report.metrics_seconds,
             cells=len(replayed),
         )
-    shared = (report.stack_seconds + report.metrics_seconds) / len(replayed)
+    # rows stepped per cell: main lane, peak lane, pattern peak
+    weights = [p.n * (2 + peak) for p, peak in zip(replayed, with_peak)]
+    replay_shares = _shares(report.replay_seconds, weights)
+    metrics_shares = _shares(report.metrics_seconds, weights)
 
-    for plan, m in zip(replayed, metrics_list):
+    for i, (plan, m) in enumerate(zip(replayed, metrics_list)):
         cell = (plan.label, plan.kind_name)
         per_client_mb = {c: bw / 1e6 for c, bw in m.client_bandwidth.items()}
         bandwidth_mb = (
@@ -184,8 +193,10 @@ def run_cells_batch(
             faults=None,
             backend="batch",
         )
-        secs[cell] += shared
-        report.seconds[cell] = secs[cell]
+        report.seconds[cell] = secs[cell] + replay_shares[i] + metrics_shares[i]
         if tr is not None:
+            tr.wall_event(
+                "scheduler", f"{plan.label}|{plan.kind_name}", replay_shares[i]
+            )
             emit_replay_spans(tr, plan.label, plan.kind_name, m)
     return results, report

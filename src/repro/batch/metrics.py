@@ -17,12 +17,15 @@ Bit-identity argument, per quantity:
   contention split, the breakdown normalization, bandwidth division
   and utilization ratios — is replayed here operation-for-operation in
   the same order (channels ascending, BREAKDOWN_KEYS order),
-* the pattern peak is the scalar pass's own function,
-  :func:`repro.ssd.metrics.media_pattern_peak`, bound here as
-  ``pattern_peak_from_log``.
+* the pattern peak re-schedules every lane's rows in one lockstep
+  replay (:func:`pattern_peak_from_log`), whose block kernel is
+  bit-identical to the recurrence of the scalar pass's
+  :func:`repro.ssd.metrics.media_pattern_peak`.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -34,12 +37,72 @@ from ..ssd.metrics import (
     RunMetrics,
     _client_bandwidth,
 )
-from ..ssd.metrics import media_pattern_peak as pattern_peak_from_log
+from ..ssd.metrics import media_pattern_peak
 from ..ssd.request import OpCode
-from ..ssd.scheduler import TxnLog
+from ..ssd.scheduler import (
+    INFINITE_BUS,
+    INFINITE_HOST,
+    Link,
+    MediaConsts,
+    TxnLog,
+    prepass,
+)
+from .scheduler import Commands, Lane, lockstep
 from .segments import distinct_count, measure_sorted, sorted_filter, union_measure
 
 __all__ = ["compute_metrics_batch", "pattern_peak_from_log"]
+
+
+def _open_loop(n: int, done: list[int]) -> Commands:
+    """One command of all ``n`` rows arriving at 0; its completion
+    lands in ``done``."""
+    done.append((yield 0, n, 0))
+
+
+def pattern_peak_from_log(
+    items: Sequence[tuple[TxnLog, Geometry, NVMKind]],
+) -> list[float]:
+    """:func:`~repro.ssd.metrics.media_pattern_peak` of every lane.
+
+    Each log's rows, pre-passed for the infinite interface, become one
+    open-loop lane of a single :func:`~repro.batch.scheduler.lockstep`
+    replay.  A log holding anything but READs takes the scalar
+    function.
+    """
+    peaks = [0.0] * len(items)
+    stepped = []
+    for i, (log, geom, kind) in enumerate(items):
+        if len(log) == 0:
+            continue
+        if bool((log["op"] == OpCode.READ).all()):
+            stepped.append(i)
+        else:
+            peaks[i] = media_pattern_peak(log, geom, kind)
+    if not stepped:
+        return peaks
+    logs = [items[i][0] for i in stepped]
+    lens = np.array([len(log) for log in logs], dtype=np.int64)
+    cell = np.repeat(np.arange(len(logs), dtype=np.int64), lens)
+    media = MediaConsts.stack(
+        [MediaConsts.of(items[i][1], items[i][2]) for i in stepped], cell
+    )
+    (base,) = prepass(
+        media,
+        (Link.of(INFINITE_BUS, INFINITE_HOST),),
+        *(np.concatenate([log[name] for log in logs])
+          for name in ("op", "flat", "nbytes", "group", "pib")),
+        same_cmd=cell,
+    )
+    done: list[list[int]] = [[] for _ in logs]
+    offsets = (np.cumsum(lens) - lens).tolist()
+    lockstep([base], [
+        Lane(items[i][1], 0, off, len(log), _open_loop(len(log), out))
+        for i, log, off, out in zip(stepped, logs, offsets, done)
+    ])
+    for i, log, (end,) in zip(stepped, logs, done):
+        payload = int(log["nbytes"][log["kind_code"] == 0].sum())
+        peaks[i] = payload * 1e9 / end if end > 0 else 0.0
+    return peaks
 
 
 def compute_metrics_batch(
@@ -54,6 +117,7 @@ def compute_metrics_batch(
     total = int(lens.sum())
     if total == 0:
         return [RunMetrics(0, 0, 0.0) for _ in items]
+    pattern_peaks = pattern_peak_from_log(items)
 
     def cat(name: str) -> np.ndarray:
         return np.concatenate([log[name] for log in logs if len(log)])
@@ -157,7 +221,7 @@ def compute_metrics_batch(
         payload = int(log["nbytes"][data_mask].sum())
         makespan = int(log["done"].max() - log["arrival"].min())
         bw = payload * 1e9 / makespan if makespan > 0 else 0.0
-        peak = pattern_peak_from_log(log, geom, kind)
+        peak = pattern_peaks[i]
 
         # utilization over the lane's device-active window; resource
         # intervals lie inside the active window, so the scalar's

@@ -15,9 +15,8 @@ non-FIFO queueing, geometries without plane pairs).  ``stack_plans``
 then concatenates all planned cells into one stacked int64 block and
 runs the scheduler's own :func:`~repro.ssd.scheduler.prepass` over it
 once, with each cell's device constants broadcast per row; each plan
-receives per-cell views (``lanes``) that the stock
-:class:`~repro.ssd.scheduler.TransactionScheduler` replays window by
-window (:mod:`repro.batch.scheduler`).
+receives per-cell views (``lanes``) that :mod:`repro.batch.scheduler`
+replays in lockstep with every other planned cell.
 
 Two lanes are materialized per cell from the same transaction columns:
 
@@ -46,7 +45,6 @@ from ..ssd.scheduler import (
     LaneCols,
     Link,
     MediaConsts,
-    TxnSlice,
     prepass,
 )
 from ..trace.replay import _interleave
@@ -56,8 +54,6 @@ __all__ = [
     "CellPlan",
     "LaneCols",
     "PlannedCommand",
-    "PlannedFTL",
-    "TxnSlice",
     "plan_cell",
     "stack_plans",
 ]
@@ -71,42 +67,13 @@ class BatchUnsupported(Exception):
 class PlannedCommand(DeviceCommand):
     """A device command whose translation was fixed at plan time.
 
-    ``lo:hi`` index the cell's transaction columns; the planned FTL
-    returns that slice instead of translating, so the controller's
-    dispatch loop runs unchanged.
+    ``lo:hi`` index the cell's transaction columns; the replay reads
+    that window instead of translating, so the controller's dispatch
+    runs unchanged.
     """
 
     lo: int = 0
     hi: int = 0
-
-
-class PlannedFTL:
-    """Stand-in FTL whose translations were precomputed by the plan.
-
-    Only ever sees :class:`PlannedCommand`s (the plan refused anything
-    that could mutate FTL state), so translation is a window of the
-    installed lane's rows and the stats roll-up is identically zero —
-    exactly what the real :class:`~repro.ssd.ftl.DeviceFTL` reports for
-    a pure-read replay.
-    """
-
-    def __init__(self, n_logical_pages: int, page_bytes: int, lane: LaneCols):
-        self.n_logical_pages = n_logical_pages
-        self.page_bytes = page_bytes
-        self.lane = lane
-        self.stats = {
-            "gc_runs": 0,
-            "gc_moved_pages": 0,
-            "host_writes_pages": 0,
-            "rmw_reads": 0,
-        }
-
-    def preload(self, nbytes: int) -> None:  # pragma: no cover - plan validates
-        pass
-
-    def translate(self, cmd: DeviceCommand) -> TxnSlice:
-        assert isinstance(cmd, PlannedCommand), "planned FTL needs planned commands"
-        return TxnSlice(self.lane, cmd.lo, cmd.hi)
 
 
 @dataclass
@@ -125,7 +92,11 @@ class CellPlan:
     nbytes: np.ndarray
     cmd_ord: np.ndarray  # row -> command ordinal within the cell
     group_ids: np.ndarray
-    #: filled by :func:`stack_plans`
+    #: filled by :func:`stack_plans`: the ``main`` and ``peak`` lanes of
+    #: every stacked row, this plan's rows ``row0:row0 + n`` of them,
+    #: and views of just those rows
+    stacked: dict[str, LaneCols] = field(default_factory=dict)
+    row0: int = 0
     lanes: dict[str, LaneCols] = field(default_factory=dict)
 
 
@@ -322,7 +293,10 @@ def stack_plans(plans: list[CellPlan]) -> int:
     )
 
     offsets = np.cumsum(ns) - ns
+    stacked = {"main": main, "peak": peak}
     for p, off, n in zip(plans, offsets.tolist(), ns.tolist()):
         rows = slice(off, off + n)
-        p.lanes = {"main": main.window(rows), "peak": peak.window(rows)}
+        p.stacked = stacked
+        p.row0 = off
+        p.lanes = {name: lane.window(rows) for name, lane in stacked.items()}
     return total

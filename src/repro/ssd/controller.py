@@ -28,7 +28,7 @@ bit-identical to the fault-free path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 from ..interconnect.host import HostPath
 from ..nvm.bus import BusSpec
@@ -36,10 +36,10 @@ from .ftl import DeviceFTL
 from .geometry import Geometry
 from .metrics import RunMetrics, compute_metrics
 from .queueing import reorder_die_round_robin
-from .request import CommandGroup
+from .request import CommandGroup, DeviceCommand
 from .scheduler import INFINITE_BUS, INFINITE_HOST, TransactionScheduler, TxnLog
 
-__all__ = ["SSDevice", "ReplayResult"]
+__all__ = ["Dispatch", "ReplayResult", "SSDevice", "dispatch"]
 
 
 @dataclass
@@ -48,8 +48,7 @@ class ReplayResult:
 
     log: TxnLog
     group_completions: list[int]
-    #: ``None`` only for deferred-metrics (batch backend) replays
-    metrics: Optional[RunMetrics]
+    metrics: RunMetrics
     ftl_stats: dict = field(default_factory=dict)
     #: the device-level block trace: one (t_ns, op, lba, nbytes, kind,
     #: client) tuple per command as it reached the device — Section
@@ -102,10 +101,6 @@ class SSDevice:
         #: only already-computed DES timestamps.  The lifetime sweep
         #: uses it for per-cell p99 latency.
         self.latency_recorder = None
-        #: skip the in-replay metrics pass (``ReplayResult.metrics`` is
-        #: ``None``); the batch backend computes metrics for many lanes
-        #: in one stacked pass after all replays finish
-        self.defer_metrics = False
 
     def unconstrain(self) -> None:
         """Switch to an infinite bus and host path, no command overhead.
@@ -136,134 +131,171 @@ class SSDevice:
 
         ``posix_window`` is the per-client number of POSIX requests the
         application keeps outstanding (DOoC prefetch depth >= 1).
-
-        Commands are dispatched globally in (approximate) time order
-        across all in-flight groups and clients, so overlapping POSIX
-        requests genuinely share the device — the list scheduler's
-        non-backfilling resource timelines then see transactions in the
-        order the device would.
+        :func:`dispatch` decides which command goes next and when it
+        arrives; this loop translates it, schedules its transactions
+        and reports the completion back.
         """
-        if posix_window < 1:
-            raise ValueError("posix_window must be >= 1")
         sched = TransactionScheduler(self.geom, self.bus, self.host)
-        per_req_ns = self.host.per_request_ns + self.command_overhead_ns
-        ra = self.readahead_bytes
         ftl = self.ftl
         paq = self.queue_policy == "paq"
         faults = self.fault_model
-
-        # per-client bookkeeping
-        by_client: dict[int, list[tuple[int, CommandGroup]]] = {}
-        for gidx, g in enumerate(groups):
-            by_client.setdefault(g.client, []).append((gidx, g))
-        next_to_activate: dict[int, int] = {c: 0 for c in by_client}
-        completions: dict[int, list[Optional[int]]] = {
-            c: [None] * len(lst) for c, lst in by_client.items()
-        }
-        barrier_t: dict[int, int] = {c: start_ns for c in by_client}
-        group_completions: list[int] = [start_ns] * len(groups)
-
-        class _State:
-            __slots__ = (
-                "gidx", "client", "k", "cmds", "idx", "cursor",
-                "inflight", "inflight_bytes", "done",
-            )
-
-            def __init__(self, gidx, client, k, group, cursor):
-                self.gidx = gidx
-                self.client = client
-                self.k = k  # per-client group index
-                self.cmds = group.commands
-                self.idx = 0
-                self.cursor = cursor
-                self.inflight: list[tuple[int, int]] = []
-                self.inflight_bytes = 0
-                self.done = cursor
-
-        active: list[_State] = []
-
-        def activate(client: int) -> None:
-            lst = by_client[client]
-            comp = completions[client]
-            while next_to_activate[client] < len(lst):
-                k = next_to_activate[client]
-                dep = start_ns
-                if k >= posix_window:
-                    if comp[k - posix_window] is None:
-                        break  # dependency not finalized yet
-                    dep = comp[k - posix_window]
-                gidx, group = lst[k]
-                cursor = max(start_ns, group.posix.t_issue_ns, barrier_t[client], dep)
-                if not group.commands:
-                    comp[k] = cursor
-                    group_completions[gidx] = cursor
-                    next_to_activate[client] += 1
-                    continue
-                active.append(_State(gidx, client, k, group, cursor))
-                next_to_activate[client] += 1
-
-        for c in by_client:
-            activate(c)
+        commands = dispatch(
+            groups,
+            posix_window,
+            start_ns,
+            self.host.per_request_ns + self.command_overhead_ns,
+            self.readahead_bytes,
+        )
 
         req_id = 0
         command_log: list[tuple] = []
-        while active:
-            # dispatch the command that would be issued earliest
-            st = min(active, key=lambda s: s.cursor)
-            cmd = st.cmds[st.idx]
-            cursor = max(st.cursor, barrier_t[st.client])
-            if ra is not None:
-                while st.inflight and st.inflight_bytes + cmd.nbytes > ra:
-                    t_done, nb = st.inflight.pop(0)
-                    st.inflight_bytes -= nb
-                    if t_done > cursor:
-                        cursor = t_done
-            txns = ftl.translate(cmd)
-            if paq and txns:
-                txns = reorder_die_round_robin(txns, self.geom)
-            cmd_arrival = cursor + per_req_ns
-            command_log.append(
-                (cmd_arrival, cmd.op, cmd.lba, cmd.nbytes, cmd.kind, st.client)
-            )
-            if txns:
-                done = sched.submit(
-                    txns, cmd_arrival, req_id, client=st.client, kind_label=cmd.kind
+        try:  # only the generator raises StopIteration, when it is done
+            cmd, client, cmd_arrival = next(commands)
+            while True:
+                command_log.append(
+                    (cmd_arrival, cmd.op, cmd.lba, cmd.nbytes, cmd.kind, client)
                 )
-                if faults is not None:
-                    done = faults.on_command(
-                        req_id, cmd.op, txns, done, self.geom.resource_ids
+                txns = ftl.translate(cmd)
+                if paq and txns:
+                    txns = reorder_die_round_robin(txns, self.geom)
+                if txns:
+                    done = sched.submit(
+                        txns, cmd_arrival, req_id, client=client, kind_label=cmd.kind
                     )
-                if self.latency_recorder is not None:
-                    self.latency_recorder.record(done - cmd_arrival)
-            else:  # trim / no-op
-                done = cmd_arrival
-            req_id += 1
-            st.inflight.append((done, cmd.nbytes))
-            st.inflight_bytes += cmd.nbytes
-            if done > st.done:
-                st.done = done
-            st.cursor = cursor
-            if cmd.barrier:
-                st.cursor = max(st.cursor, done)
-                barrier_t[st.client] = max(barrier_t[st.client], done)
-            st.idx += 1
-            if st.idx >= len(st.cmds):
-                active.remove(st)
-                completions[st.client][st.k] = st.done
-                group_completions[st.gidx] = st.done
-                activate(st.client)
+                    if faults is not None:
+                        done = faults.on_command(
+                            req_id, cmd.op, txns, done, self.geom.resource_ids
+                        )
+                    if self.latency_recorder is not None:
+                        self.latency_recorder.record(done - cmd_arrival)
+                else:  # trim / no-op
+                    done = cmd_arrival
+                req_id += 1
+                cmd, client, cmd_arrival = commands.send(done)
+        except StopIteration as stop:
+            group_completions = stop.value
 
         log = sched.finish()
-        metrics = (
-            None
-            if self.defer_metrics
-            else compute_metrics(log, self.geom, self.bus, self.kind, self.host)
-        )
         return ReplayResult(
             log=log,
             group_completions=group_completions,
-            metrics=metrics,
+            metrics=compute_metrics(log, self.geom, self.bus, self.kind, self.host),
             ftl_stats=dict(ftl.stats),
             command_log=command_log,
             fault_stats=faults.snapshot() if faults is not None else {},
         )
+
+
+#: :func:`dispatch`'s protocol: yields ``(command, client, arrival)``,
+#: is sent each command's completion, returns the group completions
+Dispatch = Generator[tuple[DeviceCommand, int, int], int, list[int]]
+
+
+def dispatch(
+    groups: Sequence[CommandGroup],
+    posix_window: int,
+    start_ns: int,
+    per_req_ns: int,
+    readahead_bytes: Optional[int],
+) -> Dispatch:
+    """The controller's flow control, one command at a time.
+
+    Yields every command of ``groups`` with its client and its arrival
+    at the device, and must be sent the command's completion before it
+    yields the next one; returns each group's completion.  Commands
+    are dispatched globally in (approximate) time order across all
+    in-flight groups and clients, so overlapping POSIX requests
+    genuinely share the device — the list scheduler's non-backfilling
+    resource timelines then see transactions in the order the device
+    would.  A command arrives ``per_req_ns`` after it is issued.
+
+    The generator holds all of its state, so any number of replays —
+    :meth:`SSDevice.run`, or the batch backend's lockstep lanes — can
+    drive it side by side.
+    """
+    if posix_window < 1:
+        raise ValueError("posix_window must be >= 1")
+    ra = readahead_bytes
+
+    # per-client bookkeeping
+    by_client: dict[int, list[tuple[int, CommandGroup]]] = {}
+    for gidx, g in enumerate(groups):
+        by_client.setdefault(g.client, []).append((gidx, g))
+    next_to_activate: dict[int, int] = {c: 0 for c in by_client}
+    completions: dict[int, list[Optional[int]]] = {
+        c: [None] * len(lst) for c, lst in by_client.items()
+    }
+    barrier_t: dict[int, int] = {c: start_ns for c in by_client}
+    group_completions: list[int] = [start_ns] * len(groups)
+    active: list[_Stream] = []
+
+    def activate(client: int) -> None:
+        lst = by_client[client]
+        comp = completions[client]
+        while next_to_activate[client] < len(lst):
+            k = next_to_activate[client]
+            dep = start_ns
+            if k >= posix_window:
+                if comp[k - posix_window] is None:
+                    break  # dependency not finalized yet
+                dep = comp[k - posix_window]
+            gidx, group = lst[k]
+            cursor = max(start_ns, group.posix.t_issue_ns, barrier_t[client], dep)
+            if not group.commands:
+                comp[k] = cursor
+                group_completions[gidx] = cursor
+                next_to_activate[client] += 1
+                continue
+            active.append(_Stream(gidx, client, k, group, cursor))
+            next_to_activate[client] += 1
+
+    for c in by_client:
+        activate(c)
+
+    while active:
+        # dispatch the command that would be issued earliest
+        st = min(active, key=lambda s: s.cursor)
+        cmd = st.cmds[st.idx]
+        cursor = max(st.cursor, barrier_t[st.client])
+        if ra is not None:
+            while st.inflight and st.inflight_bytes + cmd.nbytes > ra:
+                t_done, nb = st.inflight.pop(0)
+                st.inflight_bytes -= nb
+                if t_done > cursor:
+                    cursor = t_done
+        done = yield cmd, st.client, cursor + per_req_ns
+        st.inflight.append((done, cmd.nbytes))
+        st.inflight_bytes += cmd.nbytes
+        if done > st.done:
+            st.done = done
+        st.cursor = cursor
+        if cmd.barrier:
+            st.cursor = max(st.cursor, done)
+            barrier_t[st.client] = max(barrier_t[st.client], done)
+        st.idx += 1
+        if st.idx >= len(st.cmds):
+            active.remove(st)
+            completions[st.client][st.k] = st.done
+            group_completions[st.gidx] = st.done
+            activate(st.client)
+    return group_completions
+
+
+class _Stream:
+    """One in-flight command group of :func:`dispatch`."""
+
+    __slots__ = (
+        "gidx", "client", "k", "cmds", "idx", "cursor",
+        "inflight", "inflight_bytes", "done",
+    )
+
+    def __init__(self, gidx: int, client: int, k: int, group: CommandGroup, cursor: int):
+        self.gidx = gidx
+        self.client = client
+        self.k = k  # per-client group index
+        self.cmds = group.commands
+        self.idx = 0
+        self.cursor = cursor
+        self.inflight: list[tuple[int, int]] = []
+        self.inflight_bytes = 0
+        self.done = cursor

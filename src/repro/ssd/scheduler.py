@@ -37,12 +37,17 @@ The timing kernel has two halves, shared by every replay:
   one sweep.
 * :func:`recurrence` is the irreducibly sequential resource-timeline
   recurrence, a scalar loop over plain ints for READ/WRITE/ERASE rows.
+  :func:`block_recurrence` is the same recurrence for READ rows, one
+  *block* (:func:`block_ends`) of each of many lanes per call, as
+  segmented max-plus scans in numpy; the batch backend's lockstep
+  replay (:mod:`repro.batch.scheduler`) steps every lane through it.
 
 :class:`TransactionScheduler` pre-passes raw :data:`~repro.ssd.ftl.Txn`
 tuples per submitted command, or takes a :class:`TxnSlice` window of
-rows a planner already pre-passed (the batch backend's lanes); either
-way it runs the same recurrence, and :meth:`TransactionScheduler.finish`
-assembles the 23-column log in one gather.  The media pattern peak
+rows a planner already pre-passed; either way it runs the same
+recurrence, and :meth:`TransactionScheduler.finish` assembles the
+23-column log in one gather (:func:`assemble_log`, which the lockstep
+replay shares).  The media pattern peak
 (:func:`repro.ssd.metrics.media_pattern_peak`) calls the two halves
 directly.
 """
@@ -71,6 +76,10 @@ __all__ = [
     "TransactionScheduler",
     "TxnLog",
     "TxnSlice",
+    "FlatResources",
+    "assemble_log",
+    "block_ends",
+    "block_recurrence",
     "prepass",
     "recurrence",
 ]
@@ -123,6 +132,12 @@ _ROW_COLS = {
     "flat": "flat",
     "pib": "pib",
 }
+
+#: log columns of :func:`recurrence`'s ``out``, in its order
+_BOUND_COLS = (
+    "cell_start", "cell_end", "fb_start", "fb_end",
+    "ch_start", "ch_end", "h_start", "h_end",
+)
 
 Ints = Union[int, np.ndarray]
 
@@ -184,7 +199,12 @@ class MediaConsts:
 
     @classmethod
     def stack(cls, consts: Sequence["MediaConsts"], cell: np.ndarray) -> "MediaConsts":
-        """Per-row constants; ``cell`` maps each row to its ``consts`` entry."""
+        """Per-row constants; ``cell`` maps each row to its ``consts`` entry.
+
+        One device's constants broadcast as they are.
+        """
+        if len(consts) == 1:
+            return consts[0]
 
         def per_row(name: str) -> np.ndarray:
             return np.array([getattr(c, name) for c in consts], dtype=np.int64)[cell]
@@ -216,7 +236,12 @@ class Link(NamedTuple):
 
     @classmethod
     def stack(cls, links: Sequence["Link"], cell: np.ndarray) -> "Link":
-        """Per-row constants; ``cell`` maps each row to its ``links`` entry."""
+        """Per-row constants; ``cell`` maps each row to its ``links`` entry.
+
+        One device's constants broadcast as they are.
+        """
+        if len(links) == 1:
+            return links[0]
         return cls(*(np.asarray(vals)[cell] for vals in zip(*links)))
 
 
@@ -460,6 +485,159 @@ def recurrence(
     return completion
 
 
+def block_ends(unit: np.ndarray) -> np.ndarray:
+    """End (exclusive) of the longest run of distinct units from each row.
+
+    Row ``i``'s entry is the first row ``j > i`` whose plane unit already
+    occurs in ``i:j``, or ``len(unit)``.  A block that starts at ``s``
+    and may not pass its command's end ``hi`` is ``s:min(ends[s], hi)``:
+    the suffix-min of every row's next same-unit row is the first
+    repeat, and no row at or past it can lower the minimum, since a
+    row's next same-unit row lies after the row itself.
+    """
+    n = len(unit)
+    nxt = np.full(n, n, dtype=np.int64)
+    if n > 1:
+        # a stable sort lists each unit's rows in row order; small keys
+        # sort by radix
+        key = unit.astype(np.uint16) if int(unit.max()) < 1 << 16 else unit
+        order = np.argsort(key, kind="stable")
+        sorted_unit = key[order]
+        nxt[order[:-1]] = np.where(sorted_unit[1:] == sorted_unit[:-1], order[1:], n)
+    return np.minimum.accumulate(nxt[::-1])[::-1]
+
+
+class FlatResources:
+    """Availability times of many devices' resources in flat int64 arrays.
+
+    Lane ``k``'s dies, packages, channels and plane units occupy one
+    slice each, starting at the offsets ``die0[k]`` .. ``unit0[k]``; its
+    host path is entry ``k`` of ``host_free``.  Keys offset this way
+    never collide across lanes, so one :func:`block_recurrence` step
+    advances every lane at once.
+    """
+
+    def __init__(self, geoms: Sequence[Geometry]):
+        self.geoms = list(geoms)
+
+        def offsets(attr: str) -> tuple[np.ndarray, np.ndarray]:
+            sizes = np.array([getattr(g, attr) for g in geoms], dtype=np.int64)
+            first = np.cumsum(sizes) - sizes
+            return first, np.zeros(int(sizes.sum()), dtype=np.int64)
+
+        self.die0, self.die_free = offsets("dies")
+        self.pkg0, self.pkg_free = offsets("packages")
+        self.chan0, self.chan_free = offsets("channels")
+        self.unit0, self.plane_free = offsets("plane_units")
+        self.host_free = np.zeros(len(geoms), dtype=np.int64)
+
+    def lane(self, k: int) -> Resources:
+        """Lane ``k``'s state, copied into a scalar :class:`Resources`."""
+        g = self.geoms[k]
+        res = Resources(g)
+        for name, first, size in (
+            ("die_free", self.die0, g.dies),
+            ("pkg_free", self.pkg0, g.packages),
+            ("chan_free", self.chan0, g.channels),
+            ("plane_free", self.unit0, g.plane_units),
+        ):
+            lo = int(first[k])
+            setattr(res, name, getattr(self, name)[lo : lo + size].tolist())
+        res.host_free = int(self.host_free[k])
+        return res
+
+
+def _chain(x: np.ndarray, b: np.ndarray, key: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """One resource of the READ recurrence over rows in submission order.
+
+    Row ``i`` starts at ``max(x_i, end of the previous row on key_i)``
+    and holds the resource ``b_i`` ns; the first row on a key waits for
+    ``free[key]``.  Returns every row's end and advances ``free``.  A
+    stable sort groups the rows by key, keeping each key's rows in
+    submission order, and :func:`_scan` runs the groups.
+    """
+    # small keys sort by radix
+    order = np.argsort(
+        key.astype(np.uint16) if len(free) <= 1 << 16 else key, kind="stable"
+    )
+    y = _scan(x[order], b[order], key[order], free)
+    out = np.empty_like(y)
+    out[order] = y
+    return out
+
+
+def _scan(x: np.ndarray, b: np.ndarray, k: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Segmented max-plus scan ``y_i = max(y_prev, x_i) + b_i``.
+
+    Rows come grouped by their non-decreasing key ``k``; a key's first
+    row starts from ``free[k]``, which advances to the key's last
+    ``y``.  With ``T`` the running sum of ``b`` the recurrence unrolls to
+    ``y_i = T_i + max_j(x_j - T_(j-1))`` over the key's rows ``j <= i``
+    (the key's first row also offering ``free[k]``).  One global
+    running maximum serves every key: lifting key ``k`` by ``k`` times
+    the value spread keeps keys apart, as in
+    :func:`repro.batch.segments.measure_sorted`.
+    """
+    n = len(k)
+    total = np.cumsum(b)
+    before = total - b
+    v = x - before
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(k[1:], k[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    kh = k[heads]
+    v[heads] = np.maximum(x[heads], free[kh]) - before[heads]
+    spread = int(v.max()) - int(v.min()) + 1
+    if (int(k[-1]) + 1) * spread >= 2**62:  # pragma: no cover - astronomic timestamps
+        raise OverflowError("timeline span too large for the block scan")
+    lift = k * spread
+    y = np.maximum.accumulate(v + lift) - lift + total
+    tails = np.empty_like(heads)
+    tails[:-1] = heads[1:] - 1
+    tails[-1] = n - 1
+    free[kh] = y[tails]
+    return y
+
+
+def block_recurrence(
+    res: FlatResources,
+    arrival: np.ndarray,
+    lanes: np.ndarray,
+    rows: np.ndarray,
+    unit: np.ndarray,
+    die: np.ndarray,
+    pkg: np.ndarray,
+    chan: np.ndarray,
+    cell_ns: np.ndarray,
+    fb: np.ndarray,
+    hb: np.ndarray,
+    cmd: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`recurrence` over one READ block of each of many lanes.
+
+    The rows are the blocks concatenated, lane by lane: block ``j``
+    belongs to lane ``lanes[j]`` and has ``rows[j]`` rows.  A block is
+    consecutive rows of one command with no plane unit twice, so every
+    row's register wait reads the state from before the step; the die,
+    package, channel and host timelines are then four segmented
+    max-plus scans (:func:`_scan`), exact in int64.  ``lanes`` must be
+    distinct and ascending, ``unit`` .. ``chan`` are the lane-local ids
+    and ``arrival`` is per row.  Returns the rows' cell, flash-bus,
+    channel and host ends and advances ``res``; the starts are the
+    ends less the durations.
+    """
+    lane = np.repeat(lanes, rows)
+    unit_k = unit + res.unit0[lane]
+    x = np.maximum(arrival, res.plane_free[unit_k])
+    c_end = _chain(x, cell_ns, die + res.die0[lane], res.die_free)
+    f_end = _chain(c_end, fb, pkg + res.pkg0[lane], res.pkg_free)
+    s_end = _chain(f_end, cmd + fb, chan + res.chan0[lane], res.chan_free)
+    res.plane_free[unit_k] = s_end  # registers drain with the bus
+    h_end = _scan(s_end, hb, lane, res.host_free)
+    return c_end, f_end, s_end, h_end
+
+
 class TransactionScheduler:
     """Greedy list scheduler over the SSD's resource timelines."""
 
@@ -559,35 +737,57 @@ class TransactionScheduler:
     def finish(self) -> TxnLog:
         """The columnar log: one gather of the replayed rows, per column."""
         n = self._n
-        if n == 0:
-            return TxnLog({name: np.empty(0, dtype=np.int64) for name in LOG_COLUMNS})
-        meta = np.asarray(self._meta, dtype=np.int64)
-        lens = meta[:, 5] - meta[:, 4]
-        starts = np.cumsum(lens) - lens
-        # lane row of each log row, in submission order
-        idx = np.repeat(meta[:, 4] - starts, lens) + np.arange(n, dtype=np.int64)
         lane = self._lane
-        if lane is None:
+        if lane is None and n:
             # the columns the log keeps do not depend on where one
             # command ends, so the raw rows pre-pass in one sweep
             (lane,) = prepass(self._media, self._links, *np.concatenate(self._raw).T)
-        cols = {name: getattr(lane, col)[idx] for name, col in _ROW_COLS.items()}
-        for j, name in enumerate(("req", "client", "kind_code", "arrival")):
-            cols[name] = np.repeat(meta[:, j], lens)
-        bounds = (
-            "cell_start", "cell_end", "fb_start", "fb_end",
-            "ch_start", "ch_end", "h_start", "h_end",
-        )
-        for name, out in zip(bounds, self._out):
-            cols[name] = np.array(out[:n], dtype=np.int64)
-        # reads complete on the media with the channel transfer and for
-        # the requester with the host transfer; writes and erases with
-        # the cell operation
-        is_read = cols["op"] == OpCode.READ
-        cols["media_done"] = np.where(is_read, cols["ch_end"], cols["cell_end"])
-        cols["done"] = np.where(is_read, cols["h_end"], cols["cell_end"])
-        return TxnLog({name: cols[name] for name in LOG_COLUMNS})
+        return assemble_log(lane, self._meta, [out[:n] for out in self._out])
 
     @property
     def n_txns(self) -> int:
         return self._n
+
+
+def assemble_log(
+    lane: Optional[LaneCols],
+    meta: Sequence[tuple[int, int, int, int, int, int]],
+    bounds: Sequence[Sequence[int]],
+) -> TxnLog:
+    """The 23-column log of replayed commands, in replay order.
+
+    ``meta`` holds one (req, client, kind code, arrival, lo, hi) tuple
+    per replayed command, whose rows are ``lo:hi`` of ``lane``.
+    ``bounds`` are the replayed rows' interval bounds in log order:
+    all eight of :func:`recurrence`'s ``out``, or for an all-READ log
+    just the four ends (cell, flash bus, channel, host), whose starts
+    follow from the rows' durations.
+    """
+    n = len(bounds[0])
+    if n == 0:
+        return TxnLog({name: np.empty(0, dtype=np.int64) for name in LOG_COLUMNS})
+    assert lane is not None, "replayed rows need their lane"
+    meta_a = np.asarray(meta, dtype=np.int64)
+    lens = meta_a[:, 5] - meta_a[:, 4]
+    starts = np.cumsum(lens) - lens
+    # lane row of each log row, in replay order
+    idx = np.repeat(meta_a[:, 4] - starts, lens) + np.arange(n, dtype=np.int64)
+    cols = {name: getattr(lane, col)[idx] for name, col in _ROW_COLS.items()}
+    for j, name in enumerate(("req", "client", "kind_code", "arrival")):
+        cols[name] = np.repeat(meta_a[:, j], lens)
+    vals = [np.asarray(b, dtype=np.int64) for b in bounds]
+    if len(vals) == 4:
+        fb = lane.fb[idx]
+        c_end, f_end, s_end, h_end = vals
+        vals = [
+            c_end - lane.cell_ns[idx], c_end, f_end - fb, f_end,
+            s_end - lane.cmd[idx] - fb, s_end, h_end - lane.hb[idx], h_end,
+        ]
+    cols.update(zip(_BOUND_COLS, vals))
+    # reads complete on the media with the channel transfer and for
+    # the requester with the host transfer; writes and erases with
+    # the cell operation
+    is_read = cols["op"] == OpCode.READ
+    cols["media_done"] = np.where(is_read, cols["ch_end"], cols["cell_end"])
+    cols["done"] = np.where(is_read, cols["h_end"], cols["cell_end"])
+    return TxnLog({name: cols[name] for name in LOG_COLUMNS})

@@ -170,3 +170,31 @@ class TestPoolDegrade:
         engine = MatrixEngine(workers=4)
         assert engine.map(len, ["ab", "cde", ""]) == [2, 3, 0]
         assert engine.pool_decision["degraded"] is True
+
+
+def test_batch_cell_seconds_apportion_the_phase_times():
+    """Per-cell seconds sum to the plan, stack, replay and metrics
+    totals, every planned cell gets a positive share, and the tracer
+    sees one ``scheduler`` event per cell carrying its replay share."""
+    import math
+
+    from repro import obs
+    from repro.batch import run_cells_batch
+
+    tracer = obs.install(obs.Tracer())
+    try:
+        _, report = run_cells_batch(CELLS, TINY, 1013)
+    finally:
+        obs.uninstall()
+    assert set(report.seconds) == set(report.planned) == set(CELLS)
+    assert all(s > 0 for s in report.seconds.values())
+    phases = (
+        report.plan_seconds + report.stack_seconds
+        + report.replay_seconds + report.metrics_seconds
+    )
+    assert math.fsum(report.seconds.values()) == pytest.approx(phases, rel=1e-9)
+    events = [s for s in tracer.wall_spans() if s.layer == "scheduler"]
+    assert sorted(s.name for s in events) == sorted(f"{l}|{k}" for l, k in CELLS)
+    assert math.fsum(s.duration for s in events) == pytest.approx(
+        report.replay_seconds, rel=1e-6
+    )

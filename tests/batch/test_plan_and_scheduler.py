@@ -10,16 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch.plan import (
-    BatchUnsupported,
-    PlannedFTL,
-    TxnSlice,
-    plan_cell,
-    stack_plans,
-)
+from repro.batch.plan import BatchUnsupported, plan_cell, stack_plans
 from repro.experiments.runner import Workload
 from repro.ssd.request import OpCode
-from repro.ssd.scheduler import TransactionScheduler
+from repro.ssd.scheduler import TransactionScheduler, TxnSlice
+from tests.oracles.planned_ftl import PlannedFTL
 
 KiB = 1024
 TINY = Workload(panels=2, panel_bytes=256 * KiB)
