@@ -4,9 +4,11 @@
 `python -m repro flow` proves statically that no wall-clock, hash- or
 pid-dependent, or unpicklable value *flows* into a sim-domain result;
 DetSan checks the same properties dynamically: it runs a small Table-2
-slice under adversarial perturbations and byte-compares the canonical
-JSON of every ConfigResult and the full sim-domain span tree against
-an unperturbed base run.
+slice plus two overlaid cells (an aged device under dynamic wear
+leveling, a derated ION fabric) in one engine call under adversarial
+perturbations and byte-compares the canonical JSON of every cell
+result and the full sim-domain span tree against an unperturbed base
+run.
 
 Perturbation axes (each its own subprocess, since PYTHONHASHSEED only
 takes effect at interpreter start):
@@ -51,20 +53,9 @@ SRC = REPO / "src"
 DEFAULT_LABELS = "ION-GPFS,CNL-EXT4"
 DEFAULT_KINDS = "MLC,PCM"
 
-#: ConfigResult fields that are *results*; provenance fields (backend,
-#: metrics, faults) legitimately differ across variants and are
-#: excluded from the canonical payload.
-_RESULT_FIELDS = (
-    "label",
-    "kind",
-    "bandwidth_mb",
-    "aggregate_mb",
-    "remaining_mb",
-    "channel_utilization",
-    "package_utilization",
-    "breakdown",
-    "parallelism",
-)
+#: result fields that are *provenance*, not results: they legitimately
+#: differ across variants and are excluded from the canonical payload
+_PROVENANCE = frozenset({"backend", "metrics", "faults"})
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +78,43 @@ def canonical_payload(
     clients) — that is what the ``tiebreak-lifo`` axis actually bites
     on.
     """
+    import dataclasses
+
     from repro import obs
     from repro.cluster import IonServiceConfig, simulate_ion_service
-    from repro.experiments import MatrixEngine, Workload
+    from repro.experiments import Cell, MatrixEngine, Workload
+    from repro.lifetime import WearPolicy
 
     MiB = 1024 * 1024
     workload = Workload(
         panels=max(2, int(round(4 * scale))), panel_bytes=2 * MiB
     )
+    grid = [Cell(label, kind, workload) for label in labels for kind in kinds]
+    grid += [
+        Cell("CNL-UFS", "TLC", workload, age=0.5,
+             policy=WearPolicy(kind="dynamic")),
+        Cell("ION-GPFS", "MLC", workload, with_remaining=False, derate=0.5),
+    ]
     tracer = obs.install(obs.Tracer())
     try:
         engine = MatrixEngine(workers=workers, backend=backend)
         if split_batch:
             results = {}
-            for label in labels:
-                for kind in kinds:
-                    results.update(engine.run_matrix([label], [kind], workload=workload))
+            for cell in grid:
+                results.update(engine.run_cells([cell]))
         else:
-            results = engine.run_matrix(labels, kinds, workload=workload)
+            results = engine.run_cells(grid)
     finally:
         obs.uninstall()
 
-    cells = {}
-    for (label, kind), r in sorted(results.items()):
-        cells[f"{label}|{kind}"] = {
-            f: getattr(r, f) for f in _RESULT_FIELDS
+    cells = {
+        cell.tag: {
+            f.name: getattr(r, f.name)
+            for f in dataclasses.fields(r)
+            if f.name not in _PROVENANCE
         }
+        for cell, r in results.items()
+    }
     spans = sorted(
         (s.to_dict() for s in tracer.spans if s.domain == obs.SIM),
         key=lambda d: json.dumps(d, sort_keys=True),

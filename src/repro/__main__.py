@@ -36,6 +36,13 @@ worker chaos), recovered automatically and reported in a fault footer.
 ``--fault-seed`` (or the ``REPRO_FAULT_SEED`` env var) pins the seed so
 two runs inject byte-identical faults.
 
+Options the commands share (``--scale``, ``--workers``,
+``--cache-dir``, ``--trace``, ``-o``, ``--faults``/``--fault-seed``,
+``--backend``, ``--stats-dir``, ``--labels``/``--kinds``, ``--prom``)
+are declared once, in argparse parent parsers; comma-separated axes
+(``--labels``, ``--kinds``, ``--ages``, ``--loss-rates``) are parsed
+once, a malformed one being a usage error (exit 2).
+
 ``serve`` starts the long-running JSON-lines TCP service
 (:mod:`repro.service`): typed cell/matrix/figure/headline jobs, bounded
 admission queue with backpressure, in-flight coalescing, streaming
@@ -98,23 +105,217 @@ def _exhibits(scale: float, engine: MatrixEngine):
     }
 
 
+# -- shared options ------------------------------------------------------
+# Each option is declared once, in the parent parser of the commands
+# that share it.
+
+
+def _axis(cast=str):
+    """argparse type for a comma-separated axis; a bad item is a usage error."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(s.strip()) for s in text.split(",") if s.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of numbers: {text!r}"
+            ) from None
+
+    parse.__name__ = "list"
+    return parse
+
+
+def _parent(*options: tuple[tuple, dict]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    for flags, kwargs in options:
+        parser.add_argument(*flags, **kwargs)
+    return parser
+
+
+_ENGINE = _parent(
+    (("--workers",), dict(
+        type=int, default=1,
+        help="cell worker processes (0 = auto-detect, default 1)",
+    )),
+    (("--cache-dir",), dict(
+        type=Path, default=None,
+        help="persist cell results on disk (default: in-memory only)",
+    )),
+)
+_RUN = _parent(
+    (("--scale",), dict(
+        type=float, default=1.0,
+        help="workload scale factor (default 1.0 = 96 MiB/client)",
+    )),
+    (("--trace",), dict(
+        type=Path, default=None, metavar="PATH",
+        help="record an observability trace (JSON lines) to PATH; "
+        "inspect with 'python -m repro obs report PATH'",
+    )),
+    (("-o", "--out"), dict(
+        type=Path, default=None,
+        help="directory to write exhibit text files into",
+    )),
+)
+_FAULTS = _parent(
+    (("--faults",), dict(
+        action="store_true",
+        help="inject the default seeded chaos regime into every cell "
+        "(lifetime: under the age-coupled rates)",
+    )),
+    (("--fault-seed",), dict(
+        type=int, default=None,
+        help="fault-injection seed (default: $REPRO_FAULT_SEED or 0); "
+        "implies --faults",
+    )),
+)
+_BACKEND = _parent(
+    (("--backend",), dict(
+        choices=("batch", "scalar"), default="batch",
+        help="matrix-cell execution backend: the columnar batch kernel "
+        "(default, bit-identical to scalar) or the frozen scalar reference",
+    )),
+)
+_STATS = _parent(
+    (("--stats-dir",), dict(
+        type=Path, default=None, metavar="DIR",
+        help="write stats under DIR: per-job/per-cell stats.csv, or the "
+        "per-packet net_stats.csv for netfault",
+    )),
+)
+_AXES = _parent(
+    (("--labels",), dict(
+        type=_axis(), default=None,
+        help="comma-separated config labels (default: lifetime, the "
+        "device sweep + ION-GPFS; netfault, all Table-2 rows)",
+    )),
+    (("--kinds",), dict(
+        type=_axis(), default=None,
+        help="comma-separated NVM kinds (default: SLC,MLC,TLC,PCM)",
+    )),
+)
+_PROM = _parent(
+    (("--prom",), dict(
+        type=Path, default=None, metavar="PATH",
+        help="write the sweep's metrics in Prometheus text format to PATH",
+    )),
+)
+
+
+def _parser(prog: str, description: str, *parents) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(
+        prog=prog, description=description, parents=list(parents)
+    )
+
+
+def _cache(parser: argparse.ArgumentParser, args) -> ResultCache:
+    try:
+        return ResultCache(args.cache_dir)
+    except NotADirectoryError as exc:
+        parser.error(f"--cache-dir: {exc}")
+
+
+def _stats(args):
+    """The per-job/per-cell ``stats.csv`` recorder ``--stats-dir`` asks for."""
+    if args.stats_dir is None:
+        return None
+    from .obs import CsvStatsRecorder
+
+    return CsvStatsRecorder(args.stats_dir)
+
+
+def _fault_spec(args):
+    if not (args.faults or args.fault_seed is not None):
+        return None
+    from .faults import FaultSpec
+
+    fault_seed = args.fault_seed
+    if fault_seed is None:
+        fault_seed = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+    return FaultSpec.default_chaos(fault_seed)
+
+
+def _engine(args, cache: ResultCache, **kwargs) -> MatrixEngine:
+    return MatrixEngine(
+        workers=None if args.workers == 0 else args.workers,
+        cache=cache,
+        backend=getattr(args, "backend", "batch"),
+        **kwargs,
+    )
+
+
+def _install_tracer(args):
+    if args.trace is None:
+        return None
+    from . import obs
+
+    return obs.install(obs.Tracer())
+
+
+def _write_trace(args, tracer) -> None:
+    if tracer is None:
+        return
+    from . import obs
+
+    n_spans = obs.write_jsonl(tracer, args.trace)
+    obs.uninstall()
+    print(
+        f"[trace: {n_spans} spans -> {args.trace}; "
+        f"view with 'python -m repro obs report {args.trace}']"
+    )
+
+
+def _run_sweep(args, name: str, sweep, footer) -> int:
+    """Run one sweep subcommand end to end.
+
+    Runs ``sweep()`` under the optional tracer, prints its text and
+    ``footer(report, seconds)`` lines, then writes ``-o``, ``--prom``
+    and the trace.  A bad label, kind or axis value exits 2.
+    """
+    tracer = _install_tracer(args)
+    t0 = time.time()
+    try:
+        report = sweep()
+    except (KeyError, ValueError) as exc:
+        if tracer is not None:
+            from . import obs
+
+            obs.uninstall()
+        print(f"{name} sweep: {exc}", file=sys.stderr)
+        return 2
+    print(report.text)
+    for line in footer(report, time.time() - t0):
+        print(line)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / f"{name}.txt").write_text(report.text + "\n")
+    if args.prom is not None:
+        from .obs.export import prometheus_text
+        from .obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        report.publish(registry)
+        args.prom.write_text(prometheus_text(registry))
+        print(f"[metrics -> {args.prom}]")
+    _write_trace(args, tracer)
+    return 0
+
+
+# -- subcommands -----------------------------------------------------------
+
+
 def _serve_main(argv: list[str]) -> int:
     """``python -m repro serve``: run the simulation service."""
     import asyncio
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Serve simulation jobs over a JSON-lines TCP endpoint.",
+    parser = _parser(
+        "python -m repro serve",
+        "Serve simulation jobs over a JSON-lines TCP endpoint.",
+        _ENGINE, _STATS,
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
         "--port", type=int, default=8077, help="bind port (0 = ephemeral)"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="engine worker processes per job (0 = auto-detect, default 1)",
     )
     parser.add_argument(
         "--queue-limit",
@@ -128,33 +329,13 @@ def _serve_main(argv: list[str]) -> int:
         default=4,
         help="jobs executing simultaneously (default 4)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persist matrix-cell results on disk (default: in-memory only)",
-    )
-    parser.add_argument(
-        "--stats-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="write per-job/per-cell stats.csv under DIR",
-    )
     args = parser.parse_args(argv)
 
     from .experiments.parallel import detect_workers
     from .service import ServiceServer, SimulationService
 
-    try:
-        cache = ResultCache(args.cache_dir)
-    except NotADirectoryError as exc:
-        parser.error(f"--cache-dir: {exc}")
-    stats = None
-    if args.stats_dir is not None:
-        from .obs import CsvStatsRecorder
-
-        stats = CsvStatsRecorder(args.stats_dir)
+    cache = _cache(parser, args)
+    stats = _stats(args)
 
     async def _run() -> None:
         service = SimulationService(
@@ -189,30 +370,16 @@ def _serve_main(argv: list[str]) -> int:
 
 def _lifetime_main(argv: list[str]) -> int:
     """``python -m repro lifetime``: the aged-device capacity sweep."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lifetime",
-        description="Sweep config x NVM kind x device age: bandwidth, "
-        "p99 latency, write amplification and wear spread on devices "
-        "fast-forwarded to a fraction of rated lifetime.",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload scale factor (default 1.0 = 96 MiB/client)",
-    )
-    parser.add_argument(
-        "--labels",
-        default=None,
-        help="comma-separated config labels (default: device sweep + ION-GPFS)",
-    )
-    parser.add_argument(
-        "--kinds",
-        default=None,
-        help="comma-separated NVM kinds (default: SLC,MLC,TLC,PCM)",
+    parser = _parser(
+        "python -m repro lifetime",
+        "Sweep config x NVM kind x device age: bandwidth, p99 latency, "
+        "write amplification and wear spread on devices fast-forwarded to "
+        "a fraction of rated lifetime.",
+        _RUN, _ENGINE, _FAULTS, _AXES, _PROM,
     )
     parser.add_argument(
         "--ages",
+        type=_axis(float),
         default=None,
         help="comma-separated lifetime fractions in [0,1) (default: 0,0.5,0.9)",
     )
@@ -230,183 +397,52 @@ def _lifetime_main(argv: list[str]) -> int:
         "(default) or the write-heavy double-buffered checkpoint stream "
         "that separates wear-leveling policies at exhibit scale",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sweep-cell worker processes (0 = auto-detect, default 1)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persist sweep-cell results on disk (default: in-memory only)",
-    )
-    parser.add_argument(
-        "--faults",
-        action="store_true",
-        help="overlay the default chaos regime under the age-coupled rates",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="fault-injection seed (default: $REPRO_FAULT_SEED or 0); "
-        "implies --faults",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record an observability trace (JSON lines) to PATH",
-    )
-    parser.add_argument(
-        "--prom",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the sweep's metrics in Prometheus text format to PATH",
-    )
-    parser.add_argument(
-        "-o",
-        "--out",
-        type=Path,
-        default=None,
-        help="directory to write the exhibit text file into",
-    )
     args = parser.parse_args(argv)
 
-    from .experiments.lifetime import (
+    from .lifetime import (
+        DEFAULT_AGES,
         LIFETIME_KINDS,
         LIFETIME_LABELS,
-        lifetime_exhibit,
+        WearPolicy,
+        lifetime_sweep,
     )
-    from .lifetime import DEFAULT_AGES, WearPolicy
 
-    labels = (
-        tuple(s.strip() for s in args.labels.split(",") if s.strip())
-        if args.labels
-        else LIFETIME_LABELS
-    )
-    kinds = (
-        tuple(s.strip() for s in args.kinds.split(",") if s.strip())
-        if args.kinds
-        else LIFETIME_KINDS
-    )
-    ages = (
-        tuple(float(s) for s in args.ages.split(",") if s.strip())
-        if args.ages
-        else DEFAULT_AGES
-    )
-    try:
-        cache = ResultCache(args.cache_dir)
-    except NotADirectoryError as exc:
-        parser.error(f"--cache-dir: {exc}")
-    base_faults = None
-    if args.faults or args.fault_seed is not None:
-        from .faults import FaultSpec
+    engine = _engine(args, _cache(parser, args))
 
-        fault_seed = args.fault_seed
-        if fault_seed is None:
-            fault_seed = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-        base_faults = FaultSpec.default_chaos(fault_seed)
-    tracer = None
-    if args.trace is not None:
-        from . import obs
-
-        tracer = obs.install(obs.Tracer())
-    engine = MatrixEngine(
-        workers=None if args.workers == 0 else args.workers, cache=cache
-    )
-    workload = _workload(args.scale, stream=args.workload)
-    t0 = time.time()
-    try:
-        report = lifetime_exhibit(
-            workload,
-            engine=engine,
-            labels=labels,
-            kinds=kinds,
-            ages=ages,
+    def sweep():
+        return lifetime_sweep(
+            args.labels or LIFETIME_LABELS,
+            kinds=args.kinds or LIFETIME_KINDS,
+            ages=args.ages or DEFAULT_AGES,
             policy=WearPolicy(kind=args.policy),
-            base_faults=base_faults,
+            workload=_workload(args.scale, stream=args.workload),
+            base_faults=_fault_spec(args),
+            engine=engine,
         )
-    except (KeyError, ValueError) as exc:
-        print(f"lifetime sweep: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.time() - t0
-    print(report.text)
-    print(f"[lifetime: {len(report.results)} cells, {elapsed:.1f}s]")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "lifetime.txt").write_text(report.text + "\n")
-    if args.prom is not None:
-        from .obs.export import prometheus_text
-        from .obs.registry import MetricsRegistry
 
-        registry = MetricsRegistry()
-        report.publish(registry)
-        args.prom.write_text(prometheus_text(registry))
-        print(f"[metrics -> {args.prom}]")
-    if tracer is not None:
-        from . import obs
-
-        n_spans = obs.write_jsonl(tracer, args.trace)
-        obs.uninstall()
-        print(
-            f"[trace: {n_spans} spans -> {args.trace}; "
-            f"view with 'python -m repro obs report {args.trace}']"
-        )
-    return 0
+    return _run_sweep(
+        args, "lifetime", sweep,
+        lambda report, secs: [
+            f"[lifetime: {len(report.results)} cells, {secs:.1f}s]"
+        ],
+    )
 
 
 def _netfault_main(argv: list[str]) -> int:
     """``python -m repro netfault``: the lossy-fabric exhibit + replay."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro netfault",
-        description="Sweep packet-loss rate x config x NVM kind over the "
-        "packetized go-back-N fabric and re-plot the CNL-vs-ION gap; or "
-        "replay a recorded job trace against the simulation service.",
+    parser = _parser(
+        "python -m repro netfault",
+        "Sweep packet-loss rate x config x NVM kind over the packetized "
+        "go-back-N fabric and re-plot the CNL-vs-ION gap; or replay a "
+        "recorded job trace against the simulation service.",
+        _RUN, _ENGINE, _BACKEND, _STATS, _AXES, _PROM,
     )
     parser.add_argument(
         "--loss-rates",
+        type=_axis(float),
         default="0,0.01,0.05,0.2",
         help="comma-separated per-packet loss rates in [0,1] "
         "(default 0,0.01,0.05,0.2)",
-    )
-    parser.add_argument(
-        "--labels",
-        default=None,
-        help="comma-separated config labels (default: all Table-2 rows)",
-    )
-    parser.add_argument(
-        "--kinds",
-        default=None,
-        help="comma-separated NVM kinds (default: SLC,MLC,TLC,PCM)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload scale factor (default 1.0 = 96 MiB/client)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="matrix-cell worker processes (0 = auto-detect, default 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("batch", "scalar"),
-        default="batch",
-        help="healthy-matrix backend (bit-identical either way)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persist healthy matrix cells on disk",
     )
     parser.add_argument(
         "--net-seed",
@@ -419,34 +455,6 @@ def _netfault_main(argv: list[str]) -> int:
         type=int,
         default=4096,
         help="frame payload size in bytes (default 4096)",
-    )
-    parser.add_argument(
-        "--stats-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="write the per-packet net_stats.csv under DIR",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record an observability trace (JSON lines) to PATH",
-    )
-    parser.add_argument(
-        "--prom",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the sweep's metrics in Prometheus text format to PATH",
-    )
-    parser.add_argument(
-        "-o",
-        "--out",
-        type=Path,
-        default=None,
-        help="directory to write the exhibit text file into",
     )
     parser.add_argument(
         "--replay",
@@ -471,7 +479,7 @@ def _netfault_main(argv: list[str]) -> int:
         from .service.jobs import JobValidationError
 
         try:
-            report = run_replay(
+            replayed = run_replay(
                 args.replay,
                 workers=max(1, args.workers),
                 speed=args.speed,
@@ -480,214 +488,86 @@ def _netfault_main(argv: list[str]) -> int:
         except (OSError, JobValidationError) as exc:
             print(f"netfault replay: {exc}", file=sys.stderr)
             return 2
-        print(report.text())
-        return 0 if report.failed == 0 else 1
+        print(replayed.text())
+        return 0 if replayed.failed == 0 else 1
 
     from .netfault.exhibit import netfault_exhibit
     from .netfault.stats import NetStatsRecorder
 
-    try:
-        loss_rates = tuple(
-            float(s) for s in args.loss_rates.split(",") if s.strip()
-        )
-    except ValueError:
-        parser.error(f"--loss-rates: not numbers: {args.loss_rates!r}")
-    labels = (
-        tuple(s.strip() for s in args.labels.split(",") if s.strip())
-        if args.labels
-        else None
-    )
-    kinds = (
-        tuple(s.strip() for s in args.kinds.split(",") if s.strip())
-        if args.kinds
-        else None
-    )
-    try:
-        cache = ResultCache(args.cache_dir)
-    except NotADirectoryError as exc:
-        parser.error(f"--cache-dir: {exc}")
-    tracer = None
-    if args.trace is not None:
-        from . import obs
-
-        tracer = obs.install(obs.Tracer())
+    engine = _engine(args, _cache(parser, args))
     stats = NetStatsRecorder(args.stats_dir)
-    engine = MatrixEngine(
-        workers=None if args.workers == 0 else args.workers,
-        cache=cache,
-        backend=args.backend,
-    )
-    t0 = time.time()
-    try:
-        report = netfault_exhibit(
+
+    def sweep():
+        return netfault_exhibit(
             _workload(args.scale),
             engine=engine,
-            loss_rates=loss_rates,
-            labels=labels,
-            kinds=kinds,
+            loss_rates=args.loss_rates,
+            labels=args.labels,
+            kinds=args.kinds,
             net_seed=args.net_seed,
             mtu_bytes=args.mtu,
             stats=stats,
         )
-    except (KeyError, ValueError) as exc:
-        print(f"netfault sweep: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.time() - t0
-    print(report.text)
-    print(
-        f"[netfault: {len(report.results)} cells over "
-        f"{len(report.loss_rates)} loss rates, {elapsed:.1f}s]"
-    )
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "netfault.txt").write_text(report.text + "\n")
-    if args.stats_dir is not None:
-        s = stats.summary()
-        print(
-            f"[net stats: {s['packets_sent']} packets "
-            f"({s['packets_lost']} lost, {s['retransmits']} retransmits) "
-            f"-> {args.stats_dir}/net_stats.csv]"
-        )
-    stats.close()
-    if args.prom is not None:
-        from .obs.export import prometheus_text
-        from .obs.registry import MetricsRegistry
 
-        registry = MetricsRegistry()
-        report.publish(registry)
-        args.prom.write_text(prometheus_text(registry))
-        print(f"[metrics -> {args.prom}]")
-    if tracer is not None:
-        from . import obs
-
-        n_spans = obs.write_jsonl(tracer, args.trace)
-        obs.uninstall()
-        print(
-            f"[trace: {n_spans} spans -> {args.trace}; "
-            f"view with 'python -m repro obs report {args.trace}']"
+    def footer(report, secs):
+        yield (
+            f"[netfault: {len(report.results)} cells over "
+            f"{len(report.loss_rates)} loss rates, {secs:.1f}s]"
         )
-    return 0
+        if args.stats_dir is not None:
+            s = stats.summary()
+            yield (
+                f"[net stats: {s['packets_sent']} packets "
+                f"({s['packets_lost']} lost, {s['retransmits']} retransmits) "
+                f"-> {args.stats_dir}/net_stats.csv]"
+            )
+        stats.close()
+
+    return _run_sweep(args, "netfault", sweep, footer)
+
+
+def _delegate(module: str):
+    """A subcommand whose parser lives in ``module`` (imported lazily)."""
+
+    def run(argv: list[str]) -> int:
+        from importlib import import_module
+
+        return import_module(module, __package__).main(argv)
+
+    return run
+
+
+_SUBCOMMANDS = {
+    "serve": _serve_main,
+    "lifetime": _lifetime_main,
+    "netfault": _netfault_main,
+    "lint": _delegate(".lint.cli"),
+    "flow": _delegate(".flow.cli"),
+    "obs": _delegate(".obs.report"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "lifetime":
-        return _lifetime_main(argv[1:])
-    if argv and argv[0] == "netfault":
-        return _netfault_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from .lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "flow":
-        from .flow.cli import main as flow_main
-
-        return flow_main(argv[1:])
-    if argv and argv[0] == "obs":
-        from .obs.report import main as obs_main
-
-        return obs_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate the paper's tables and figures from the simulation.",
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
+    parser = _parser(
+        "python -m repro",
+        "Regenerate the paper's tables and figures from the simulation.",
+        _RUN, _ENGINE, _BACKEND, _FAULTS, _STATS,
     )
     parser.add_argument(
         "exhibit",
         help="exhibit name, 'all', 'list', or 'serve'",
     )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload scale factor (default 1.0 = 96 MiB/client)",
-    )
-    parser.add_argument(
-        "-o",
-        "--out",
-        type=Path,
-        default=None,
-        help="directory to write exhibit text files into",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="matrix-cell worker processes (0 = auto-detect, default 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("batch", "scalar"),
-        default="batch",
-        help="matrix-cell execution backend: the columnar batch kernel "
-        "(default, bit-identical to scalar) or the frozen scalar reference",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persist matrix-cell results on disk (default: in-memory only)",
-    )
-    parser.add_argument(
-        "--faults",
-        action="store_true",
-        help="inject the default seeded chaos regime into every matrix cell",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="fault-injection seed (default: $REPRO_FAULT_SEED or 0); "
-        "implies --faults",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record an observability trace (JSON lines) to PATH; "
-        "inspect with 'python -m repro obs report PATH'",
-    )
-    parser.add_argument(
-        "--stats-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="write a per-cell stats.csv under DIR",
-    )
     args = parser.parse_args(argv)
 
-    try:
-        cache = ResultCache(args.cache_dir)
-    except NotADirectoryError as exc:
-        parser.error(f"--cache-dir: {exc}")
-    faults = None
-    if args.faults or args.fault_seed is not None:
-        from .faults import FaultSpec
-
-        fault_seed = args.fault_seed
-        if fault_seed is None:
-            fault_seed = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-        faults = FaultSpec.default_chaos(fault_seed)
-    tracer = None
-    if args.trace is not None:
-        from . import obs
-
-        tracer = obs.install(obs.Tracer())
-    stats = None
-    if args.stats_dir is not None:
-        from .obs import CsvStatsRecorder
-
-        stats = CsvStatsRecorder(args.stats_dir)
-    engine = MatrixEngine(
-        workers=None if args.workers == 0 else args.workers,
-        cache=cache,
-        faults=faults,
-        backend=args.backend,
-        stats=stats,
-    )
+    cache = _cache(parser, args)
+    faults = _fault_spec(args)
+    tracer = _install_tracer(args)
+    stats = _stats(args)
+    engine = _engine(args, cache, faults=faults, stats=stats)
     exhibits = _exhibits(args.scale, engine)
     if args.exhibit == "list":
         print("\n".join(exhibits))
@@ -745,15 +625,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{fs['cell_timeouts']} cell timeouts, "
             f"{fs['cell_retries']} cells retried — all recovered]"
         )
-    if tracer is not None:
-        from . import obs
-
-        n_spans = obs.write_jsonl(tracer, args.trace)
-        obs.uninstall()
-        print(
-            f"[trace: {n_spans} spans -> {args.trace}; "
-            f"view with 'python -m repro obs report {args.trace}']"
-        )
+    _write_trace(args, tracer)
     if stats is not None:
         s = stats.summary()
         stats.close()

@@ -9,7 +9,7 @@ replay of every cell's main and peak lane (:mod:`repro.batch.scheduler`)
 and one stacked metrics pass; the peak lane yields its aggregate
 bandwidth without a log.
 
-Caching matches :func:`repro.experiments.runner.run_config`: the peak
+Caching matches :func:`repro.experiments.runner.run_cell`: the peak
 replay is served from / recorded into ``ResultCache`` per cell, and the
 returned :class:`ConfigResult` objects carry ``backend="batch"`` so the
 cell cache records provenance.
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..experiments.runner import ConfigResult, Workload, emit_replay_spans
+from ..experiments.runner import Cell, ConfigResult, Workload, emit_replay_spans
 from ..obs import trace as obs
 from .metrics import compute_metrics_batch
 from .plan import BatchUnsupported, CellPlan, plan_cell, stack_plans
@@ -34,21 +34,21 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 __all__ = ["BatchReport", "run_cells_batch"]
 
-Cell = tuple[str, str]
+Pair = tuple[str, str]  # (config label, kind name)
 
 
 @dataclass
 class BatchReport:
     """What the batch backend did with one set of cells."""
 
-    planned: list[Cell] = field(default_factory=list)
+    planned: list[Pair] = field(default_factory=list)
     #: cell -> BatchUnsupported reason; these must run on the scalar path
-    fallback: dict[Cell, str] = field(default_factory=dict)
+    fallback: dict[Pair, str] = field(default_factory=dict)
     #: per-cell wall seconds: the cell's own plan time plus its share of
     #: the stacked pre-pass (by planned rows) and of the lockstep replay
     #: and stacked metrics (by stepped rows); they sum to the four
     #: phase totals below
-    seconds: dict[Cell, float] = field(default_factory=dict)
+    seconds: dict[Pair, float] = field(default_factory=dict)
     stacked_rows: int = 0
     plan_seconds: float = 0.0
     stack_seconds: float = 0.0
@@ -65,13 +65,13 @@ def _shares(total: float, weights: list[int]) -> list[float]:
 
 
 def run_cells_batch(
-    cells: list[Cell],
+    cells: list[Pair],
     workload: Workload,
     seed: int,
     with_remaining: bool = True,
     cache: Optional["ResultCache"] = None,
     keep_metrics: bool = False,
-) -> tuple[dict[Cell, ConfigResult], BatchReport]:
+) -> tuple[dict[Pair, ConfigResult], BatchReport]:
     """Run ``cells`` (label, kind_name pairs) on the columnar kernel.
 
     Returns the results for every cell the plan could express, plus a
@@ -79,10 +79,10 @@ def run_cells_batch(
     (and why).  Results are bit-identical to ``run_config`` — golden
     tests enforce :class:`~repro.ssd.metrics.RunMetrics` equality.
     """
-    results: dict[Cell, ConfigResult] = {}
+    results: dict[Pair, ConfigResult] = {}
     report = BatchReport()
     plans: list[CellPlan] = []
-    secs: dict[Cell, float] = {}
+    secs: dict[Pair, float] = {}
     tr = obs.tracer()
 
     plan_t0 = time.perf_counter()
@@ -118,24 +118,23 @@ def run_cells_batch(
     for i, cell in enumerate(report.planned):
         secs[cell] += stack_shares[i]
 
-    peaks: dict[Cell, float] = {}
+    peaks: dict[Pair, float] = {}
     replayed: list[CellPlan] = []
+    ident: dict[Pair, Cell] = {}
     for plan in plans:
         cell = (plan.label, plan.kind_name)
-        # re-consult the cache per cell, exactly as run_config does: a
+        ident[cell] = Cell(*cell, workload, seed, with_remaining)
+        # re-consult the cache per cell, exactly as run_cell does: a
         # concurrent run sharing this cache may have finished the cell
         # since the caller's up-front scan
         if cache is not None and not keep_metrics:
-            hit = cache.get_cell(
-                plan.label, plan.kind_name, workload, seed, with_remaining,
-                faults=None,
-            )
+            hit = cache.get_cell(ident[cell])
             if hit is not None:
                 results[cell] = hit
                 report.seconds[cell] = secs[cell]
                 continue
         if with_remaining and cache is not None:
-            peak = cache.get_peak(plan.label, plan.kind_name, workload, seed)
+            peak = cache.get_peak(ident[cell])
             if peak is not None:
                 peaks[cell] = peak
         replayed.append(plan)
@@ -152,7 +151,7 @@ def run_cells_batch(
         if peak is not None:
             peaks[(plan.label, plan.kind_name)] = peak
             if cache is not None:
-                cache.put_peak(plan.label, plan.kind_name, workload, seed, peak)
+                cache.put_peak(ident[(plan.label, plan.kind_name)], peak)
 
     t0 = time.perf_counter()
     metrics_list = compute_metrics_batch(
@@ -198,5 +197,5 @@ def run_cells_batch(
             tr.wall_event(
                 "scheduler", f"{plan.label}|{plan.kind_name}", replay_shares[i]
             )
-            emit_replay_spans(tr, plan.label, plan.kind_name, m)
+            emit_replay_spans(tr, ident[cell], m)
     return results, report

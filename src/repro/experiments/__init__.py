@@ -23,9 +23,16 @@ from .cache import SCHEMA_VERSION, ResultCache
 from .cost import ComponentCosts, DesignPoint, capacity_study
 from .future import FutureSweepResult, future_device_sweep
 from .headline import HeadlineResults, compute_headline
-from .lifetime import LIFETIME_LABELS, lifetime_exhibit
 from .parallel import CellTiming, MatrixEngine, detect_workers
-from .runner import DEFAULT_WORKLOAD, ConfigResult, Workload, run_config, run_matrix
+from .runner import (
+    DEFAULT_WORKLOAD,
+    Cell,
+    ConfigResult,
+    Workload,
+    run_cell,
+    run_config,
+    run_matrix,
+)
 from .sensitivity import SensitivityReport, sensitivity_analysis
 from .trends import TREND_DATA, crossover_year, doubling_time_years, figure1_series
 
@@ -42,8 +49,6 @@ __all__ = [
     "capacity_study",
     "FutureSweepResult",
     "future_device_sweep",
-    "LIFETIME_LABELS",
-    "lifetime_exhibit",
     "SensitivityReport",
     "sensitivity_analysis",
     "ExpConfig",
@@ -53,7 +58,9 @@ __all__ = [
     "config_by_label",
     "Workload",
     "DEFAULT_WORKLOAD",
+    "Cell",
     "ConfigResult",
+    "run_cell",
     "run_config",
     "run_matrix",
     "FigureData",

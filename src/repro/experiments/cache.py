@@ -1,54 +1,49 @@
-"""Deterministic result cache for experiment-matrix cells.
+"""Deterministic result cache for experiment cells.
 
-Every quantity a matrix cell reports is a pure function of
-``(config label, NVM kind, Workload fields, seed)`` — the replay
-pipeline is seeded and deterministic — so results can be cached and
-shared across figures, sweeps and sessions.  Two entry types exist:
+Every quantity a cell reports is a pure function of its
+:class:`~repro.experiments.runner.Cell` — label, NVM kind, workload,
+seed and overlays; the replay pipeline is seeded and deterministic —
+so results can be cached and shared across figures, sweeps and
+sessions.  Two entry types exist:
 
-* **cell** — the :class:`~repro.experiments.runner.ConfigResult` of one
-  ``run_config`` call (minus the heavyweight ``metrics`` object, which
-  is never cached),
+* **cell** — the result of one :func:`~repro.experiments.runner.run_cell`
+  call: a :class:`~repro.experiments.runner.ConfigResult`, or a
+  :class:`~repro.lifetime.sweep.LifetimeCellResult` for an aged cell.
+  The persisted fields derive from the result dataclass, minus the
+  per-computation diagnostics (``metrics``, ``faults``), which are
+  never cached;
 * **peak** — the unconstrained-interface media peak (MB/s) behind the
   "bandwidth remaining" figures; caching it separately deduplicates the
   second replay across callers (Figure 7b and Figure 8b share every
   overlapping baseline) and lets a ``with_remaining=False`` cell be
   upgraded to a ``with_remaining=True`` one without replaying.
 
-Keys are SHA-256 hashes of a canonical JSON rendering of
+Keys are :meth:`Cell.key`: a SHA-256 of the cell's canonical JSON
 ``(schema version, entry type, label, kind, workload fields, seed
-[, with_remaining])``.  Bump :data:`SCHEMA_VERSION` whenever the
-simulation's numbers can change (scheduler, FS models, FTL, timing
-constants): every old entry then misses and is recomputed.  ``root=None``
-gives a process-local in-memory cache; with a directory, entries are
-JSON files written atomically so concurrent processes can share them.
+[, with_remaining, overlays])``.  Bump :data:`SCHEMA_VERSION` whenever
+the simulation's numbers can change (scheduler, FS models, FTL, timing
+constants): every old entry then misses and is recomputed.
+``root=None`` gives a process-local in-memory cache; with a directory,
+entries are JSON files written atomically so concurrent processes can
+share them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
 import os
 from pathlib import Path
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..faults.plan import FaultSpec
-    from ..lifetime.aging import AgingSpec
-    from ..lifetime.sweep import LifetimeCellResult
-    from ..lifetime.wear import WearPolicy
-    from .runner import ConfigResult, Workload
+    from .runner import Cell, CellResult
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "ResultCache",
-    "cell_key",
-    "peak_key",
-    "lifetime_key",
-]
+__all__ = ["SCHEMA_VERSION", "ResultCache"]
 
 #: bump when simulated numbers can change; invalidates every entry.
 #: v2: cell entries grew the ``backend`` provenance field (columnar
@@ -66,7 +61,9 @@ __all__ = [
 #: golden-tested bit-identical, but the watched schemas changed
 SCHEMA_VERSION = 5
 
-#: ConfigResult fields persisted in a cell entry (metrics excluded)
+#: ConfigResult fields persisted in a cell entry — what
+#: :func:`_persisted` derives from the dataclass; spelled out because it
+#: is the service's wire schema too (watched by the SCHEMA lint rule)
 _CELL_FIELDS = (
     "label",
     "kind",
@@ -80,116 +77,20 @@ _CELL_FIELDS = (
     "backend",
 )
 
-
-def _digest(parts: dict) -> str:
-    blob = json.dumps(parts, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+#: per-computation diagnostics a cell entry never carries
+_UNCACHED = frozenset({"metrics", "faults"})
 
 
-def cell_key(
-    label: str,
-    kind: str,
-    workload: "Workload",
-    seed: int,
-    with_remaining: bool,
-    faults: Optional["FaultSpec"] = None,
-) -> str:
-    """Cache key of one ``run_config`` cell.
-
-    ``faults`` (a :class:`~repro.faults.plan.FaultSpec`) is part of the
-    identity only when present, so fault-free keys are unchanged and
-    faulty results can never be served for healthy requests (or vice
-    versa).
-    """
-    parts = {
-        "schema": SCHEMA_VERSION,
-        "entry": "cell",
-        "label": label,
-        "kind": kind,
-        "workload": dataclasses.asdict(workload),
-        "seed": seed,
-        "with_remaining": bool(with_remaining),
-    }
-    if faults is not None:
-        parts["faults"] = faults.signature()
-    return _digest(parts)
-
-
-#: LifetimeCellResult fields persisted in a lifetime entry
-_LIFETIME_FIELDS = (
-    "label",
-    "kind",
-    "age_fraction",
-    "wear_policy",
-    "bandwidth_mb",
-    "aggregate_mb",
-    "p50_latency_ms",
-    "p99_latency_ms",
-    "max_latency_ms",
-    "waf",
-    "wear_spread",
-    "wear_gini",
-    "mean_wear",
-    "total_erases",
-    "retired_blocks",
-    "gc_runs",
-    "gc_moved_pages",
-    "wl_moved_pages",
-    "host_writes_pages",
-    "read_fault_p",
-    "faults_injected",
-    "fault_penalty_ns",
-    "backend",
-)
-
-
-def lifetime_key(
-    label: str,
-    kind: str,
-    workload: "Workload",
-    seed: int,
-    aging: "AgingSpec",
-    policy: "WearPolicy",
-    faults: Optional["FaultSpec"] = None,
-) -> str:
-    """Cache key of one aged-device sweep cell.
-
-    The aging spec and wear policy are part of the identity (their
-    ``signature()`` dicts), so cells at different ages or under
-    different leveling regimes never collide; ``faults`` participates
-    only when present, like :func:`cell_key`.
-    """
-    parts = {
-        "schema": SCHEMA_VERSION,
-        "entry": "lifetime",
-        "label": label,
-        "kind": kind,
-        "workload": dataclasses.asdict(workload),
-        "seed": seed,
-        "aging": aging.signature(),
-        "policy": policy.signature(),
-    }
-    if faults is not None:
-        parts["faults"] = faults.signature()
-    return _digest(parts)
-
-
-def peak_key(label: str, kind: str, workload: "Workload", seed: int) -> str:
-    """Cache key of one unconstrained-media-peak replay."""
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "entry": "peak",
-            "label": label,
-            "kind": kind,
-            "workload": dataclasses.asdict(workload),
-            "seed": seed,
-        }
+@lru_cache(maxsize=None)
+def _persisted(result_type: type) -> tuple[str, ...]:
+    """The fields of ``result_type`` a cell entry stores."""
+    return tuple(
+        f.name for f in dataclasses.fields(result_type) if f.name not in _UNCACHED
     )
 
 
 class ResultCache:
-    """Two-level (memory, optional disk) cache of matrix-cell results."""
+    """Two-level (memory, optional disk) cache of cell results."""
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = Path(root) if root is not None else None
@@ -282,16 +183,8 @@ class ResultCache:
             tmp.replace(path)  # atomic: concurrent readers see old or new
 
     # -- cells ----------------------------------------------------------
-    def get_cell(
-        self,
-        label: str,
-        kind: str,
-        workload: "Workload",
-        seed: int,
-        with_remaining: bool,
-        faults: Optional["FaultSpec"] = None,
-    ) -> Optional["ConfigResult"]:
-        """Return a cached :class:`ConfigResult`, or ``None`` on miss.
+    def get_cell(self, cell: "Cell") -> Optional["CellResult"]:
+        """Return the cached result of ``cell``, or ``None`` on miss.
 
         A ``with_remaining=True`` entry satisfies a ``False`` request
         (the remainder is simply re-zeroed, matching a fresh run), and a
@@ -299,21 +192,26 @@ class ResultCache:
         """
         from .runner import ConfigResult
 
-        payload = self._load(
-            cell_key(label, kind, workload, seed, with_remaining, faults),
-            required=_CELL_FIELDS,
-        )
+        result_type: type = ConfigResult
+        if cell.age is not None:  # aged cells only: no lifetime import otherwise
+            from ..lifetime.sweep import LifetimeCellResult
+
+            result_type = LifetimeCellResult
+        names = _persisted(result_type)
+        payload = self._load(cell.key(), required=names)
         remaining_override = None
-        if payload is None:
+        if payload is None and result_type is ConfigResult:
             other = self._load(
-                cell_key(label, kind, workload, seed, not with_remaining, faults),
-                required=_CELL_FIELDS,
+                dataclasses.replace(
+                    cell, with_remaining=not cell.with_remaining
+                ).key(),
+                required=names,
             )
-            if other is not None and not with_remaining:
+            if other is not None and not cell.with_remaining:
                 payload = other
                 remaining_override = 0.0
-            elif other is not None and with_remaining:
-                peak = self.get_peak(label, kind, workload, seed, _count=False)
+            elif other is not None and cell.with_remaining:
+                peak = self.get_peak(cell, _count=False)
                 if peak is not None:
                     payload = other
                     remaining_override = max(0.0, peak - other["aggregate_mb"])
@@ -321,80 +219,18 @@ class ResultCache:
             self.misses += 1
             return None
         self._count_hit()
-        fields = {name: payload[name] for name in _CELL_FIELDS}
+        fields = {name: payload[name] for name in names}
         if remaining_override is not None:
             fields["remaining_mb"] = remaining_override
-        return ConfigResult(**fields)
+        return result_type(**fields)
 
-    def put_cell(
-        self,
-        result: "ConfigResult",
-        workload: "Workload",
-        seed: int,
-        with_remaining: bool,
-        faults: Optional["FaultSpec"] = None,
-    ) -> None:
-        payload = {name: getattr(result, name) for name in _CELL_FIELDS}
-        self._store(
-            cell_key(
-                result.label, result.kind, workload, seed, with_remaining, faults
-            ),
-            payload,
-        )
-
-    # -- lifetime cells -------------------------------------------------
-    def get_lifetime(
-        self,
-        label: str,
-        kind: str,
-        workload: "Workload",
-        seed: int,
-        aging: "AgingSpec",
-        policy: "WearPolicy",
-        faults: Optional["FaultSpec"] = None,
-    ) -> Optional["LifetimeCellResult"]:
-        """Return a cached aged-sweep cell, or ``None`` on miss."""
-        from ..lifetime.sweep import LifetimeCellResult
-
-        payload = self._load(
-            lifetime_key(label, kind, workload, seed, aging, policy, faults),
-            required=_LIFETIME_FIELDS,
-        )
-        if payload is None:
-            self.misses += 1
-            return None
-        self._count_hit()
-        return LifetimeCellResult(
-            **{name: payload[name] for name in _LIFETIME_FIELDS}
-        )
-
-    def put_lifetime(
-        self,
-        result: "LifetimeCellResult",
-        workload: "Workload",
-        seed: int,
-        aging: "AgingSpec",
-        policy: "WearPolicy",
-        faults: Optional["FaultSpec"] = None,
-    ) -> None:
-        payload = {name: getattr(result, name) for name in _LIFETIME_FIELDS}
-        self._store(
-            lifetime_key(
-                result.label, result.kind, workload, seed, aging, policy, faults
-            ),
-            payload,
-        )
+    def put_cell(self, cell: "Cell", result: "CellResult") -> None:
+        payload = {name: getattr(result, name) for name in _persisted(type(result))}
+        self._store(cell.key(), payload)
 
     # -- peaks ----------------------------------------------------------
-    def get_peak(
-        self,
-        label: str,
-        kind: str,
-        workload: "Workload",
-        seed: int,
-        _count: bool = True,
-    ) -> Optional[float]:
-        payload = self._load(peak_key(label, kind, workload, seed), required=("peak_mb",))
+    def get_peak(self, cell: "Cell", _count: bool = True) -> Optional[float]:
+        payload = self._load(cell.key("peak"), required=("peak_mb",))
         if payload is None:
             if _count:
                 self.misses += 1
@@ -403,12 +239,8 @@ class ResultCache:
             self._count_hit()
         return float(payload["peak_mb"])
 
-    def put_peak(
-        self, label: str, kind: str, workload: "Workload", seed: int, peak_mb: float
-    ) -> None:
-        self._store(
-            peak_key(label, kind, workload, seed), {"peak_mb": float(peak_mb)}
-        )
+    def put_peak(self, cell: "Cell", peak_mb: float) -> None:
+        self._store(cell.key("peak"), {"peak_mb": float(peak_mb)})
 
     # -- introspection --------------------------------------------------
     def stats(self) -> dict:

@@ -1,8 +1,10 @@
-"""Parallel, cached, supervised execution engine for the experiment matrix.
+"""Parallel, cached, supervised execution engine for experiment cells.
 
-Every exhibit (Figures 7-10, the headline claims, the sensitivity
-sweep) reduces to running independent ``(config, NVM kind)`` cells of
-the Table-2 matrix.  :class:`MatrixEngine` is the single entry point:
+Every exhibit (Figures 7-10, the headline claims, the lifetime and
+netfault sweeps) reduces to running independent
+:class:`~repro.experiments.runner.Cell` objects — Table-2 ``(config,
+NVM kind)`` cells, some with an overlay.  :class:`MatrixEngine` is the
+single entry point:
 it fans cells out over a :class:`~concurrent.futures.ProcessPoolExecutor`
 (each cell is seeded and deterministic, so execution order is
 irrelevant to the results), consults a :class:`ResultCache` before
@@ -20,7 +22,7 @@ into each cell and (via its worker-chaos rates) lets the chaos tests
 kill or hang workers deterministically.
 
 ``workers=1`` bypasses the pool entirely and runs the exact serial
-path (``run_config`` in-process); ``workers=None`` auto-detects from
+path (``run_cell`` in-process); ``workers=None`` auto-detects from
 ``REPRO_WORKERS`` or the CPU count.  Parallel results are identical to
 serial results field-for-field — enforced by
 ``tests/experiments/test_parallel_engine.py`` and, under injected
@@ -28,13 +30,14 @@ worker crashes, by ``tests/faults/test_engine_chaos.py``.
 
 Two execution backends share this engine:
 
-* ``backend="batch"`` (default) — cells the columnar kernel
+* ``backend="batch"`` (default) — plain cells the columnar kernel
   (:mod:`repro.batch`) can express are planned, stacked and simulated
-  in one numpy pass in-process; only the cells it refuses (and every
-  cell of a fault-injected run) take the scalar path below.  Batch
-  results are bit-identical to scalar results (golden-tested).
+  in one numpy pass in-process; only the cells it refuses, every
+  overlaid cell (faults, aging, a derated fabric) and every cell of a
+  chaos run take the scalar path below.  Batch results are
+  bit-identical to scalar results (golden-tested).
 * ``backend="scalar"`` — the frozen reference path: every cell runs
-  ``run_config``.
+  ``run_cell``.
 
 On a single-CPU host a process pool is pure overhead (0.83x measured),
 so a fault-free run degrades ``workers > 1`` to serial and records the
@@ -50,11 +53,11 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional, Sequence
 
 from ..obs import trace as obs
 from .cache import ResultCache
-from .runner import DEFAULT_WORKLOAD, ConfigResult, Workload, run_config
+from .runner import DEFAULT_WORKLOAD, Cell, CellResult, Workload, run_cell
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..faults.plan import FaultSpec
@@ -62,7 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 __all__ = ["MatrixEngine", "CellTiming", "detect_workers"]
 
-Cell = tuple[str, str]  # (config label, kind name)
+#: a cell as callers name it: a :class:`Cell`, or a ``(label, kind)``
+#: tuple filled in from the ``run_cells`` arguments
+CellRef = Hashable
 
 #: bound on an injected "hang" — long enough to trip any sane cell
 #: timeout, short enough that a broken teardown can't wedge a test run
@@ -112,18 +117,14 @@ class CellTiming:
 
 
 def _compute_cell(
-    label: str,
-    kind: str,
-    workload: Workload,
-    seed: int,
-    with_remaining: bool,
-    faults: Optional["FaultSpec"] = None,
+    cell: Cell,
+    chaos: Optional["FaultSpec"] = None,
     attempt: int = 0,
     trace: bool = False,
-) -> tuple[str, str, ConfigResult, Optional[float], float, Optional[list]]:
+) -> tuple[CellResult, Optional[float], float, Optional[list]]:
     """Worker-side cell execution; returns the peak for cache sharing.
 
-    When ``faults`` carries worker-chaos rates, the plan may order this
+    When ``chaos`` carries worker-chaos rates, the plan may order this
     process to die or stall — deterministically, and only on a cell's
     first attempt — before any work happens, exercising the supervisor.
 
@@ -132,32 +133,27 @@ def _compute_cell(
     them back as plain tuples — the only span representation that
     crosses the pool boundary.
     """
-    if faults is not None and faults.injects_worker_faults:
-        strike = faults.plan().worker_chaos(label, kind, attempt)
+    if chaos is not None and chaos.injects_worker_faults:
+        strike = chaos.plan().worker_chaos(cell.label, cell.kind, attempt)
         if strike == "crash":
             os._exit(13)  # no cleanup: simulate a hard worker death
         elif strike == "hang":
             time.sleep(_CHAOS_HANG_S)
 
-    from .cache import ResultCache as _Cache
-
     worker_tr = None
     if trace:
-        worker_tr = obs.install(obs.Tracer(trace_id=f"cell:{label}|{kind}"))
-    scratch = _Cache()  # in-memory; captures the peak run_config computes
+        worker_tr = obs.install(obs.Tracer(trace_id=f"cell:{cell.tag}"))
+    scratch = ResultCache()  # in-memory; captures the peak run_cell computes
     t0 = time.perf_counter()
     try:
-        result = run_config(
-            label, kind, workload, seed,
-            with_remaining=with_remaining, cache=scratch, faults=faults,
-        )
+        result = run_cell(cell, cache=scratch)
     finally:
         if trace:
             obs.uninstall()
     seconds = time.perf_counter() - t0
-    peak = scratch.get_peak(label, kind, workload, seed, _count=False)
+    peak = scratch.get_peak(cell, _count=False)
     spans = worker_tr.to_tuples() if worker_tr is not None else None
-    return label, kind, result, peak, seconds, spans
+    return result, peak, seconds, spans
 
 
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -181,11 +177,12 @@ class MatrixEngine:
 
     ``progress``, when given, is called after every finished cell as
     ``progress(done, total, (label, kind), seconds, cached)`` from the
-    coordinating process.
+    coordinating process (overlaid cells report their plain pair too).
 
     ``faults`` (a :class:`~repro.faults.plan.FaultSpec`) overlays
-    deterministic fault injection: device faults run inside each cell,
-    worker chaos strikes the pool itself.  ``max_retries`` bounds the
+    deterministic fault injection: its device faults ride every cell
+    named by a ``(label, kind)`` tuple, its worker chaos strikes the
+    pool itself.  ``max_retries`` bounds the
     extra attempts a crashed or timed-out cell gets; ``retry_backoff_s``
     seeds the exponential backoff between supervision rounds;
     ``cell_timeout_s`` is the per-round wall-clock budget after which
@@ -196,7 +193,9 @@ class MatrixEngine:
         self,
         workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        progress: Optional[Callable[[int, int, Cell, float, bool], None]] = None,
+        progress: Optional[
+            Callable[[int, int, tuple[str, str], float, bool], None]
+        ] = None,
         faults: Optional["FaultSpec"] = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.1,
@@ -230,132 +229,160 @@ class MatrixEngine:
             "fallback_cells": 0,
             "batch_seconds": 0.0,
         }
-        #: cell -> BatchUnsupported reason for refused cells (last run)
-        self.batch_fallbacks: dict[Cell, str] = {}
+        #: (label, kind) -> BatchUnsupported reason for refused cells
+        #: (last run)
+        self.batch_fallbacks: dict[tuple[str, str], str] = {}
         #: last pool sizing decision (see :meth:`_effective_workers`)
         self.pool_decision: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def run_cells(
         self,
-        cells: Sequence[Cell],
+        cells: Sequence[CellRef],
         workload: Workload = DEFAULT_WORKLOAD,
         seed: int = 1013,
         with_remaining: bool = True,
-    ) -> dict[Cell, ConfigResult]:
-        """Run distinct ``(label, kind)`` cells; returns results by cell.
+    ) -> dict:
+        """Run distinct cells; returns results keyed as the cells were given.
 
-        Cache hits are served without computing; the rest fan out over
-        the supervised process pool (or run inline for ``workers=1``).
+        A cell is a :class:`Cell`, or a ``(label, kind)`` tuple standing
+        for ``Cell(label, kind, workload, seed, with_remaining,
+        faults=self.faults)``.  Cache hits are served without computing;
+        plain cells go to the batch kernel; the rest run on the scalar
+        path, fanned out over the supervised process pool (or inline for
+        ``workers=1``).
         """
-        faults = self.faults
-        if faults is not None and not faults.enabled:
-            faults = None
-        cells = list(dict.fromkeys(cells))  # dedupe, preserve order
-        total = len(cells)
-        results: dict[Cell, ConfigResult] = {}
+        chaos = self.faults
+        if chaos is not None and not chaos.enabled:
+            chaos = None
+        refs = list(dict.fromkeys(cells))  # dedupe, preserve order
+        spec = {
+            ref: ref if isinstance(ref, Cell) else Cell(
+                *ref, workload, seed, with_remaining, faults=chaos
+            )
+            for ref in refs
+        }
+        total = len(refs)
+        results: dict = {}
         done = 0
         tr = obs.tracer()
 
-        def finish(cell: Cell, result: ConfigResult, seconds: float) -> None:
+        def finish(
+            ref: CellRef, result: CellResult, seconds: float, cached: bool = False
+        ) -> None:
             nonlocal done
-            results[cell] = result
-            if result.faults:
-                self.fault_stats["faults_injected"] += result.faults.get(
+            cell = spec[ref]
+            results[ref] = result
+            if not cached and self.cache is not None:
+                self.cache.put_cell(cell, result)
+            faults = getattr(result, "faults", None)
+            if faults:
+                self.fault_stats["faults_injected"] += faults.get(
                     "faults_injected", 0
                 )
-                self.fault_stats["device_retries"] += result.faults.get(
-                    "retries", 0
-                )
+                self.fault_stats["device_retries"] += faults.get("retries", 0)
             done += 1
-            self.timings.append(CellTiming(*cell, seconds, False))
+            self.timings.append(CellTiming(cell.label, cell.kind, seconds, cached))
             if self.stats is not None:
-                sim_ns = (
-                    result.metrics.makespan_ns
-                    if result.metrics is not None else None
+                metrics = getattr(result, "metrics", None)
+                self.stats.on_cell(
+                    cell.label, cell.kind, seconds,
+                    sim_ns=metrics.makespan_ns if metrics is not None else None,
+                    cached=cached,
                 )
-                self.stats.on_cell(*cell, seconds, sim_ns=sim_ns, cached=False)
             if self.progress is not None:
-                self.progress(done, total, cell, seconds, False)
-
-        todo: list[Cell] = []
-        scan_t0 = time.perf_counter()
-        for cell in cells:
-            hit = None
-            if self.cache is not None:
-                hit = self.cache.get_cell(
-                    *cell, workload, seed, with_remaining, faults=faults
+                self.progress(
+                    done, total, (cell.label, cell.kind), seconds, cached
                 )
+
+        todo: list[CellRef] = []
+        scan_t0 = time.perf_counter()
+        for ref in refs:
+            hit = self.cache.get_cell(spec[ref]) if self.cache is not None else None
             if hit is not None:
-                results[cell] = hit
-                done += 1
-                self.timings.append(CellTiming(*cell, 0.0, True))
-                if self.stats is not None:
-                    self.stats.on_cell(*cell, 0.0, cached=True)
-                if self.progress is not None:
-                    self.progress(done, total, cell, 0.0, True)
+                finish(ref, hit, 0.0, cached=True)
             else:
-                todo.append(cell)
+                todo.append(ref)
         if tr is not None and total:
             tr.wall_event(
                 "cache", "scan", time.perf_counter() - scan_t0,
                 cells=total, hits=done,
             )
 
-        # columnar batch kernel: runs in-process, before any pool forms.
-        # Fault-injected runs skip it wholesale — fault models mutate
-        # completions mid-replay, which the static plan cannot express —
-        # so chaos cells fall back to the scalar path by construction.
-        if todo and self.backend == "batch" and faults is None:
-            from ..batch import run_cells_batch
-            from contextlib import nullcontext
+        # columnar batch kernel: runs in-process, before any pool forms,
+        # on plain cells only.  Overlaid cells skip it before any path is
+        # built — fault models mutate completions mid-replay, aging swaps
+        # the FTL, a derate rebuilds the fabric: none of it fits the
+        # static plan — and so does every cell of a chaos run, whose
+        # worker strikes need the pool.
+        if todo and self.backend == "batch" and chaos is None:
+            todo = self._run_batch(todo, spec, finish)
 
+        n_workers = self._effective_workers(len(todo), chaos) if todo else 0
+        if n_workers <= 1:
+            for ref in todo:
+                cell = spec[ref]
+                t0 = time.perf_counter()
+                result = run_cell(cell, cache=self.cache)
+                seconds = time.perf_counter() - t0
+                if tr is not None:
+                    tr.wall_event("device", cell.tag, seconds)
+                finish(ref, result, seconds)
+        elif todo:
+            self._run_supervised(todo, spec, chaos, finish, n_workers)
+
+        return {ref: results[ref] for ref in refs}
+
+    # ------------------------------------------------------------------
+    def _run_batch(
+        self,
+        todo: list[CellRef],
+        spec: dict,
+        finish: Callable[[CellRef, CellResult, float], None],
+    ) -> list[CellRef]:
+        """Run the plain cells of ``todo`` on the columnar kernel.
+
+        Cells sharing a (workload, seed, with_remaining) run as one
+        stacked batch; returns the cells left for the scalar path.
+        """
+        from contextlib import nullcontext
+
+        from ..batch import run_cells_batch
+
+        groups: dict[tuple, list[CellRef]] = {}
+        for ref in todo:
+            cell = spec[ref]
+            if not cell.overlaid:
+                shape = (cell.workload, cell.seed, cell.with_remaining)
+                groups.setdefault(shape, []).append(ref)
+        if not groups:
+            return todo
+        tr = obs.tracer()
+        self.batch_fallbacks = {}
+        ran: set = set()
+        for (workload, seed, with_remaining), refs in groups.items():
+            pairs = {(spec[ref].label, spec[ref].kind): ref for ref in refs}
             span = (
-                tr.wall_span("engine", "batch", cells=len(todo))
+                tr.wall_span("engine", "batch", cells=len(pairs))
                 if tr is not None else nullcontext()
             )
             t0 = time.perf_counter()
             with span:
                 batch_results, batch_report = run_cells_batch(
-                    todo, workload, seed, with_remaining, cache=self.cache
+                    list(pairs), workload, seed, with_remaining, cache=self.cache
                 )
             self.batch_stats["batch_cells"] += len(batch_results)
             self.batch_stats["fallback_cells"] += len(batch_report.fallback)
             self.batch_stats["batch_seconds"] += time.perf_counter() - t0
-            self.batch_fallbacks = dict(batch_report.fallback)
-            for cell in list(todo):
-                if cell in batch_results:
-                    result = batch_results[cell]
-                    if self.cache is not None:
-                        self.cache.put_cell(
-                            result, workload, seed, with_remaining, faults=None
-                        )
-                    finish(cell, result, batch_report.seconds.get(cell, 0.0))
-            todo = [cell for cell in todo if cell not in batch_results]
-
-        n_workers = self._effective_workers(len(todo), faults) if todo else 0
-        if n_workers <= 1:
-            for cell in todo:
-                t0 = time.perf_counter()
-                result = run_config(
-                    *cell, workload, seed,
-                    with_remaining=with_remaining, cache=self.cache,
-                    faults=faults,
-                )
-                seconds = time.perf_counter() - t0
-                if tr is not None:
-                    tr.wall_event("device", "|".join(cell), seconds)
-                if self.cache is not None:
-                    self.cache.put_cell(
-                        result, workload, seed, with_remaining, faults=faults
+            self.batch_fallbacks.update(batch_report.fallback)
+            for pair, ref in pairs.items():
+                if pair in batch_results:
+                    ran.add(ref)
+                    finish(
+                        ref, batch_results[pair],
+                        batch_report.seconds.get(pair, 0.0),
                     )
-                finish(cell, result, seconds)
-        elif todo:
-            self._run_supervised(
-                todo, workload, seed, with_remaining, faults, finish, n_workers
-            )
-
-        return {cell: results[cell] for cell in cells}
+        return [ref for ref in todo if ref not in ran]
 
     # ------------------------------------------------------------------
     def _effective_workers(self, n_todo: int, faults: Optional["FaultSpec"]) -> int:
@@ -394,12 +421,10 @@ class MatrixEngine:
     # ------------------------------------------------------------------
     def _run_supervised(
         self,
-        todo: list[Cell],
-        workload: Workload,
-        seed: int,
-        with_remaining: bool,
-        faults: Optional["FaultSpec"],
-        finish: Callable[[Cell, ConfigResult, float], None],
+        todo: list[CellRef],
+        spec: dict,
+        chaos: Optional["FaultSpec"],
+        finish: Callable[[CellRef, CellResult, float], None],
         n_workers: Optional[int] = None,
     ) -> None:
         """Pool fan-out with crash/hang supervision and retry rounds.
@@ -417,28 +442,30 @@ class MatrixEngine:
         if n_workers is None:
             n_workers = self.workers
         tr = obs.tracer()
-        attempts: dict[Cell, int] = {cell: 0 for cell in todo}
+        attempts: dict[CellRef, int] = {ref: 0 for ref in todo}
         round_no = 0
 
-        def record_failure(cell: Cell, why: str, retry: list[Cell]) -> None:
-            attempts[cell] += 1
+        def record_failure(ref: CellRef, why: str, retry: list[CellRef]) -> None:
+            attempts[ref] += 1
             counter = "worker_crashes" if why == "crash" else "cell_timeouts"
             self.fault_stats[counter] += 1
-            if attempts[cell] > self.max_retries:
+            cell = spec[ref]
+            if attempts[ref] > self.max_retries:
                 cause_cls = WorkerCrash if why == "crash" else CellTimeout
+                site = ("engine", cell.label, cell.kind)
                 raise RetriesExhausted(
-                    f"cell {cell} failed {attempts[cell]} times "
+                    f"cell {cell.tag} failed {attempts[ref]} times "
                     f"(last: {why}); retry budget {self.max_retries} spent",
-                    site=("engine", *cell),
-                ) from cause_cls(f"cell {cell} {why}", site=("engine", *cell))
+                    site=site,
+                ) from cause_cls(f"cell {cell.tag} {why}", site=site)
             self.fault_stats["cell_retries"] += 1
-            retry.append(cell)
+            retry.append(ref)
 
         while todo:
             if round_no > 0 and self.retry_backoff_s > 0:
                 time.sleep(self.retry_backoff_s * 2 ** (round_no - 1))
             round_no += 1
-            retry: list[Cell] = []
+            retry: list[CellRef] = []
             pool = ProcessPoolExecutor(
                 max_workers=min(n_workers, len(todo))
             )
@@ -446,11 +473,10 @@ class MatrixEngine:
             try:
                 futures = {
                     pool.submit(
-                        _compute_cell, label, kind, workload, seed,
-                        with_remaining, faults, attempts[(label, kind)],
+                        _compute_cell, spec[ref], chaos, attempts[ref],
                         tr is not None,
-                    ): (label, kind)
-                    for label, kind in todo
+                    ): ref
+                    for ref in todo
                 }
                 handled: set = set()
                 pending = set(futures)
@@ -472,37 +498,29 @@ class MatrixEngine:
                             record_failure(futures[fut], "timeout", retry)
                         break
                     for fut in finished:
-                        cell = futures[fut]
+                        ref = futures[fut]
                         try:
-                            (label, kind, result, peak, seconds,
-                             spans) = fut.result()
+                            result, peak, seconds, spans = fut.result()
                         except BrokenProcessPool:
                             degraded = True
                             continue  # casualties collected below
                         handled.add(fut)
+                        cell = spec[ref]
                         if tr is not None:
                             if spans:
                                 tr.ingest(spans)
                             tr.wall_event(
-                                "pool", f"{label}|{kind}", seconds,
-                                round=round_no,
+                                "pool", cell.tag, seconds, round=round_no,
                             )
-                        if self.cache is not None:
-                            self.cache.put_cell(
-                                result, workload, seed, with_remaining,
-                                faults=faults,
-                            )
-                            if peak is not None:
-                                self.cache.put_peak(
-                                    label, kind, workload, seed, peak
-                                )
-                        finish(cell, result, seconds)
+                        if self.cache is not None and peak is not None:
+                            self.cache.put_peak(cell, peak)
+                        finish(ref, result, seconds)
                     if degraded:
                         # the pool is broken: every unhandled cell of this
                         # round died with it and goes to the next round
-                        for fut, cell in futures.items():
-                            if fut not in handled and cell not in retry:
-                                record_failure(cell, "crash", retry)
+                        for fut, ref in futures.items():
+                            if fut not in handled and ref not in retry:
+                                record_failure(ref, "crash", retry)
                         break
             finally:
                 if degraded:
@@ -519,7 +537,7 @@ class MatrixEngine:
         workload: Workload = DEFAULT_WORKLOAD,
         seed: int = 1013,
         with_remaining: bool = True,
-    ) -> dict[Cell, ConfigResult]:
+    ) -> dict:
         """Run a (config x kind) grid; keys are (label, kind_name)."""
         kind_names = [k if isinstance(k, str) else k.name for k in kinds]
         cells = [(label, kn) for label in labels for kn in kind_names]

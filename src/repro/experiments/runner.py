@@ -1,32 +1,45 @@
-"""Experiment runner: one Table-2 row x one NVM kind -> all metrics.
+"""Experiment runner: one scenario cell -> all metrics.
 
-The workload is the OoC eigensolver trace of Section 4.2 (panel sweeps
-of the Hamiltonian).  ION configurations replay the traces of the
-compute nodes sharing the device, reporting per-CN bandwidth; CNL
-configurations replay a single node's trace.
+Every exhibit replays cells (:class:`Cell`): one Table-2 row x one NVM kind
+under the OoC eigensolver trace of Section 4.2 (panel sweeps of the
+Hamiltonian), optionally perturbed by an overlay — device faults, an
+aged device under a wear-leveling policy, or a derated ION fabric.
+ION configurations replay the traces of the compute nodes sharing the
+device, reporting per-CN bandwidth; CNL configurations replay a single
+node's trace.  :func:`run_cell` is the one scalar cell runner.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
+from ..core.architecture import GPFS_CLIENT_EFFICIENCY, make_ion_device
 from ..nvm.kinds import NVMKind, kind_by_name
 from ..obs import trace as obs
 from ..ssd.metrics import BREAKDOWN_KEYS, RunMetrics
 from ..trace.replay import replay
 from ..trace.synth import checkpoint_stream_trace, ooc_eigensolver_trace
+from . import cache as _cache
 from .configs import ExpConfig, config_by_label
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..faults.plan import FaultSpec
+    from ..lifetime.aging import AgingSpec
+    from ..lifetime.sweep import LifetimeCellResult
+    from ..lifetime.wear import WearPolicy
     from .cache import ResultCache
 
 __all__ = [
     "Workload",
     "WORKLOAD_STREAMS",
+    "Cell",
     "ConfigResult",
+    "run_cell",
     "run_config",
     "run_matrix",
     "DEFAULT_WORKLOAD",
@@ -113,6 +126,148 @@ def _workload_traces(workload: Workload, clients: int) -> tuple:
 DEFAULT_WORKLOAD = Workload()
 
 
+
+@dataclass(frozen=True)
+class Cell:
+    """One scenario: a Table-2 row x an NVM kind, plus optional overlays.
+
+    The plain cell is the paper's: ``label`` x ``kind`` replaying
+    ``workload`` under ``seed``; ``with_remaining`` adds the
+    unconstrained-interface peak replay behind Figures 7b/8b.  Overlays
+    perturb it:
+
+    * ``faults`` — a device fault regime
+      (:class:`~repro.faults.plan.FaultSpec`) on the main replay;
+    * ``age`` + ``policy`` — the device fast-forwarded to ``age`` of its
+      rated lifetime under a wear-leveling policy
+      (:class:`~repro.lifetime.wear.WearPolicy`); the cell then reports
+      a :class:`~repro.lifetime.sweep.LifetimeCellResult`;
+    * ``derate`` — the ION fabric delivering ``derate`` of its healthy
+      bandwidth (:mod:`repro.netfault`); ``0`` is the typed
+      *unreachable* outcome: bandwidth 0, no replay.
+
+    Normalised once, here: a regime that injects no device faults is
+    dropped (unless it seeds an aged regime), derate 1.0 is the plain
+    cell, an aged cell never replays the peak, and the fault regime the
+    replay injects — aged when the device is — is derived into
+    ``device_faults``.  Unknown labels and kinds raise ``KeyError``.
+    :meth:`key` is the cell's identity: the result-cache key, the
+    service's ``CellJob`` key and (once overlaid) the span site.
+    """
+
+    label: str
+    kind: str
+    workload: Workload = DEFAULT_WORKLOAD
+    seed: int = 1013
+    with_remaining: bool = True
+    faults: Optional["FaultSpec"] = None
+    age: Optional[float] = None
+    policy: Optional["WearPolicy"] = None
+    derate: float = 1.0
+    #: derived: the regime the main replay injects (``None``: healthy)
+    device_faults: Optional["FaultSpec"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        def put(name: str, value) -> None:
+            object.__setattr__(self, name, value)
+
+        location = config_by_label(self.label).location
+        put("kind", kind_by_name(self.kind).name)
+        faults = self.faults
+        if self.age is None:
+            if self.policy is not None:
+                raise ValueError("a wear policy overlay needs an age")
+        else:
+            from ..lifetime.aging import aged_faults
+            from ..lifetime.wear import WearPolicy
+
+            if self.derate != 1.0:
+                raise ValueError("the aging and derate overlays do not combine")
+            put("age", float(self.age))
+            if self.policy is None:
+                put("policy", WearPolicy())
+            put("with_remaining", False)
+            faults = aged_faults(faults, self.aging)
+        if faults is not None and not faults.injects_device_faults:
+            faults = None
+            if self.age is None:
+                put("faults", None)
+        put("device_faults", faults)
+        put("derate", float(self.derate))
+        if self.derate < 0.0:
+            raise ValueError(f"derate must be >= 0, got {self.derate!r}")
+        if self.derate != 1.0 and location != "ION":
+            raise ValueError(f"only ION cells cross the fabric, not {self.label}")
+
+    @property
+    def aging(self) -> Optional["AgingSpec"]:
+        """The aging overlay as an :class:`AgingSpec` (``None``: fresh)."""
+        if self.age is None:
+            return None
+        from ..lifetime.aging import AgingSpec
+
+        return AgingSpec(age_fraction=self.age, seed=self.seed)
+
+    @property
+    def overlaid(self) -> bool:
+        """Whether any overlay perturbs the plain cell."""
+        return (
+            self.device_faults is not None
+            or self.age is not None
+            or self.derate != 1.0
+        )
+
+    def key(self, entry: str = "cell") -> str:
+        """SHA-256 of the cell's canonical JSON.
+
+        ``entry="cell"`` keys the result; an overlay joins the identity
+        only when present, so plain and fault-only keys match the
+        pre-``Cell`` cache layout.  ``entry="peak"`` keys the
+        unconstrained-media peak, which no overlay touches (the peak
+        replay is healthy and its host path infinite), so every overlay
+        of a cell shares its plain peak.
+        """
+        parts: dict = {
+            "schema": _cache.SCHEMA_VERSION,
+            "entry": entry,
+            "label": self.label,
+            "kind": self.kind,
+            "workload": dataclasses.asdict(self.workload),
+            "seed": self.seed,
+        }
+        if entry == "cell":
+            parts["with_remaining"] = bool(self.with_remaining)
+            if self.device_faults is not None:
+                parts["faults"] = self.device_faults.signature()
+            if self.age is not None:
+                parts["aging"] = self.aging.signature()
+                parts["policy"] = self.policy.signature()
+            if self.derate != 1.0:
+                parts["derate"] = self.derate
+        blob = json.dumps(parts, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def site(self) -> tuple:
+        """Span identity: ``(label, kind)``, plus the key once overlaid."""
+        if self.overlaid:
+            return (self.label, self.kind, self.key())
+        return (self.label, self.kind)
+
+    @property
+    def tag(self) -> str:
+        """Readable ``label|kind[|overlay...]`` name for spans and logs."""
+        parts = [self.label, self.kind]
+        if self.age is not None:
+            parts.append(f"age={self.age:.2f}/{self.policy.kind}")
+        if self.derate != 1.0:
+            parts.append(f"derate={self.derate:.4g}")
+        if self.faults is not None:
+            parts.append(f"faults={self.faults.seed}")
+        return "|".join(parts)
+
+
 @dataclass
 class ConfigResult:
     """All reported quantities for one (config, NVM kind) cell."""
@@ -137,14 +292,17 @@ class ConfigResult:
     backend: str = "scalar"
 
 
-def emit_replay_spans(tr: "obs.Tracer", label: str, kind: str, m: RunMetrics) -> None:
+CellResult = Union[ConfigResult, "LifetimeCellResult"]
+
+
+def emit_replay_spans(tr: "obs.Tracer", cell: Cell, m: RunMetrics) -> None:
     """Emit the sim-domain span tree for one computed cell.
 
     One root span per replay over ``[0, makespan]`` plus one child per
     breakdown category, tiling the makespan by its attributed fraction
     (the last child absorbs rounding), so per-layer attribution covers
     ~100% of simulated time by construction.  Site ids derive from the
-    cell identity alone (``site_key``), making the sim span tree
+    cell identity alone (:meth:`Cell.site`), making the sim span tree
     identical across worker counts and across the scalar/batch
     backends.  Pure function of the already-computed metrics: no clock
     reads, no simulator state touched.
@@ -152,10 +310,10 @@ def emit_replay_spans(tr: "obs.Tracer", label: str, kind: str, m: RunMetrics) ->
     makespan = int(m.makespan_ns)
     if makespan <= 0:
         return
-    cell = f"{label}|{kind}"
+    site = cell.site()
+    tag = cell.tag
     root = tr.sim_span(
-        "device", "replay", 0, makespan,
-        site_key=("replay", label, kind), cell=cell,
+        "device", "replay", 0, makespan, site_key=("replay", *site), cell=tag,
     )
     fracs = [(k, float(m.breakdown.get(k, 0.0))) for k in BREAKDOWN_KEYS]
     if sum(f for _, f in fracs) <= 0.0:
@@ -168,18 +326,12 @@ def emit_replay_spans(tr: "obs.Tracer", label: str, kind: str, m: RunMetrics) ->
             continue
         tr.sim_span(
             key, "attribution", t, t + dur, parent=root,
-            site_key=("attrib", label, kind, key), cell=cell,
+            site_key=("attrib", *site, key), cell=tag,
         )
         t += dur
 
 
-def _unconstrained_media_peak(
-    config: ExpConfig,
-    kind: NVMKind,
-    workload: Workload,
-    seed: int,
-    traces=None,
-) -> float:
+def _unconstrained_media_peak(cell: Cell, traces) -> float:
     """Aggregate rate of the same run with a free interface (MB/s).
 
     Re-runs the identical replay — same file system, same flow control,
@@ -189,14 +341,106 @@ def _unconstrained_media_peak(
     remaining" (Figs 7b/8b) measures against: media that "completes its
     requests faster and therefore ends up idling" (UFS, ION) shows a
     large remainder, while a file system whose own request stream is
-    the bottleneck shows a small one.
+    the bottleneck shows a small one.  Overlays never reach it: the
+    peak is the healthy device behind an infinite host.
     """
-    path = config.build(kind, workload.bytes_per_client, seed=seed)
+    path = config_by_label(cell.label).build(
+        kind_by_name(cell.kind), cell.workload.bytes_per_client, seed=cell.seed
+    )
     path.device.unconstrain()
-    if traces is None or len(traces) != path.clients:
-        traces = workload.traces(path.clients)
-    summary = replay(path, traces, posix_window=workload.posix_window)
+    summary = replay(path, traces, posix_window=cell.workload.posix_window)
     return summary.aggregate_mb
+
+
+def run_cell(
+    cell: Cell,
+    cache: Optional["ResultCache"] = None,
+    keep_metrics: bool = False,
+) -> CellResult:
+    """Compute one cell and collect every figure's quantities.
+
+    The only scalar cell runner: builds the storage path (the ION fabric
+    derated when the cell says so), attaches the overlays — aging via
+    :func:`repro.lifetime.sweep.age_device`, then the device fault
+    regime — replays the workload, emits the sim spans and, for a
+    ``with_remaining`` cell, adds the peak replay.  Returns a
+    :class:`ConfigResult`, or a ``LifetimeCellResult`` for an aged cell.
+
+    ``cache``, when given, serves the whole cell — or at least the peak
+    replay — from prior identical runs (``keep_metrics=True`` bypasses
+    the cell cache because metrics objects are never cached).  Storing
+    the result is the caller's job (:class:`MatrixEngine` does it).
+    """
+    if cache is not None and not keep_metrics:
+        hit = cache.get_cell(cell)
+        if hit is not None:
+            return hit
+    if cell.derate <= 0.0:  # the fabric delivers nothing: unreachable
+        return ConfigResult(
+            label=cell.label, kind=cell.kind, bandwidth_mb=0.0,
+            aggregate_mb=0.0, remaining_mb=0.0, channel_utilization=0.0,
+            package_utilization=0.0,
+        )
+    # the builders' arguments stay expressions over ``cell``: the flow
+    # analysis writes a builder's live FTL back into any plain name it
+    # is passed, which would mark the cell itself unpicklable
+    if cell.derate != 1.0:
+        path = make_ion_device(
+            kind_by_name(cell.kind), cell.workload.bytes_per_client,
+            seed=cell.seed,
+            gpfs_efficiency=GPFS_CLIENT_EFFICIENCY * cell.derate,
+        )
+    else:
+        path = config_by_label(cell.label).build(
+            kind_by_name(cell.kind), cell.workload.bytes_per_client,
+            seed=cell.seed,
+        )
+    workload = cell.workload
+    recorder = None
+    if cell.age is not None:
+        from ..lifetime.sweep import age_device
+
+        recorder = age_device(path.device, cell)
+    fault_model = None
+    if cell.device_faults is not None:
+        fault_model = cell.device_faults.plan().device_model(
+            path.device.kind, path.device.geom
+        )
+        path.device.attach_faults(fault_model)
+    traces = workload.traces(path.clients)
+    summary = replay(path, traces, posix_window=workload.posix_window)
+    m = summary.metrics
+    tr = obs.tracer()
+    if tr is not None:
+        emit_replay_spans(tr, cell, m)
+    if recorder is not None:
+        from ..lifetime.sweep import lifetime_result
+
+        return lifetime_result(
+            cell, path.device, recorder, fault_model,
+            summary.bandwidth_mb, summary.aggregate_mb,
+        )
+    remaining = 0.0
+    if cell.with_remaining:
+        peak = cache.get_peak(cell) if cache is not None else None
+        if peak is None:
+            peak = _unconstrained_media_peak(cell, traces)
+            if cache is not None:
+                cache.put_peak(cell, peak)
+        remaining = max(0.0, peak - summary.aggregate_mb)
+    return ConfigResult(
+        label=cell.label,
+        kind=cell.kind,
+        bandwidth_mb=summary.bandwidth_mb,
+        aggregate_mb=summary.aggregate_mb,
+        remaining_mb=remaining,
+        channel_utilization=m.channel_utilization,
+        package_utilization=m.package_utilization,
+        breakdown=dict(m.breakdown),
+        parallelism=dict(m.parallelism),
+        metrics=m if keep_metrics else None,
+        faults=fault_model.snapshot() if fault_model is not None else None,
+    )
 
 
 def run_config(
@@ -209,71 +453,12 @@ def run_config(
     cache: Optional["ResultCache"] = None,
     faults: Optional["FaultSpec"] = None,
 ) -> ConfigResult:
-    """Run one Table-2 cell and collect every figure's quantities.
-
-    ``with_remaining=False`` skips the second (unconstrained-interface)
-    replay used only by Figures 7b/8b, halving the cost.  ``cache``,
-    when given, serves the whole cell — or at least the peak replay —
-    from prior identical runs (``keep_metrics=True`` bypasses the cell
-    cache because metrics objects are never cached).
-
-    ``faults`` overlays a deterministic device fault plan
-    (:class:`~repro.faults.plan.FaultSpec`) on the main replay; its
-    signature participates in the cache key, so faulty results never
-    collide with fault-free ones.  The peak replay stays fault-free —
-    it is the idealized-media baseline "bandwidth remaining" measures
-    against — so faulty and healthy runs share cached peaks.
-    """
-    if isinstance(config, str):
-        config = config_by_label(config)
-    if isinstance(kind, str):
-        kind = kind_by_name(kind)
-    if faults is not None and not faults.injects_device_faults:
-        faults = None  # nothing to inject: identical to the healthy path
-    if cache is not None and not keep_metrics:
-        hit = cache.get_cell(
-            config.label, kind.name, workload, seed, with_remaining, faults=faults
-        )
-        if hit is not None:
-            return hit
-    data_bytes = workload.bytes_per_client
-    path = config.build(kind, data_bytes, seed=seed)
-    fault_model = None
-    if faults is not None:
-        fault_model = faults.plan().device_model(kind, path.device.geom)
-        path.device.attach_faults(fault_model)
-    clients = path.clients
-    traces = workload.traces(clients)
-    summary = replay(path, traces, posix_window=workload.posix_window)
-    m = summary.metrics
-    tr = obs.tracer()
-    if tr is not None:
-        emit_replay_spans(tr, config.label, kind.name, m)
-    remaining = 0.0
-    if with_remaining:
-        peak = None
-        if cache is not None:
-            peak = cache.get_peak(config.label, kind.name, workload, seed)
-        if peak is None:
-            peak = _unconstrained_media_peak(
-                config, kind, workload, seed, traces=traces
-            )
-            if cache is not None:
-                cache.put_peak(config.label, kind.name, workload, seed, peak)
-        remaining = max(0.0, peak - summary.aggregate_mb)
-    return ConfigResult(
-        label=config.label,
-        kind=kind.name,
-        bandwidth_mb=summary.bandwidth_mb,
-        aggregate_mb=summary.aggregate_mb,
-        remaining_mb=remaining,
-        channel_utilization=m.channel_utilization,
-        package_utilization=m.package_utilization,
-        breakdown=dict(m.breakdown),
-        parallelism=dict(m.parallelism),
-        metrics=m if keep_metrics else None,
-        faults=fault_model.snapshot() if fault_model is not None else None,
+    """:func:`run_cell` on a plain (or fault-overlaid) Table-2 cell."""
+    cell = Cell(
+        getattr(config, "label", config), getattr(kind, "name", kind),
+        workload, seed, with_remaining, faults=faults,
     )
+    return run_cell(cell, cache=cache, keep_metrics=keep_metrics)
 
 
 def run_matrix(

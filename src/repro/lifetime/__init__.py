@@ -17,11 +17,11 @@ budgets into runnable capacity planning:
 from .aging import AgingSpec, aged_faults, block_wear, install_age
 from .sweep import (
     DEFAULT_AGES,
+    LIFETIME_KINDS,
+    LIFETIME_LABELS,
     LifetimeCellResult,
     LifetimeSweepReport,
     lifetime_sweep,
-    publish_lifetime_metrics,
-    run_lifetime_cell,
 )
 from .wear import WEAR_POLICIES, WearFTL, WearPolicy
 
@@ -31,11 +31,11 @@ __all__ = [
     "block_wear",
     "install_age",
     "DEFAULT_AGES",
+    "LIFETIME_KINDS",
+    "LIFETIME_LABELS",
     "LifetimeCellResult",
     "LifetimeSweepReport",
     "lifetime_sweep",
-    "publish_lifetime_metrics",
-    "run_lifetime_cell",
     "WEAR_POLICIES",
     "WearFTL",
     "WearPolicy",

@@ -17,48 +17,60 @@ model (:mod:`repro.lifetime.aging`) and runs a wear-leveling policy
 * the age-coupled effective read-fault probability and injected-fault
   roll-up.
 
-At age 0 with ``policy="none"`` the cell is bit-identical to
-``run_config``'s scalar path — golden-tested against all 52 Table-2
+Each grid point is an aged :class:`~repro.experiments.runner.Cell`;
+:func:`~repro.experiments.runner.run_cell` computes it, calling
+:func:`age_device` and :func:`lifetime_result` around the shared
+replay.  At age 0 with ``policy="none"`` the cell is bit-identical to
+the plain cell's scalar path — golden-tested against all 52 Table-2
 cells — so the sweep's baseline row *is* today's exhibit.
 
 Everything here is deterministic in ``(labels, kinds, ages, policy,
-workload, seed)``; cells are independent, so the sweep fans out over a
-:class:`~repro.experiments.parallel.MatrixEngine` process pool with
-bit-identical results at any worker count.
+workload, seed)``; cells are independent, so the sweep runs on a
+:class:`~repro.experiments.parallel.MatrixEngine` (cache, supervised
+pool) with bit-identical results at any worker count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from ..experiments.configs import DEVICE_SWEEP_LABELS
 from ..faults.plan import FaultSpec
 from ..nvm.endurance import wear_report
-from ..nvm.kinds import KINDS, NVMKind, kind_by_name
-from ..obs import trace as obs
+from ..nvm.kinds import NVMKind
 from ..obs.hist import LatencyRecorder
+# kept bound for the benchmark's wrap sites (perfbench/layers.py)
 from ..trace.replay import replay
-from .aging import AgingSpec, aged_faults, install_age
+from .aging import install_age
 from .wear import WearFTL, WearPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from ..experiments.cache import ResultCache
     from ..experiments.parallel import MatrixEngine
-    from ..experiments.runner import Workload
+    from ..experiments.runner import Cell, Workload
     from ..obs.registry import MetricsRegistry
 
 __all__ = [
     "DEFAULT_AGES",
+    "LIFETIME_LABELS",
+    "LIFETIME_KINDS",
     "LifetimeCellResult",
     "LifetimeSweepReport",
-    "run_lifetime_cell",
+    "age_device",
+    "lifetime_result",
     "lifetime_sweep",
-    "publish_lifetime_metrics",
 ]
 
 #: the exhibit's age axis: fresh, half-life, near end-of-life
 DEFAULT_AGES = (0.0, 0.5, 0.9)
+
+#: the exhibit's config axis: the device-improvement sweep plus the
+#: shared ION baseline, the configurations whose lifetime a deployment
+#: planner would actually compare
+LIFETIME_LABELS = DEVICE_SWEEP_LABELS + ("ION-GPFS",)
+
+#: the exhibit's media axis: all Table-1 kinds, by name
+LIFETIME_KINDS = ("SLC", "MLC", "TLC", "PCM")
 
 #: LatencyRecorder window per cell: large enough that p99 over the
 #: window reflects the whole replay at exhibit scale, small enough that
@@ -97,116 +109,47 @@ class LifetimeCellResult:
     backend: str = "scalar"
 
 
-def _emit_cell_spans(tr, result: LifetimeCellResult, metrics) -> None:
-    """Sim-domain span tree for one lifetime cell.
+def age_device(device, cell: "Cell") -> LatencyRecorder:
+    """Overlay ``cell``'s aging on a freshly built device.
 
-    Mirrors :func:`repro.experiments.runner.emit_replay_spans`: one
-    root over ``[0, makespan]`` plus one child per breakdown category
-    tiling it (last child absorbs rounding), so per-layer attribution
-    covers ~100% of simulated time and the ``obs report`` coverage
-    gate holds for lifetime traces too.  Site ids derive from the full
-    cell identity (label, kind, age, policy) so traces stay stable
-    across worker counts and no two ages of the same cell collide.
+    Swaps the device's stock FTL for a :class:`WearFTL` running the
+    cell's wear policy, installs the seeded wear history (retiring
+    over-budget blocks) and attaches the latency recorder it returns.
+    Called by :func:`repro.experiments.runner.run_cell` before the fault
+    regime is attached and the workload replayed.
     """
-    from ..ssd.metrics import BREAKDOWN_KEYS
-
-    makespan = int(metrics.makespan_ns)
-    if makespan <= 0:
-        return
-    age = f"{result.age_fraction:.2f}"
-    cell = f"{result.label}|{result.kind}|age={age}"
-    ident = (result.label, result.kind, age, result.wear_policy)
-    root = tr.sim_span(
-        "device",
-        "lifetime",
-        0,
-        makespan,
-        site_key=("lifetime", *ident),
-        cell=cell,
-    )
-    fracs = [(k, float(metrics.breakdown.get(k, 0.0))) for k in BREAKDOWN_KEYS]
-    if sum(f for _, f in fracs) <= 0.0:
-        return
-    t = 0
-    for i, (key, frac) in enumerate(fracs):
-        dur = makespan - t if i == len(fracs) - 1 else int(round(frac * makespan))
-        dur = max(0, min(dur, makespan - t))
-        if dur == 0:
-            continue
-        tr.sim_span(
-            key,
-            "attribution",
-            t,
-            t + dur,
-            parent=root,
-            site_key=("lifetime-attrib", *ident, key),
-            cell=cell,
-        )
-        t += dur
-
-
-def run_lifetime_cell(
-    label: str,
-    kind: NVMKind | str,
-    age_fraction: float,
-    policy: WearPolicy = WearPolicy(),
-    workload: Optional["Workload"] = None,
-    seed: int = 1013,
-    base_faults: Optional[FaultSpec] = None,
-    cache: Optional["ResultCache"] = None,
-) -> LifetimeCellResult:
-    """Replay one Table-2 cell on a device aged to ``age_fraction``.
-
-    Builds the config's storage path, swaps the device's stock FTL for
-    a :class:`WearFTL` running ``policy``, installs the seeded wear
-    history (retiring over-budget blocks), ages the fault regime, and
-    replays the standard workload with a latency recorder attached.
-    ``base_faults`` is the healthy-device regime the age increments add
-    to (``None`` = faults only from aging).  Deterministic in all
-    arguments; ``cache`` serves identical prior cells.
-    """
-    from ..experiments.configs import config_by_label
-    from ..experiments.runner import DEFAULT_WORKLOAD
-
-    if workload is None:
-        workload = DEFAULT_WORKLOAD
-    if isinstance(kind, str):
-        kind = kind_by_name(kind)
-    aging = AgingSpec(age_fraction=age_fraction, seed=seed)
-    faults = aged_faults(base_faults, aging)
-    if faults is not None and not faults.injects_device_faults:
-        faults = None  # nothing to inject: identical to the healthy path
-    if cache is not None:
-        hit = cache.get_lifetime(
-            label, kind.name, workload, seed, aging, policy, faults
-        )
-        if hit is not None:
-            return hit
-
-    config = config_by_label(label)
-    path = config.build(kind, workload.bytes_per_client, seed=seed)
-    device = path.device
-    ftl = WearFTL.adopt(device.ftl, policy)
+    ftl = WearFTL.adopt(device.ftl, cell.policy)
     device.ftl = ftl
-    install_age(ftl, aging)
-    fault_model = None
-    if faults is not None:
-        fault_model = faults.plan().device_model(kind, device.geom)
-        device.attach_faults(fault_model)
+    install_age(ftl, cell.aging)
     recorder = LatencyRecorder(window=LATENCY_WINDOW, unit="ns")
     device.latency_recorder = recorder
+    return recorder
 
-    traces = workload.traces(path.clients)
-    summary = replay(path, traces, posix_window=workload.posix_window)
+
+def lifetime_result(
+    cell: "Cell",
+    device,
+    recorder: LatencyRecorder,
+    fault_model,
+    bandwidth_mb: float,
+    aggregate_mb: float,
+) -> LifetimeCellResult:
+    """Collect one aged cell's quantities after its replay.
+
+    Takes the replay's bandwidths as plain numbers rather than the
+    replay summary, which still references the live device (and its
+    FTL) that must never ride a result across the process pool.
+    """
+    ftl = device.ftl
     rep = wear_report(ftl)
     fstats = fault_model.snapshot() if fault_model is not None else {}
-    result = LifetimeCellResult(
-        label=label,
-        kind=kind.name,
-        age_fraction=age_fraction,
-        wear_policy=policy.kind,
-        bandwidth_mb=summary.bandwidth_mb,
-        aggregate_mb=summary.aggregate_mb,
+    return LifetimeCellResult(
+        label=cell.label,
+        kind=cell.kind,
+        age_fraction=cell.age,
+        wear_policy=cell.policy.kind,
+        bandwidth_mb=bandwidth_mb,
+        aggregate_mb=aggregate_mb,
         p50_latency_ms=recorder.percentile(0.50) / _NS_PER_MS,
         p99_latency_ms=recorder.percentile(0.99) / _NS_PER_MS,
         max_latency_ms=recorder.maximum / _NS_PER_MS,
@@ -225,26 +168,6 @@ def run_lifetime_cell(
         ),
         faults_injected=fstats.get("faults_injected", 0),
         fault_penalty_ns=fstats.get("penalty_ns", 0),
-    )
-    tr = obs.tracer()
-    if tr is not None:
-        _emit_cell_spans(tr, result, summary.metrics)
-    if cache is not None:
-        cache.put_lifetime(result, workload, seed, aging, policy, faults)
-    return result
-
-
-def _sweep_case(case: tuple) -> LifetimeCellResult:
-    """Pool-worker entry point: one pickled case -> one cell result."""
-    label, kind_name, age, policy, workload, seed, base_faults = case
-    return run_lifetime_cell(
-        label,
-        kind_name,
-        age,
-        policy=policy,
-        workload=workload,
-        seed=seed,
-        base_faults=base_faults,
     )
 
 
@@ -277,111 +200,78 @@ class LifetimeSweepReport:
         return "\n".join(lines)
 
     def publish(self, registry: "MetricsRegistry") -> None:
-        publish_lifetime_metrics(registry, self.results.values())
+        """Export one gauge family per reported quantity to a registry.
+
+        Labelled by (config, kind, age, policy); rendered by
+        :func:`repro.obs.export.prometheus_text` and served from the
+        service's ``metrics`` endpoint.
+        """
+        gauges = (
+            ("repro_lifetime_bandwidth_mb", "per-client bandwidth (MB/s)",
+             lambda r: r.bandwidth_mb),
+            ("repro_lifetime_p99_latency_ms", "p99 device command latency (ms)",
+             lambda r: r.p99_latency_ms),
+            ("repro_lifetime_waf", "write-amplification factor (media/host pages)",
+             lambda r: r.waf),
+            ("repro_lifetime_wear_spread", "erase-count spread (max - min)",
+             lambda r: float(r.wear_spread)),
+            ("repro_lifetime_retired_blocks", "blocks past the endurance budget",
+             lambda r: float(r.retired_blocks)),
+            ("repro_lifetime_read_fault_p", "effective per-command read-fault rate",
+             lambda r: r.read_fault_p),
+            ("repro_lifetime_faults_injected", "device faults injected in the run",
+             lambda r: float(r.faults_injected)),
+        )
+        for r in self.results.values():
+            labels = {
+                "config": r.label,
+                "kind": r.kind,
+                "age": f"{r.age_fraction:.2f}",
+                "policy": r.wear_policy,
+            }
+            for name, help_text, get in gauges:
+                registry.gauge(name, help_text, labels).set(get(r))
 
 
 def lifetime_sweep(
-    labels: Sequence[str],
-    kinds: Sequence[NVMKind | str] = KINDS,
+    labels: Sequence[str] = LIFETIME_LABELS,
+    kinds: Sequence[NVMKind | str] = LIFETIME_KINDS,
     ages: Sequence[float] = DEFAULT_AGES,
     policy: WearPolicy = WearPolicy(kind="dynamic"),
     workload: Optional["Workload"] = None,
     seed: int = 1013,
     base_faults: Optional[FaultSpec] = None,
     engine: Optional["MatrixEngine"] = None,
-    cache: Optional["ResultCache"] = None,
 ) -> LifetimeSweepReport:
     """Run the full config x kind x age grid.
 
-    ``engine`` supplies the process pool (its ``map``) and, when it
-    carries a cache, the result cache; cells are independent and the
-    grid is bit-identical at any worker count.  Results are keyed
+    Each grid point is one aged :class:`~repro.experiments.runner.Cell`
+    handed to ``engine`` (default: a serial, uncached one), which serves
+    cache hits, fans the rest over its supervised pool and checkpoints
+    finished cells; the grid is bit-identical at any worker count.
+    ``base_faults`` is the healthy-device regime the age increments add
+    to (``None`` = faults only from aging).  Results are keyed
     ``(label, kind_name, age)`` in deterministic grid order.
     """
-    from ..experiments.runner import DEFAULT_WORKLOAD
+    from ..experiments.parallel import MatrixEngine
+    from ..experiments.runner import DEFAULT_WORKLOAD, Cell
 
     if workload is None:
         workload = DEFAULT_WORKLOAD
-    if engine is not None and cache is None:
-        cache = engine.cache
-    kind_names = [k if isinstance(k, str) else k.name for k in kinds]
-    grid = [
-        (label, kind_name, float(age))
+    if engine is None:
+        engine = MatrixEngine(workers=1)
+    grid = {
+        (label, kind_name, float(age)): Cell(
+            label, kind_name, workload, seed, faults=base_faults,
+            age=age, policy=policy,
+        )
         for label in labels
-        for kind_name in kind_names
+        for kind_name in (k if isinstance(k, str) else k.name for k in kinds)
         for age in ages
-    ]
-    results: dict[tuple[str, str, float], Optional[LifetimeCellResult]] = {
-        cell: None for cell in grid
     }
-    if cache is not None:
-        for label, kind_name, age in grid:
-            aging = AgingSpec(age_fraction=age, seed=seed)
-            faults = aged_faults(base_faults, aging)
-            if faults is not None and not faults.injects_device_faults:
-                faults = None
-            results[(label, kind_name, age)] = cache.get_lifetime(
-                label, kind_name, workload, seed, aging, policy, faults
-            )
-    todo = [cell for cell, r in results.items() if r is None]
-    cases = [
-        (label, kind_name, age, policy, workload, seed, base_faults)
-        for label, kind_name, age in todo
-    ]
-    if cases:
-        if engine is not None:
-            computed = engine.map(_sweep_case, cases)
-        else:
-            computed = [_sweep_case(c) for c in cases]
-        for cell, result in zip(todo, computed):
-            results[cell] = result
-            if cache is not None:
-                label, kind_name, age = cell
-                aging = AgingSpec(age_fraction=age, seed=seed)
-                faults = aged_faults(base_faults, aging)
-                if faults is not None and not faults.injects_device_faults:
-                    faults = None
-                cache.put_lifetime(result, workload, seed, aging, policy, faults)
-    final = {cell: r for cell, r in results.items() if r is not None}
+    results = engine.run_cells(list(grid.values()))
     return LifetimeSweepReport(
-        results=final, ages=tuple(float(a) for a in ages), policy=policy
+        results={point: results[cell] for point, cell in grid.items()},
+        ages=tuple(float(a) for a in ages),
+        policy=policy,
     )
-
-
-def publish_lifetime_metrics(registry: "MetricsRegistry", results) -> None:
-    """Export one gauge family per reported quantity to a registry.
-
-    Labelled by (config, kind, age, policy); rendered by
-    :func:`repro.obs.export.prometheus_text` and served from the
-    service's ``metrics`` endpoint.
-    """
-    gauges = (
-        ("repro_lifetime_bandwidth_mb", "per-client bandwidth (MB/s)",
-         lambda r: r.bandwidth_mb),
-        ("repro_lifetime_p99_latency_ms", "p99 device command latency (ms)",
-         lambda r: r.p99_latency_ms),
-        ("repro_lifetime_waf", "write-amplification factor (media/host pages)",
-         lambda r: r.waf),
-        ("repro_lifetime_wear_spread", "erase-count spread (max - min)",
-         lambda r: float(r.wear_spread)),
-        ("repro_lifetime_retired_blocks", "blocks past the endurance budget",
-         lambda r: float(r.retired_blocks)),
-        ("repro_lifetime_read_fault_p", "effective per-command read-fault rate",
-         lambda r: r.read_fault_p),
-        ("repro_lifetime_faults_injected", "device faults injected in the run",
-         lambda r: float(r.faults_injected)),
-    )
-    for r in results:
-        labels = {
-            "config": r.label,
-            "kind": r.kind,
-            "age": f"{r.age_fraction:.2f}",
-            "policy": r.wear_policy,
-        }
-        for name, help_text, get in gauges:
-            registry.gauge(name, help_text, labels).set(get(r))
-
-
-def result_to_dict(result: LifetimeCellResult) -> dict:
-    """JSON-safe payload of one cell (cache entries, service wire)."""
-    return dataclasses.asdict(result)

@@ -12,10 +12,13 @@ CNL-vs-ION bandwidth gap as the fabric degrades:
    (:func:`~repro.netfault.calibrate.calibrate_fabric`) to measure the
    **delivered-bandwidth factor** of the GPFS fabric under go-back-N
    ARQ, backoff and rate fallback;
-3. ION cells are then re-run with the analytic GPFS client efficiency
-   scaled by that factor, while CNL cells — fabric-independent by
-   construction — carry over unchanged.  That separation is the
-   paper's argument, quantified: loss melts the ION column only.
+3. ION cells are then re-run as derated cells
+   (:class:`~repro.experiments.runner.Cell`) — the analytic GPFS
+   client efficiency scaled by that factor — on the same engine, so
+   they are cached and supervised like any cell; CNL cells —
+   fabric-independent by construction — carry over unchanged.  That
+   separation is the paper's argument, quantified: loss melts the ION
+   column only.
 
 A saturating loss rate exhausts the retransmission budget; the exhibit
 reports the typed ``unreachable`` outcome (bandwidth 0) instead of
@@ -25,14 +28,15 @@ loss rate (per-site oracle draws are shared across rates).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..core.architecture import GPFS_CLIENT_EFFICIENCY, make_ion_device
 from ..experiments.configs import TABLE2_CONFIGS, config_by_label
-from ..experiments.runner import ConfigResult, Workload
-from ..nvm.kinds import KINDS, kind_by_name
+from ..experiments.runner import Cell, ConfigResult, Workload
+from ..nvm.kinds import KINDS
 from ..obs.registry import MetricsRegistry
+# kept bound for the benchmark's wrap sites (perfbench/layers.py)
 from ..trace.replay import replay
 from .calibrate import FabricCalibration, calibrate_fabric
 from .stats import NetStatsRecorder
@@ -95,50 +99,6 @@ class NetfaultReport:
             ).set(res.bandwidth_mb)
 
 
-def _degraded_ion_cell(
-    label: str,
-    kind_name: str,
-    workload: Workload,
-    seed: int,
-    factor: float,
-) -> ConfigResult:
-    """Re-run one ION cell with the fabric derated to ``factor``.
-
-    Mirrors the :func:`~repro.experiments.runner.run_config` ION path
-    but scales the calibrated GPFS client efficiency by the measured
-    delivered-bandwidth factor.  Runs uncached in the coordinator (the
-    result depends on the netfault regime, not the cache schema) and
-    skips the peak replay — the exhibit compares delivered bandwidth.
-    """
-    kind = kind_by_name(kind_name)
-    if factor <= 0.0:
-        return ConfigResult(
-            label=label, kind=kind_name, bandwidth_mb=0.0, aggregate_mb=0.0,
-            remaining_mb=0.0, channel_utilization=0.0,
-            package_utilization=0.0,
-        )
-    path = make_ion_device(
-        kind,
-        workload.bytes_per_client,
-        seed=seed,
-        gpfs_efficiency=GPFS_CLIENT_EFFICIENCY * factor,
-    )
-    traces = workload.traces(path.clients)
-    summary = replay(path, traces, posix_window=workload.posix_window)
-    m = summary.metrics
-    return ConfigResult(
-        label=label,
-        kind=kind_name,
-        bandwidth_mb=summary.bandwidth_mb,
-        aggregate_mb=summary.aggregate_mb,
-        remaining_mb=0.0,
-        channel_utilization=m.channel_utilization,
-        package_utilization=m.package_utilization,
-        breakdown=dict(m.breakdown),
-        parallelism=dict(m.parallelism),
-    )
-
-
 def _render(report: NetfaultReport) -> str:
     ion_labels = [
         lb for lb in report.labels
@@ -195,36 +155,38 @@ def netfault_exhibit(
 ) -> NetfaultReport:
     """Sweep loss rate x config x kind; returns the structured report.
 
-    ``engine`` computes the healthy matrix (both backends, any worker
-    count — bit-identical); degraded ION cells replay inline.
+    Every (rate, config, kind) point is a :class:`Cell` — ION cells
+    derated by the rate's calibrated delivered factor, the rest plain —
+    and ``engine`` runs them all in one pass: the healthy matrix on
+    either backend at any worker count (bit-identical), the derated
+    cells on the scalar path, cache hits served throughout.
     """
     labels = tuple(labels) if labels else tuple(
         c.label for c in TABLE2_CONFIGS
     )
     kinds = tuple(kinds) if kinds else tuple(k.name for k in KINDS)
     loss_rates = tuple(sorted(set(float(r) for r in loss_rates)))
-    for label in labels:
-        config_by_label(label)  # raises on unknown labels up front
+    # raises on unknown labels and kinds up front
+    healthy = {
+        (label, kind): Cell(label, kind, workload, seed, with_remaining=False)
+        for label in labels
+        for kind in kinds
+    }
     report = NetfaultReport(
         workload=workload, loss_rates=loss_rates, labels=labels,
         kinds=kinds, net_seed=net_seed, mtu_bytes=mtu_bytes,
     )
-    cells = [(label, kind) for label in labels for kind in kinds]
-    healthy = engine.run_cells(cells, workload, seed, with_remaining=False)
+    grid: dict[tuple[float, str, str], Cell] = {}
     for rate in loss_rates:
         cal = calibrate_fabric(
             rate, net_seed=net_seed, mtu_bytes=mtu_bytes, stats=stats
         )
         report.calibrations[rate] = cal
-        for label, kind in cells:
-            if (
-                rate == 0.0
-                or config_by_label(label).location != "ION"
-            ):
-                report.results[(rate, label, kind)] = healthy[(label, kind)]
-            else:
-                report.results[(rate, label, kind)] = _degraded_ion_cell(
-                    label, kind, workload, seed, cal.delivered_factor
-                )
+        for (label, kind), cell in healthy.items():
+            if config_by_label(label).location == "ION":
+                cell = dataclasses.replace(cell, derate=cal.delivered_factor)
+            grid[(rate, label, kind)] = cell
+    results = engine.run_cells(list(grid.values()))
+    report.results = {point: results[cell] for point, cell in grid.items()}
     report.text = _render(report)
     return report

@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Optional
 
-from ..experiments.cache import _CELL_FIELDS, ResultCache
+from ..experiments.cache import ResultCache, _persisted
 from ..experiments.figures import figure7, figure8, figure9, figure10
 from ..experiments.headline import compute_headline
 from ..experiments.parallel import MatrixEngine
@@ -66,8 +66,9 @@ _FIGURES = {
 
 
 def result_to_payload(result) -> dict:
-    """A ConfigResult as the JSON-safe dict the wire protocol carries."""
-    return {name: getattr(result, name) for name in _CELL_FIELDS}
+    """A cell result as the JSON-safe dict the wire protocol carries:
+    exactly the fields its cache entry persists."""
+    return {name: getattr(result, name) for name in _persisted(type(result))}
 
 
 def execute_job(spec: JobSpec, engine: MatrixEngine) -> dict:
@@ -101,24 +102,21 @@ def execute_job(spec: JobSpec, engine: MatrixEngine) -> dict:
         text = compute_headline(spec.workload, engine=engine).render()
         return {"kind": "headline", "text": text}
     if isinstance(spec, LifetimeJob):
-        from ..experiments.lifetime import lifetime_exhibit
-        from ..lifetime.wear import WearPolicy
+        from ..lifetime import WearPolicy, lifetime_sweep
 
-        report = lifetime_exhibit(
-            spec.workload,
-            engine=engine,
-            labels=spec.labels,
+        report = lifetime_sweep(
+            spec.labels,
             kinds=spec.kinds,
             ages=spec.ages,
             policy=WearPolicy(kind=spec.wear_policy),
+            workload=spec.workload,
             seed=spec.seed,
+            engine=engine,
         )
-        from ..lifetime.sweep import result_to_dict
-
         return {
             "kind": "lifetime",
             "results": {
-                f"{label}|{kind}|{age:g}": result_to_dict(res)
+                f"{label}|{kind}|{age:g}": result_to_payload(res)
                 for (label, kind, age), res in report.results.items()
             },
             "text": report.text,
@@ -258,11 +256,16 @@ class EngineExecutor:
         attempt = 0
         while True:
             try:
+                started = loop.time()
                 fut = loop.run_in_executor(
                     self._threads, partial(self._execute, spec, engine)
                 )
                 if timeout_s is not None:
                     result = await asyncio.wait_for(fut, timeout_s)
+                    # a pass can finish after its deadline but before the
+                    # loop runs the timeout: it still outlived its budget
+                    if loop.time() - started > timeout_s:
+                        raise asyncio.TimeoutError
                 else:
                     result = await fut
                 self._absorb_engine(engine)

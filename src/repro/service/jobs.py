@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from ..experiments.cache import SCHEMA_VERSION, cell_key
+from ..experiments.cache import SCHEMA_VERSION
 from ..experiments.configs import TABLE2_CONFIGS
-from ..experiments.runner import DEFAULT_WORKLOAD, Workload
+from ..experiments.runner import DEFAULT_WORKLOAD, Cell, Workload
 from ..nvm.kinds import KINDS
 
 __all__ = [
@@ -63,6 +63,25 @@ class JobValidationError(ServiceError):
     code = "invalid_job"
 
 
+def _check_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise JobValidationError(f"{name} must be an int, got {value!r}")
+
+
+def _check_axes(labels, kinds) -> None:
+    """Reject any config label or NVM kind outside Table 2 / Table 1."""
+    for label in labels:
+        if label not in VALID_LABELS:
+            raise JobValidationError(
+                f"unknown config label {label!r}; have {sorted(VALID_LABELS)}"
+            )
+    for kind in kinds:
+        if kind not in VALID_KINDS:
+            raise JobValidationError(
+                f"unknown NVM kind {kind!r}; have {sorted(VALID_KINDS)}"
+            )
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """Common scheduling attributes; subclasses add the work payload.
@@ -98,8 +117,8 @@ class JobSpec:
 
     # -- validation -----------------------------------------------------
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise JobValidationError(f"seed must be an int, got {self.seed!r}")
+        _check_int("seed", self.seed)
+        _check_int("priority", self.priority)
         if self.workload.panels < 1 or self.workload.panel_bytes < 1:
             raise JobValidationError(
                 f"workload must stream at least one panel byte, got "
@@ -140,7 +159,22 @@ class JobSpec:
             "workload": dataclasses.asdict(self.workload),
             "seed": self.seed,
             "with_remaining": bool(self.with_remaining),
+            **self._work(),
         }
+
+    def _work(self) -> dict:
+        """The subclass's work fields, JSON-safe: axes become lists
+        (numeric ones of floats, so ``0`` and ``0.0`` key alike)."""
+        work = {}
+        for f in dataclasses.fields(self):
+            if f.name in _SCHEDULING_FIELDS:
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                numeric = f.name in _NUMERIC_AXES
+                value = [float(v) for v in value] if numeric else list(value)
+            work[f.name] = value
+        return work
 
     # -- wire format ----------------------------------------------------
     def to_dict(self) -> dict:
@@ -159,7 +193,7 @@ class JobSpec:
             d["trace_id"] = self.trace_id
         if self.arrival_offset_s:
             d["arrival_offset_s"] = self.arrival_offset_s
-        return d
+        return {**d, **self._work()}
 
     def describe(self) -> str:
         return self.job_type
@@ -176,24 +210,14 @@ class CellJob(JobSpec):
 
     def validate(self) -> None:
         super().validate()
-        if self.label not in VALID_LABELS:
-            raise JobValidationError(
-                f"unknown config label {self.label!r}; have {sorted(VALID_LABELS)}"
-            )
-        if self.kind not in VALID_KINDS:
-            raise JobValidationError(
-                f"unknown NVM kind {self.kind!r}; have {sorted(VALID_KINDS)}"
-            )
+        _check_axes((self.label,), (self.kind,))
 
     def key(self) -> str:
         # exactly the ResultCache cell key: the service coalesces on the
         # same identity the cache stores under
-        return cell_key(
+        return Cell(
             self.label, self.kind, self.workload, self.seed, self.with_remaining
-        )
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "label": self.label, "kind": self.kind}
+        ).key()
 
     def describe(self) -> str:
         return f"cell({self.label}, {self.kind})"
@@ -212,30 +236,7 @@ class MatrixJob(JobSpec):
         super().validate()
         if not self.labels or not self.kinds:
             raise JobValidationError("matrix job needs at least one label and kind")
-        for label in self.labels:
-            if label not in VALID_LABELS:
-                raise JobValidationError(
-                    f"unknown config label {label!r}; have {sorted(VALID_LABELS)}"
-                )
-        for kind in self.kinds:
-            if kind not in VALID_KINDS:
-                raise JobValidationError(
-                    f"unknown NVM kind {kind!r}; have {sorted(VALID_KINDS)}"
-                )
-
-    def _key_parts(self) -> dict:
-        return {
-            **super()._key_parts(),
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            **super().to_dict(),
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-        }
+        _check_axes(self.labels, self.kinds)
 
     def describe(self) -> str:
         return f"matrix({len(self.labels)}x{len(self.kinds)})"
@@ -255,12 +256,6 @@ class FigureJob(JobSpec):
             raise JobValidationError(
                 f"unknown figure {self.figure!r}; have {list(FIGURE_NAMES)}"
             )
-
-    def _key_parts(self) -> dict:
-        return {**super()._key_parts(), "figure": self.figure}
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "figure": self.figure}
 
     def describe(self) -> str:
         return self.figure
@@ -299,16 +294,7 @@ class LifetimeJob(JobSpec):
             raise JobValidationError(
                 "lifetime job needs at least one label, kind and age"
             )
-        for label in self.labels:
-            if label not in VALID_LABELS:
-                raise JobValidationError(
-                    f"unknown config label {label!r}; have {sorted(VALID_LABELS)}"
-                )
-        for kind in self.kinds:
-            if kind not in VALID_KINDS:
-                raise JobValidationError(
-                    f"unknown NVM kind {kind!r}; have {sorted(VALID_KINDS)}"
-                )
+        _check_axes(self.labels, self.kinds)
         for age in self.ages:
             if not isinstance(age, (int, float)) or not 0.0 <= age < 1.0:
                 raise JobValidationError(
@@ -319,24 +305,6 @@ class LifetimeJob(JobSpec):
                 f"unknown wear policy {self.wear_policy!r}; "
                 f"have {list(WEAR_POLICIES)}"
             )
-
-    def _key_parts(self) -> dict:
-        return {
-            **super()._key_parts(),
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-            "ages": [float(a) for a in self.ages],
-            "wear_policy": self.wear_policy,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            **super().to_dict(),
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-            "ages": [float(a) for a in self.ages],
-            "wear_policy": self.wear_policy,
-        }
 
     def describe(self) -> str:
         return (
@@ -375,44 +343,12 @@ class NetfaultJob(JobSpec):
                 raise JobValidationError(
                     f"loss rates must be fractions in [0, 1], got {rate!r}"
                 )
-        for label in self.labels:
-            if label not in VALID_LABELS:
-                raise JobValidationError(
-                    f"unknown config label {label!r}; have {sorted(VALID_LABELS)}"
-                )
-        for kind in self.kinds:
-            if kind not in VALID_KINDS:
-                raise JobValidationError(
-                    f"unknown NVM kind {kind!r}; have {sorted(VALID_KINDS)}"
-                )
-        if not isinstance(self.net_seed, int) or isinstance(self.net_seed, bool):
-            raise JobValidationError(
-                f"net_seed must be an int, got {self.net_seed!r}"
-            )
+        _check_axes(self.labels, self.kinds)
+        _check_int("net_seed", self.net_seed)
         if not isinstance(self.mtu_bytes, int) or self.mtu_bytes < 1:
             raise JobValidationError(
                 f"mtu_bytes must be a positive int, got {self.mtu_bytes!r}"
             )
-
-    def _key_parts(self) -> dict:
-        return {
-            **super()._key_parts(),
-            "loss_rates": [float(r) for r in self.loss_rates],
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-            "net_seed": self.net_seed,
-            "mtu_bytes": self.mtu_bytes,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            **super().to_dict(),
-            "loss_rates": [float(r) for r in self.loss_rates],
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-            "net_seed": self.net_seed,
-            "mtu_bytes": self.mtu_bytes,
-        }
 
     def describe(self) -> str:
         return (
@@ -420,6 +356,12 @@ class NetfaultJob(JobSpec):
             f"{len(self.labels) or 'all'}x{len(self.kinds) or 'all'})"
         )
 
+
+#: JobSpec's own fields: scheduling attributes plus the shared inputs
+#: (workload, seed, with_remaining), serialised by JobSpec itself
+_SCHEDULING_FIELDS = frozenset(f.name for f in dataclasses.fields(JobSpec))
+#: work axes whose items are numbers
+_NUMERIC_AXES = frozenset({"ages", "loss_rates"})
 
 _JOB_TYPES: dict[str, type[JobSpec]] = {
     "cell": CellJob,
@@ -454,31 +396,10 @@ def job_from_dict(data: Mapping[str, Any]) -> JobSpec:
                     f"unknown workload field(s) {sorted(bad)}; have {sorted(known)}"
                 )
             kwargs["workload"] = Workload(**w)
-        for name in ("seed", "with_remaining", "priority", "deadline_s",
-                     "timeout_s", "trace_id", "arrival_offset_s"):
-            if name in data:
-                kwargs[name] = data[name]
-        if cls is CellJob:
-            kwargs["label"] = data.get("label", "")
-            kwargs["kind"] = data.get("kind", "")
-        elif cls is MatrixJob:
-            kwargs["labels"] = tuple(data.get("labels", ()))
-            kwargs["kinds"] = tuple(data.get("kinds", ()))
-        elif cls is FigureJob:
-            kwargs["figure"] = data.get("figure", "")
-        elif cls is LifetimeJob:
-            kwargs["labels"] = tuple(data.get("labels", ()))
-            kwargs["kinds"] = tuple(data.get("kinds", ()))
-            kwargs["ages"] = tuple(data.get("ages", (0.0, 0.5, 0.9)))
-            kwargs["wear_policy"] = data.get("wear_policy", "dynamic")
-        elif cls is NetfaultJob:
-            kwargs["loss_rates"] = tuple(
-                data.get("loss_rates", (0.0, 0.01, 0.05))
-            )
-            kwargs["labels"] = tuple(data.get("labels", ()))
-            kwargs["kinds"] = tuple(data.get("kinds", ()))
-            kwargs["net_seed"] = data.get("net_seed", 0)
-            kwargs["mtu_bytes"] = data.get("mtu_bytes", 4096)
+        for f in dataclasses.fields(cls):
+            if f.name != "workload" and f.name in data:
+                value = data[f.name]
+                kwargs[f.name] = tuple(value) if isinstance(f.default, tuple) else value
         spec = cls(**kwargs)
     except JobValidationError:
         raise

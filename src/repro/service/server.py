@@ -214,7 +214,9 @@ class SimulationService:
                     else:
                         self.queue.put_nowait(entry, spec.priority)
                         shed = None
-                except ServiceError:
+                except BaseException:
+                    # any refusal, typed or not, must release the lease:
+                    # a leaked lease leaves drain() waiting forever
                     self.coalescer.forget(entry)
                     raise
                 self.metrics.admitted += 1

@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ResultCache, Workload, run_config
-from repro.experiments.cache import cell_key, peak_key
+from repro.experiments import Cell, ResultCache, Workload, run_config
 
 KiB = 1024
 TINY = Workload(panels=2, panel_bytes=256 * KiB)
 OTHER = Workload(panels=3, panel_bytes=256 * KiB)
 SEED = 1013
+
+
+def cell_key(label, kind, workload, seed, with_remaining):
+    return Cell(label, kind, workload, seed, with_remaining).key()
+
+
+def cell(label, kind, with_remaining=True):
+    return Cell(label, kind, TINY, SEED, with_remaining)
 
 
 class TestKeys:
@@ -35,17 +42,16 @@ class TestKeys:
         assert cell_key("CNL-UFS", "SLC", TINY, SEED, True) != base
 
     def test_peak_key_distinct_from_cell_key(self):
-        assert peak_key("CNL-UFS", "SLC", TINY, SEED) != cell_key(
-            "CNL-UFS", "SLC", TINY, SEED, True
-        )
+        plain = cell("CNL-UFS", "SLC")
+        assert plain.key("peak") != plain.key()
 
 
 class TestRoundTrip:
     def test_memory_cell_roundtrip(self):
         cache = ResultCache()
         result = run_config("CNL-EXT4", "TLC", TINY, SEED)
-        cache.put_cell(result, TINY, SEED, True)
-        hit = cache.get_cell("CNL-EXT4", "TLC", TINY, SEED, True)
+        cache.put_cell(cell("CNL-EXT4", "TLC"), result)
+        hit = cache.get_cell(cell("CNL-EXT4", "TLC"))
         assert hit is not None
         assert hit.bandwidth_mb == result.bandwidth_mb
         assert hit.remaining_mb == result.remaining_mb
@@ -55,33 +61,31 @@ class TestRoundTrip:
 
     def test_miss_returns_none_and_counts(self):
         cache = ResultCache()
-        assert cache.get_cell("CNL-EXT4", "TLC", TINY, SEED, True) is None
+        assert cache.get_cell(cell("CNL-EXT4", "TLC")) is None
         assert cache.misses == 1 and cache.hits == 0
 
     def test_disk_persistence(self, tmp_path):
         result = run_config("CNL-UFS", "SLC", TINY, SEED)
-        ResultCache(tmp_path).put_cell(result, TINY, SEED, True)
+        ResultCache(tmp_path).put_cell(cell("CNL-UFS", "SLC"), result)
         fresh = ResultCache(tmp_path)
-        hit = fresh.get_cell("CNL-UFS", "SLC", TINY, SEED, True)
+        hit = fresh.get_cell(cell("CNL-UFS", "SLC"))
         assert hit is not None and hit.bandwidth_mb == result.bandwidth_mb
         assert len(fresh) == 1
 
     def test_peak_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_peak("CNL-UFS", "SLC", TINY, SEED, 1234.5)
+        cache.put_peak(cell("CNL-UFS", "SLC"), 1234.5)
         assert ResultCache(tmp_path).get_peak(
-            "CNL-UFS", "SLC", TINY, SEED
+            cell("CNL-UFS", "SLC")
         ) == pytest.approx(1234.5)
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         result = run_config("CNL-UFS", "SLC", TINY, SEED)
-        cache.put_cell(result, TINY, SEED, True)
+        cache.put_cell(cell("CNL-UFS", "SLC"), result)
         for f in tmp_path.glob("*.json"):
             f.write_text("{not json")
-        assert ResultCache(tmp_path).get_cell(
-            "CNL-UFS", "SLC", TINY, SEED, True
-        ) is None
+        assert ResultCache(tmp_path).get_cell(cell("CNL-UFS", "SLC")) is None
 
 
 class TestRemainingFallbacks:
@@ -89,8 +93,8 @@ class TestRemainingFallbacks:
         cache = ResultCache()
         result = run_config("CNL-EXT2", "SLC", TINY, SEED, with_remaining=True)
         assert result.remaining_mb > 0
-        cache.put_cell(result, TINY, SEED, True)
-        hit = cache.get_cell("CNL-EXT2", "SLC", TINY, SEED, False)
+        cache.put_cell(cell("CNL-EXT2", "SLC"), result)
+        hit = cache.get_cell(cell("CNL-EXT2", "SLC", with_remaining=False))
         assert hit is not None
         assert hit.remaining_mb == 0.0
         assert hit.bandwidth_mb == result.bandwidth_mb
@@ -100,8 +104,8 @@ class TestRemainingFallbacks:
         full = run_config("CNL-EXT2", "SLC", TINY, SEED, cache=cache)
         # seed the cache with only the False cell + the peak
         cheap = run_config("CNL-EXT2", "SLC", TINY, SEED, with_remaining=False)
-        cache.put_cell(cheap, TINY, SEED, False)
-        hit = cache.get_cell("CNL-EXT2", "SLC", TINY, SEED, True)
+        cache.put_cell(cell("CNL-EXT2", "SLC", with_remaining=False), cheap)
+        hit = cache.get_cell(cell("CNL-EXT2", "SLC"))
         assert hit is not None
         assert hit.remaining_mb == pytest.approx(full.remaining_mb)
 
@@ -121,9 +125,9 @@ class TestRemainingFallbacks:
 class TestStats:
     def test_counters_track_traffic(self):
         cache = ResultCache()
-        assert cache.get_peak("CNL-UFS", "SLC", TINY, SEED) is None  # miss
-        cache.put_peak("CNL-UFS", "SLC", TINY, SEED, 1.0)  # put
-        assert cache.get_peak("CNL-UFS", "SLC", TINY, SEED) == 1.0  # hit
+        assert cache.get_peak(cell("CNL-UFS", "SLC")) is None  # miss
+        cache.put_peak(cell("CNL-UFS", "SLC"), 1.0)  # put
+        assert cache.get_peak(cell("CNL-UFS", "SLC")) == 1.0  # hit
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["puts"] == 1
@@ -134,10 +138,10 @@ class TestStats:
 
     def test_disk_hits_distinguished_from_memory(self, tmp_path):
         writer = ResultCache(tmp_path)
-        writer.put_peak("CNL-UFS", "SLC", TINY, SEED, 1.0)
+        writer.put_peak(cell("CNL-UFS", "SLC"), 1.0)
         fresh = ResultCache(tmp_path)  # cold memory, warm disk
-        assert fresh.get_peak("CNL-UFS", "SLC", TINY, SEED) == 1.0
-        assert fresh.get_peak("CNL-UFS", "SLC", TINY, SEED) == 1.0
+        assert fresh.get_peak(cell("CNL-UFS", "SLC")) == 1.0
+        assert fresh.get_peak(cell("CNL-UFS", "SLC")) == 1.0
         stats = fresh.stats()
         assert stats["disk_hits"] == 1  # first read promoted the entry
         assert stats["memory_hits"] == 1  # second was served from memory
@@ -152,9 +156,9 @@ class TestStats:
 class TestMaintenance:
     def test_clear_memory_and_disk(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_peak("CNL-UFS", "SLC", TINY, SEED, 1.0)
-        cache.put_peak("CNL-UFS", "TLC", TINY, SEED, 2.0)
+        cache.put_peak(cell("CNL-UFS", "SLC"), 1.0)
+        cache.put_peak(cell("CNL-UFS", "TLC"), 2.0)
         assert len(cache) == 2
         assert cache.clear() == 2
         assert len(cache) == 0
-        assert cache.get_peak("CNL-UFS", "SLC", TINY, SEED) is None
+        assert cache.get_peak(cell("CNL-UFS", "SLC")) is None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.experiments import ResultCache, Workload, run_config
+from repro.experiments import Cell, ResultCache, Workload, run_config
 from repro.experiments import cache as cache_mod
 
 KiB = 1024
@@ -29,7 +29,7 @@ def _v4_key(label, kind, workload, seed, with_remaining, monkeypatch):
             return d
 
         m.setattr(cache_mod.dataclasses, "asdict", v4_asdict)
-        return cache_mod.cell_key(label, kind, workload, seed, with_remaining)
+        return Cell(label, kind, workload, seed, with_remaining).key()
 
 
 class TestSchemaUpgrade:
@@ -45,7 +45,7 @@ class TestSchemaUpgrade:
         cache._store(old_key, payload)
         cache._mem.clear()  # simulate a fresh process over the old dir
 
-        hit = cache.get_cell("CNL-UFS", "SLC", TINY, 1013, False)
+        hit = cache.get_cell(Cell("CNL-UFS", "SLC", TINY, 1013, False))
         assert hit is None  # old entry invisible, not served
         assert cache.corrupt_entries == 0  # ...and not quarantined
 
@@ -63,7 +63,7 @@ class TestSchemaUpgrade:
             [("CNL-UFS", "SLC")], TINY, with_remaining=False
         )[("CNL-UFS", "SLC")]
         assert cache.get_cell(
-            "CNL-UFS", "SLC", TINY, 1013, False
+            Cell("CNL-UFS", "SLC", TINY, 1013, False)
         ).bandwidth_mb == fresh.bandwidth_mb
         # both files coexist on disk; the stale one is inert
         assert cache._path(old_key).exists()
@@ -72,6 +72,6 @@ class TestSchemaUpgrade:
         eigen = Workload(panels=2, panel_bytes=64 * KiB)
         ckpt = Workload(panels=2, panel_bytes=64 * KiB, iterations=1,
                         stream="checkpoint")
-        assert cache_mod.cell_key(
-            "CNL-UFS", "SLC", eigen, 1013, False
-        ) != cache_mod.cell_key("CNL-UFS", "SLC", ckpt, 1013, False)
+        assert Cell("CNL-UFS", "SLC", eigen, 1013, False).key() != Cell(
+            "CNL-UFS", "SLC", ckpt, 1013, False
+        ).key()

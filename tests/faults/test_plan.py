@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.cache import cell_key
+from repro.experiments import Cell
 from repro.experiments.runner import Workload
 from repro.faults import FaultPlan, FaultSpec, media_wear_factor
 from repro.nvm.kinds import MLC, PCM, SLC, TLC
@@ -119,13 +119,13 @@ class TestWorkerChaos:
 
 class TestCacheKeyIsolation:
     def test_fault_free_key_unchanged_by_none(self):
-        base = cell_key("CNL-EXT4", "SLC", TINY, 1013, True)
-        assert base == cell_key("CNL-EXT4", "SLC", TINY, 1013, True, None)
+        base = Cell("CNL-EXT4", "SLC", TINY, 1013, True).key()
+        assert base == Cell("CNL-EXT4", "SLC", TINY, 1013, True, None).key()
 
     def test_faulty_key_differs_from_healthy_and_other_seeds(self):
-        base = cell_key("CNL-EXT4", "SLC", TINY, 1013, True)
-        f1 = cell_key("CNL-EXT4", "SLC", TINY, 1013, True,
-                      FaultSpec(seed=1, read_fault_rate=0.1))
-        f2 = cell_key("CNL-EXT4", "SLC", TINY, 1013, True,
-                      FaultSpec(seed=2, read_fault_rate=0.1))
+        base = Cell("CNL-EXT4", "SLC", TINY, 1013, True).key()
+        f1 = Cell("CNL-EXT4", "SLC", TINY, 1013, True,
+                  FaultSpec(seed=1, read_fault_rate=0.1)).key()
+        f2 = Cell("CNL-EXT4", "SLC", TINY, 1013, True,
+                  FaultSpec(seed=2, read_fault_rate=0.1)).key()
         assert base != f1 and base != f2 and f1 != f2

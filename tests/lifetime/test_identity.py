@@ -3,7 +3,7 @@
 The whole lifetime subsystem rides on one promise — an un-aged device
 with wear-leveling off replays bit-identically to the stock path.  All
 52 (config, kind) cells are checked against both backends: the scalar
-``run_config`` reference and the columnar batch kernel (itself golden-
+plain-cell ``run_cell`` reference and the columnar batch kernel (itself golden-
 tested against scalar).  Plus: bit-identical results at any worker
 count, and monotone degradation as devices age.
 """
@@ -15,14 +15,20 @@ import pytest
 from repro.batch import run_cells_batch
 from repro.experiments.configs import TABLE2_CONFIGS
 from repro.experiments.parallel import MatrixEngine
-from repro.experiments.runner import Workload, run_config
-from repro.lifetime import WearPolicy, lifetime_sweep, run_lifetime_cell
+from repro.experiments.runner import Cell, Workload, run_cell
+from repro.lifetime import WearPolicy, lifetime_sweep
 from repro.nvm.kinds import KINDS
 
 KiB = 1024
 TINY = Workload(panels=2, panel_bytes=256 * KiB)
 SEED = 1013
 CELLS = [(c.label, k.name) for c in TABLE2_CONFIGS for k in KINDS]
+
+
+def aged(label, kind, age, policy):
+    return run_cell(
+        Cell(label, kind, TINY, SEED, age=age, policy=WearPolicy(kind=policy))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +41,8 @@ def batch_results():
 def test_age0_bit_identity_both_backends(cell, batch_results):
     """Un-aged + policy 'none' == scalar reference == batch kernel."""
     label, kind = cell
-    got = run_lifetime_cell(
-        label, kind, 0.0, policy=WearPolicy(kind="none"),
-        workload=TINY, seed=SEED,
-    )
-    ref = run_config(label, kind, TINY, seed=SEED)
+    got = aged(label, kind, 0.0, "none")
+    ref = run_cell(Cell(label, kind, TINY, SEED))
     assert got.bandwidth_mb == ref.bandwidth_mb  # bit-exact, not approx
     assert got.aggregate_mb == ref.aggregate_mb
     batch = batch_results[cell]
@@ -57,12 +60,9 @@ def test_age0_identity_holds_with_leveling_enabled():
     """Wear-leveling can only act when erases happen; the read-dominated
     workload on a fresh device never triggers GC, so even an active
     policy must not perturb the age-0 numbers."""
-    ref = run_config("CNL-UFS", "TLC", TINY, seed=SEED)
+    ref = run_cell(Cell("CNL-UFS", "TLC", TINY, SEED))
     for kind in ("dynamic", "static"):
-        got = run_lifetime_cell(
-            "CNL-UFS", "TLC", 0.0, policy=WearPolicy(kind=kind),
-            workload=TINY, seed=SEED,
-        )
+        got = aged("CNL-UFS", "TLC", 0.0, kind)
         assert got.bandwidth_mb == ref.bandwidth_mb
         assert got.wl_moved_pages == 0
 
@@ -97,10 +97,7 @@ class TestAgeMonotonicity:
     @pytest.fixture(scope="class")
     def aged_cells(self):
         return {
-            age: run_lifetime_cell(
-                "CNL-UFS", "TLC", age, policy=WearPolicy(kind="dynamic"),
-                workload=TINY, seed=SEED,
-            )
+            age: aged("CNL-UFS", "TLC", age, "dynamic")
             for age in (0.0, 0.5, 0.9)
         }
 

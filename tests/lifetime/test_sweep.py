@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cache import ResultCache, lifetime_key
-from repro.experiments.runner import Workload
-from repro.lifetime import (
-    AgingSpec,
-    LifetimeCellResult,
-    WearPolicy,
-    lifetime_sweep,
-    run_lifetime_cell,
-)
-from repro.lifetime.sweep import result_to_dict
+from repro.experiments.cache import ResultCache
+from repro.experiments.parallel import MatrixEngine
+from repro.experiments.runner import Cell, Workload, run_cell
+from repro.lifetime import LifetimeCellResult, WearPolicy, lifetime_sweep
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricsRegistry
+from repro.service.executor import result_to_payload
 from repro.service.jobs import LifetimeJob, ServiceError, job_from_dict
 
 KiB = 1024
@@ -23,76 +18,52 @@ TINY = Workload(panels=2, panel_bytes=256 * KiB)
 SEED = 1013
 
 
+def aged(age=0.5, policy="dynamic", label="CNL-UFS", kind="TLC", seed=SEED):
+    return Cell(
+        label, kind, TINY, seed, age=age, policy=WearPolicy(kind=policy)
+    )
+
+
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        aging = AgingSpec(age_fraction=0.5, seed=SEED)
-        policy = WearPolicy(kind="dynamic")
-        result = run_lifetime_cell(
-            "CNL-UFS", "TLC", 0.5, policy=policy, workload=TINY, seed=SEED
-        )
-        cache.put_lifetime(result, TINY, SEED, aging, policy)
-        hit = cache.get_lifetime(
-            "CNL-UFS", "TLC", TINY, SEED, aging, policy
-        )
+        result = run_cell(aged())
+        cache.put_cell(aged(), result)
+        hit = cache.get_cell(aged())
         assert hit == result
         assert isinstance(hit, LifetimeCellResult)
         # a different age, policy or seed is a different entry
-        assert (
-            cache.get_lifetime(
-                "CNL-UFS", "TLC", TINY, SEED,
-                AgingSpec(age_fraction=0.9, seed=SEED), policy,
-            )
-            is None
-        )
-        assert (
-            cache.get_lifetime(
-                "CNL-UFS", "TLC", TINY, SEED, aging, WearPolicy(kind="static")
-            )
-            is None
-        )
+        assert cache.get_cell(aged(age=0.9)) is None
+        assert cache.get_cell(aged(policy="static")) is None
 
     def test_disk_entries_survive_reopen(self, tmp_path):
-        aging = AgingSpec(age_fraction=0.5, seed=SEED)
-        policy = WearPolicy(kind="dynamic")
-        result = run_lifetime_cell(
-            "CNL-UFS", "TLC", 0.5, policy=policy, workload=TINY, seed=SEED
-        )
-        ResultCache(tmp_path).put_lifetime(result, TINY, SEED, aging, policy)
+        result = run_cell(aged())
+        ResultCache(tmp_path).put_cell(aged(), result)
         reopened = ResultCache(tmp_path)
-        assert (
-            reopened.get_lifetime("CNL-UFS", "TLC", TINY, SEED, aging, policy)
-            == result
-        )
+        assert reopened.get_cell(aged()) == result
 
     def test_key_distinguishes_all_axes(self):
-        aging = AgingSpec(age_fraction=0.5)
-        policy = WearPolicy(kind="dynamic")
-        base = lifetime_key("CNL-UFS", "TLC", TINY, SEED, aging, policy)
-        assert base == lifetime_key("CNL-UFS", "TLC", TINY, SEED, aging, policy)
+        base = aged().key()
+        assert base == aged().key()
         variants = [
-            lifetime_key("ION-GPFS", "TLC", TINY, SEED, aging, policy),
-            lifetime_key("CNL-UFS", "MLC", TINY, SEED, aging, policy),
-            lifetime_key("CNL-UFS", "TLC", TINY, 7, aging, policy),
-            lifetime_key(
-                "CNL-UFS", "TLC", TINY, SEED, AgingSpec(age_fraction=0.9),
-                policy,
-            ),
-            lifetime_key(
-                "CNL-UFS", "TLC", TINY, SEED, aging, WearPolicy(kind="static")
-            ),
+            aged(label="ION-GPFS").key(),
+            aged(kind="MLC").key(),
+            aged(seed=7).key(),
+            aged(age=0.9).key(),
+            aged(policy="static").key(),
         ]
         assert len({base, *variants}) == len(variants) + 1
 
     def test_sweep_uses_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        engine = MatrixEngine(workers=1, cache=ResultCache(tmp_path))
         kwargs = dict(
             kinds=("TLC",), ages=(0.0, 0.5), policy=WearPolicy(kind="dynamic"),
-            workload=TINY, seed=SEED, cache=cache,
+            workload=TINY, seed=SEED, engine=engine,
         )
         first = lifetime_sweep(("CNL-UFS",), **kwargs)
         second = lifetime_sweep(("CNL-UFS",), **kwargs)
         assert first.results == second.results
+        assert sum(t.cached for t in engine.timings) == len(second.results)
 
 
 class TestReportAndMetrics:
@@ -129,7 +100,7 @@ class TestReportAndMetrics:
         import json
 
         for res in report.results.values():
-            payload = result_to_dict(res)
+            payload = result_to_payload(res)
             assert json.loads(json.dumps(payload)) == payload
 
 

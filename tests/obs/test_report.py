@@ -46,14 +46,13 @@ class TestSimBreakdown:
 
     def test_runner_emit_replay_spans_tiles_exactly(self):
         """The real attribution helper covers 100% of a real replay."""
-        from repro.experiments.runner import emit_replay_spans, run_config
+        from repro.experiments.runner import Cell, emit_replay_spans, run_cell
         from repro.experiments import Workload
 
-        res = run_config("CNL-EXT4", "TLC",
-                         Workload(panels=2, panel_bytes=256 * 1024),
-                         keep_metrics=True)
+        cell = Cell("CNL-EXT4", "TLC", Workload(panels=2, panel_bytes=256 * 1024))
+        res = run_cell(cell, keep_metrics=True)
         tr = Tracer()
-        emit_replay_spans(tr, "CNL-EXT4", "TLC", res.metrics)
+        emit_replay_spans(tr, cell, res.metrics)
         out = sim_breakdown(tr.sim_spans())
         assert out["replays"] == 1
         assert out["coverage"] == 1.0

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import Workload
-from repro.experiments.cache import cell_key
+from repro.experiments import Cell, Workload
 from repro.service import (
     CellJob,
     FigureJob,
@@ -56,7 +55,7 @@ class TestKeys:
     def test_cell_key_matches_result_cache(self):
         """Coalescing identity == cache identity for cell jobs."""
         spec = CellJob(label="CNL-UFS", kind="SLC", workload=TINY, seed=7)
-        assert spec.key() == cell_key("CNL-UFS", "SLC", TINY, 7, True)
+        assert spec.key() == Cell("CNL-UFS", "SLC", TINY, 7, True).key()
 
     def test_scheduling_attrs_do_not_change_key(self):
         a = CellJob(label="CNL-UFS", kind="SLC", workload=TINY, priority=5)

@@ -88,6 +88,39 @@ class TestLoadShedding:
         run(scenario())
 
 
+class TestAdmissionLeases:
+    """A refused submission must release its coalescer lease, or
+    ``drain()`` waits on it forever."""
+
+    def test_non_int_priority_is_invalid_and_shutdown_returns(self):
+        async def scenario():
+            service = await SimulationService(max_concurrency=1).start()
+            with pytest.raises(ServiceError) as exc:
+                service.submit({
+                    "job": "cell", "label": "CNL-UFS", "kind": "SLC",
+                    "priority": "high",
+                })
+            assert exc.value.code == "invalid_job"
+            await asyncio.wait_for(service.shutdown(), 5)
+
+        run(scenario())
+
+    def test_untyped_queue_failure_releases_the_lease(self, monkeypatch):
+        async def scenario():
+            service = await SimulationService(max_concurrency=1).start()
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("queue bug")
+
+            monkeypatch.setattr(service.queue, "put_or_shed", boom)
+            with pytest.raises(RuntimeError):
+                service.submit(_cell())
+            assert service.coalescer.in_flight == 0
+            await asyncio.wait_for(service.shutdown(), 5)
+
+        run(scenario())
+
+
 class _FlakyExecutor(EngineExecutor):
     """Executor whose first ``fail_times`` passes die with an injected
     error — the seam for retry tests (the engine itself is untouched)."""

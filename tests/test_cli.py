@@ -102,6 +102,16 @@ class TestCli:
         assert exc.value.code == 2
         assert "loss-rates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["lifetime", "--ages", "0,x"],
+        ["netfault", "--loss-rates", "0,0.05,x"],
+    ])
+    def test_malformed_axis_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
     def test_netfault_rejects_unknown_label(self, capsys):
         assert main(["netfault", "--scale", "0.2", "--loss-rates", "0",
                      "--labels", "NOPE"]) == 2
