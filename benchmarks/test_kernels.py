@@ -12,9 +12,9 @@ import numpy as np
 from repro.interconnect import HostPath, bridged_pcie2
 from repro.nvm import ONFI3_SDR400, TLC
 from repro.ooc import DataPool, DOoCStore, OutOfCoreOperator, PanelizedMatrix, ci_hamiltonian, lobpcg
-from repro.sim import intervals as iv
 from repro.ssd import DeviceFTL, Geometry, TransactionScheduler
 from repro.ssd.request import DeviceCommand
+from repro.ssd.segments import union_measure
 
 MiB = 1024 * 1024
 
@@ -52,13 +52,15 @@ def test_ftl_translate_throughput(benchmark):
 
 
 def test_interval_union_measure(benchmark):
-    """Interval merge/measure on a realistic busy-interval volume."""
+    """Segmented union measure on a realistic busy-interval volume."""
     rng = np.random.default_rng(5)
-    starts = np.sort(rng.integers(0, 10**9, size=50_000))
-    ivs = np.column_stack([starts, starts + rng.integers(1, 10**5, size=50_000)])
+    n = 50_000
+    key = rng.integers(0, 64, size=n)
+    starts = np.sort(rng.integers(0, 10**9, size=n))
+    ends = starts + rng.integers(1, 10**5, size=n)
 
-    total = benchmark(iv.measure, ivs)
-    assert total > 0
+    total = benchmark(union_measure, key, starts, ends, 64)
+    assert total.sum() > 0
 
 
 def test_lobpcg_iteration(benchmark):

@@ -1,10 +1,10 @@
 """Columnar batch kernel: many Table-2 cells in one numpy pass.
 
-The scalar engine replays every matrix cell through a Python
-dispatch/translate/metrics pipeline.  For the pre-staged, read-only OoC
-eigensolver workload the per-cell transaction streams are *statically
-known* the moment the file system has laid the files out: address
-translation is the identity striping installed by
+The scalar engine replays every matrix cell through the device's
+command-by-command dispatch/translate pipeline.  For the pre-staged,
+read-only OoC eigensolver workload the per-cell transaction streams
+are *statically known* the moment the file system has laid the files
+out: address translation is the identity striping installed by
 :meth:`repro.ssd.ftl.DeviceFTL.preload`, no command mutates FTL state,
 and every per-transaction quantity except the resource-timeline
 recurrence is embarrassingly data-parallel.
@@ -13,15 +13,14 @@ This package exploits that: it pre-translates every cell's command
 stream, stacks all cells into one (cell x txn) int64 columnar block,
 evaluates address decode, latency-ladder lookups, bus/link arithmetic
 and command-sharing discounts for the whole matrix in a single numpy
-sweep, replays each cell's flow control through the *unchanged*
-controller loop and scheduler recurrence, and finally computes all
-paper metrics with segmented (per-lane) interval algebra in a second
-stacked sweep.
+sweep, replays every cell's flow control through the controller's own
+``dispatch`` generator and the scheduler's block recurrence in
+lockstep, and measures all cells with the one metrics pass
+(:func:`repro.ssd.metrics.compute_metrics_batch`) that also measures
+every scalar replay.
 
-The scalar path (``ssd/scheduler.py`` + ``ssd/metrics.py`` +
-``experiments/runner.py``) is the frozen bit-exact reference — never
-deleted, and golden tests assert :class:`~repro.ssd.metrics.RunMetrics`
-equality between the two backends for all 52 Table-2 cells.
+Golden tests assert :class:`~repro.ssd.metrics.RunMetrics` equality
+between the batch and the scalar backend for all 52 Table-2 cells.
 
 Fallback contract: anything the columnar plan cannot express — write or
 trim commands, cold (unmapped) reads, fault injection, non-FIFO queue

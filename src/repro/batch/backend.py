@@ -1,13 +1,13 @@
 """Batch backend: plan, stack, replay and measure many cells at once.
 
 Per cell the scalar path pays two full replays (main + unconstrained
-peak), two FTL preloads, two command-stream translations, two complete
-metrics passes (each containing its own pattern-peak re-schedule) and a
-tuple round-trip per command.  The batch backend pays one vectorized
-plan, one stacked pre-pass shared by the whole matrix, one lockstep
-replay of every cell's main and peak lane (:mod:`repro.batch.scheduler`)
-and one stacked metrics pass; the peak lane yields its aggregate
-bandwidth without a log.
+peak), two FTL preloads, two command-stream translations, a metrics
+call per replay and a tuple round-trip per command.  The batch backend
+pays one vectorized plan, one stacked pre-pass shared by the whole
+matrix, one lockstep replay of every cell's main and peak lane
+(:mod:`repro.batch.scheduler`) and one call of the metrics pass for
+all main lanes; the peak lane yields its aggregate bandwidth without a
+log.
 
 Caching matches :func:`repro.experiments.runner.run_cell`: the peak
 replay is served from / recorded into ``ResultCache`` per cell, and the
@@ -25,7 +25,7 @@ import numpy as np
 
 from ..experiments.runner import Cell, ConfigResult, Workload, emit_replay_spans
 from ..obs import trace as obs
-from .metrics import compute_metrics_batch
+from ..ssd.metrics import compute_metrics_batch
 from .plan import BatchUnsupported, CellPlan, plan_cell, stack_plans
 from .scheduler import replay_plans
 

@@ -179,7 +179,7 @@ class SSDevice:
         return ReplayResult(
             log=log,
             group_completions=group_completions,
-            metrics=compute_metrics(log, self.geom, self.bus, self.kind, self.host),
+            metrics=compute_metrics(log, self.geom, self.kind),
             ftl_stats=dict(ftl.stats),
             command_log=command_log,
             fault_stats=faults.snapshot() if faults is not None else {},

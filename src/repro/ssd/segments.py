@@ -1,20 +1,18 @@
 """Segmented interval algebra: per-key union measures in one sweep.
 
-The scalar metrics pass (:mod:`repro.ssd.metrics`) merges interval sets
-per resource with :mod:`repro.sim.intervals` — a Python loop over
-resources per cell.  The batch backend needs the same quantities for
-*every* (lane, resource) pair of the stacked matrix at once, so this
+The metrics pass (:mod:`repro.ssd.metrics`) needs union measures of
+interval families for *every* (lane, resource) and (lane, request)
+pair of any number of concatenated transaction logs at once, so this
 module computes them with a single sort + running-maximum sweep over
 all rows, keyed by a dense int64 segment id.
 
 Everything stays in int64 (endpoints are exact nanoseconds), so the
-per-key totals are bit-exact equals of ``intervals.measure(merge(...))``
-— the float conversions happen only at assembly time, mirroring the
-scalar code.  Set identities turn every "exclusive measure" the scalar
-path computes via ``subtract`` into differences of plain union
-measures, valid because each subtrahend family is contained in the
-corresponding minuend family (cell/fb/chb intervals of a transaction
-lie within its own in-flight window; see the metrics module).
+per-key totals are exact; the float conversions happen only when the
+metrics are assembled.  The metrics pass turns every "exclusive
+measure" it reports into a difference of plain union measures, valid
+because each subtrahend family is contained in the corresponding
+minuend family (cell/fb/chb intervals of a transaction lie within its
+own in-flight window).
 
 Nested families (cell ⊂ cell∪fb ⊂ cell∪fb∪chb, media ⊂ host∪media)
 share one sort: :func:`sorted_filter` sorts the outermost family and
@@ -38,7 +36,7 @@ def sorted_filter(
     Returns ``(ids, k, s, e)`` where ``ids`` are the original row
     indices in sorted order — callers carve nested sub-families out of
     one sort by masking on ``ids``.  Degenerate rows (``end <= start``)
-    are dropped, exactly as ``intervals.as_intervals`` does.
+    are dropped: they cover nothing.
     """
     keep = end > start
     if not keep.all():

@@ -1,10 +1,10 @@
 """Unit tests of the segmented interval algebra.
 
-The one-sweep union measure must agree exactly with the scalar
-``repro.sim.intervals`` merge+measure on every key — including
+The one-sweep union measure must agree exactly with the reference
+``tests.oracles.intervals`` merge+measure on every key — including
 degenerate rows, empty keys, unsorted input, and adversarial overlap
-patterns — because the batch metrics pass leans on that equality for
-its bit-identity guarantee.
+patterns — because the metrics pass leans on that equality to match
+the reference metrics pass exactly.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch.segments import (
+from repro.ssd.segments import (
     distinct_count,
     measure_sorted,
     sorted_filter,
     union_measure,
 )
-from repro.sim import intervals
+from tests.oracles import intervals
 
 
 def _reference(key, start, end, n_keys):

@@ -8,4 +8,8 @@
 * :mod:`.planned_ftl` — an FTL that hands ``SSDevice.run`` the planned
   windows of a pre-passed lane; the batch backend's lockstep replay
   must match that per-lane replay bit for bit.
+* :mod:`.metrics` — the paper's metrics resource by resource and
+  request by request over interval sets (:mod:`.intervals`);
+  :func:`repro.ssd.metrics.compute_metrics` must equal it field by
+  field on any log.
 """

@@ -1,10 +1,11 @@
 """Interval arithmetic over half-open ``[start, end)`` time intervals.
 
-The SSD metrics pipeline (utilization, execution-time decomposition,
-non-overlapped DMA) is defined in terms of unions, intersections and
-differences of busy intervals collected from the transaction scheduler.
-All operations here are vectorized with NumPy; intervals are represented
-as ``(n, 2)`` float64/int64 arrays of ``(start, end)`` rows.
+The reference metrics pass (:mod:`.metrics`: utilization,
+execution-time decomposition, non-overlapped DMA) is defined in terms
+of unions, intersections and differences of busy intervals collected
+from the transaction scheduler.  All operations here are vectorized
+with NumPy; intervals are represented as ``(n, 2)`` float64/int64
+arrays of ``(start, end)`` rows.
 
 Empty interval sets are represented by arrays of shape ``(0, 2)``.
 """
@@ -20,8 +21,6 @@ __all__ = [
     "intersect",
     "subtract",
     "union",
-    "span",
-    "coverage_fraction",
 ]
 
 
@@ -134,19 +133,3 @@ def subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if cur < e:
             out.append((cur, e))
     return as_intervals(out)
-
-
-def span(iv: np.ndarray) -> float:
-    """Length from earliest start to latest end (0 for empty sets)."""
-    iv = as_intervals(iv)
-    if len(iv) == 0:
-        return 0.0
-    return float(iv[:, 1].max() - iv[:, 0].min())
-
-
-def coverage_fraction(iv: np.ndarray, window: np.ndarray) -> float:
-    """Fraction of ``window`` covered by ``iv`` (both interval sets)."""
-    denom = measure(window)
-    if denom <= 0.0:
-        return 0.0
-    return measure(intersect(iv, window)) / denom

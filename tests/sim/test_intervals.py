@@ -1,4 +1,4 @@
-"""Interval arithmetic: unit + property-based tests."""
+"""Interval arithmetic of the reference metrics pass: unit + property-based tests."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import intervals as iv
+from tests.oracles import intervals as iv
 
 
 def ivs(*pairs):
@@ -88,18 +88,6 @@ class TestSubtract:
     def test_left_clip(self):
         out = iv.subtract(ivs((2, 8)), ivs((0, 4)))
         assert out.tolist() == [[4, 8]]
-
-
-class TestSpanCoverage:
-    def test_span(self):
-        assert iv.span(ivs((2, 3), (10, 12))) == 10.0
-
-    def test_coverage_fraction(self):
-        frac = iv.coverage_fraction(ivs((0, 5)), ivs((0, 10)))
-        assert frac == pytest.approx(0.5)
-
-    def test_coverage_empty_window(self):
-        assert iv.coverage_fraction(ivs((0, 5)), ivs()) == 0.0
 
 
 interval_lists = st.lists(

@@ -10,7 +10,7 @@
   multi-plane pairs, commands longer than the device has plane units
   and arbitrary arrivals.  Merging two of the kernel's key segments
   must break that.
-* :func:`~repro.batch.scheduler.lockstep` over random multi-client
+* :func:`~repro.ssd.scheduler.lockstep` over random multi-client
   command groups (posix windows, readahead limits, barriers, empty
   commands) on two interfaces at once must give each lane the log
   ``SSDevice.run`` gives it alone, wherever the narrow-step switch to
@@ -26,10 +26,9 @@ import numpy as np
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-import repro.batch.scheduler as lockstep_mod
 import repro.ssd.scheduler as kernel_mod
 from repro.batch.plan import PlannedCommand
-from repro.batch.scheduler import CommandTrace, Lane, lockstep, planned_commands
+from repro.batch.scheduler import CommandTrace, planned_commands
 from repro.interconnect import HostPath
 from repro.nvm import DDR800, ONFI3_SDR400, PCM, SLC, TLC
 from repro.nvm.bus import BusSpec
@@ -38,12 +37,14 @@ from repro.ssd.scheduler import (
     KIND_CODES,
     LOG_COLUMNS,
     FlatResources,
+    Lane,
     Link,
     MediaConsts,
     Resources,
     assemble_log,
     block_ends,
     block_recurrence,
+    lockstep,
     prepass,
     recurrence,
 )
@@ -324,7 +325,7 @@ def test_lockstep_matches_per_lane_device_runs(run):
                     ),
                     record=d["record"][link],
                 )
-        with mock.patch.object(lockstep_mod, "BREAK_EVEN_ROWS", switch):
+        with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", switch):
             lockstep(bases, list(lanes.values()))
         for (i, link), log in want.items():
             d, trace, lane = devices[i], traces[i, link], lanes[i, link]

@@ -27,7 +27,7 @@ def make_run(txn_batches, host=FAST, kind=SLC):
     for req_id, (txns, arrival) in enumerate(txn_batches):
         sched.submit(txns, arrival=arrival, req_id=req_id)
     log = sched.finish()
-    return compute_metrics(log, geom, ONFI3_SDR400, kind, host), log, geom
+    return compute_metrics(log, geom, kind), log, geom
 
 
 def reads(flats, nbytes=2048, group=-1):
@@ -46,7 +46,7 @@ class TestBandwidth:
     def test_empty_log(self):
         geom = Geometry(kind=SLC)
         sched = TransactionScheduler(geom, ONFI3_SDR400, FAST)
-        m = compute_metrics(sched.finish(), geom, ONFI3_SDR400, SLC, FAST)
+        m = compute_metrics(sched.finish(), geom, SLC)
         assert m.payload_bytes == 0
         assert m.bandwidth_bytes_per_sec == 0.0
 
