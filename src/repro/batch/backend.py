@@ -7,7 +7,9 @@ pays one vectorized plan, one stacked pre-pass shared by the whole
 matrix, one lockstep replay of every cell's main and peak lane
 (:mod:`repro.batch.scheduler`) and one call of the metrics pass for
 all main lanes; the peak lane yields its aggregate bandwidth without a
-log.
+log.  The metrics pass replays the media pattern peak only when the
+caller keeps :class:`~repro.ssd.metrics.RunMetrics`
+(``keep_metrics=True``): no :class:`ConfigResult` field reads it.
 
 Caching matches :func:`repro.experiments.runner.run_cell`: the peak
 replay is served from / recorded into ``ResultCache`` per cell, and the
@@ -45,9 +47,10 @@ class BatchReport:
     #: cell -> BatchUnsupported reason; these must run on the scalar path
     fallback: dict[Pair, str] = field(default_factory=dict)
     #: per-cell wall seconds: the cell's own plan time plus its share of
-    #: the stacked pre-pass (by planned rows) and of the lockstep replay
-    #: and stacked metrics (by stepped rows); they sum to the four
-    #: phase totals below
+    #: the stacked pre-pass (by planned rows), of the lockstep replay (by
+    #: rows stepped) and of the stacked metrics (by rows measured and
+    #: pattern-peak rows replayed); they sum to the four phase totals
+    #: below
     seconds: dict[Pair, float] = field(default_factory=dict)
     stacked_rows: int = 0
     plan_seconds: float = 0.0
@@ -153,9 +156,12 @@ def run_cells_batch(
             if cache is not None:
                 cache.put_peak(ident[(plan.label, plan.kind_name)], peak)
 
+    # the pattern peak only feeds RunMetrics, so it is replayed only
+    # when the caller keeps them
     t0 = time.perf_counter()
     metrics_list = compute_metrics_batch(
-        [(log, p.path.device.geom, p.path.device.kind) for log, p in zip(logs, replayed)]
+        [(log, p.path.device.geom, p.path.device.kind) for log, p in zip(logs, replayed)],
+        pattern_peak=keep_metrics,
     )
     report.metrics_seconds = time.perf_counter() - t0
     if tr is not None:
@@ -163,10 +169,14 @@ def run_cells_batch(
             "metrics", "stacked_metrics", report.metrics_seconds,
             cells=len(replayed),
         )
-    # rows stepped per cell: main lane, peak lane, pattern peak
-    weights = [p.n * (2 + peak) for p, peak in zip(replayed, with_peak)]
-    replay_shares = _shares(report.replay_seconds, weights)
-    metrics_shares = _shares(report.metrics_seconds, weights)
+    # replay: rows stepped on the main and peak lanes; metrics: rows
+    # measured, plus the pattern-peak replay's rows when it runs
+    replay_shares = _shares(
+        report.replay_seconds, [p.n * (1 + peak) for p, peak in zip(replayed, with_peak)]
+    )
+    metrics_shares = _shares(
+        report.metrics_seconds, [p.n * (1 + keep_metrics) for p in replayed]
+    )
 
     for i, (plan, m) in enumerate(zip(replayed, metrics_list)):
         cell = (plan.label, plan.kind_name)

@@ -29,6 +29,12 @@ concatenated and every interval family is measured once, keyed by
 dense (lane, resource) and (lane, request) ids via
 :mod:`repro.ssd.segments`:
 
+* each serial resource's intervals (cell time per die, flash bus per
+  package, channel bus per channel, host link per lane) are coalesced
+  once into runs of back-to-back intervals, split at request
+  boundaries; every family reads those runs, and the channel families
+  read the merged runs of the package sort, so each sort sees far
+  fewer rows than the log has,
 * union measures are exact int64 throughout; each exclusive measure
   ("cell activity not hidden by ...") is a difference of union
   measures, valid because each subtrahend family lies inside its
@@ -42,7 +48,9 @@ dense (lane, resource) and (lane, request) ids via
   a lane's numbers do not depend on the lanes beside it,
 * the pattern peak re-schedules every all-READ lane's rows in one
   :func:`~repro.ssd.scheduler.lockstep` replay
-  (:func:`pattern_peak_from_log`).
+  (:func:`pattern_peak_from_log`); a caller that discards
+  :class:`RunMetrics` skips it (``pattern_peak=False``), as the batch
+  backend does unless asked to keep them.
 
 The per-resource interval pass these numbers were first defined by is
 kept as the test oracle (``tests/oracles/metrics.py``).
@@ -71,7 +79,15 @@ from .scheduler import (
     prepass,
     recurrence,
 )
-from .segments import distinct_count, measure_sorted, sorted_filter, union_measure
+from .segments import (
+    coalesce,
+    distinct_count,
+    measure_sorted,
+    merge_sorted,
+    radix_order,
+    sorted_filter,
+    union_measure,
+)
 
 __all__ = [
     "RunMetrics",
@@ -131,18 +147,37 @@ class RunMetrics:
         )
 
 
-def _client_bandwidth(log: TxnLog) -> dict[int, float]:
-    """Per-client payload bandwidth (data transactions only)."""
-    out: dict[int, float] = {}
-    clients = log["client"]
-    data_mask = log["kind_code"] == 0
-    for c in np.unique(clients):
-        m = (clients == c) & data_mask
-        if not np.any(m):
-            continue
-        nbytes = int(log["nbytes"][m].sum())
-        span = int(log["done"][m].max() - log["arrival"][m].min())
-        out[int(c)] = nbytes * 1e9 / span if span > 0 else 0.0
+def _client_bandwidth(
+    n_lanes: int,
+    lane: np.ndarray,
+    client: np.ndarray,
+    nbytes: np.ndarray,
+    arrival: np.ndarray,
+    done: np.ndarray,
+) -> list[dict[int, float]]:
+    """Per-lane, per-client payload bandwidth of the data rows given.
+
+    The rows are grouped by (lane, client) with one radix pass; each
+    group's bytes, first arrival and last completion are exact int64.
+    """
+    out: list[dict[int, float]] = [{} for _ in range(n_lanes)]
+    if len(lane) == 0:
+        return out
+    lo = int(client.min())
+    width = int(client.max()) - lo + 1
+    key = lane * width + (client - lo)
+    order = radix_order(key, n_lanes * width)
+    k = key[order]
+    firsts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    groups = zip(
+        k[firsts].tolist(),
+        np.add.reduceat(nbytes[order], firsts).tolist(),
+        np.minimum.reduceat(arrival[order], firsts).tolist(),
+        np.maximum.reduceat(done[order], firsts).tolist(),
+    )
+    for g, nb, first, last in groups:
+        span = last - first
+        out[g // width][g % width + lo] = nb * 1e9 / span if span > 0 else 0.0
     return out
 
 
@@ -230,8 +265,15 @@ def pattern_peak_from_log(
 
 def compute_metrics_batch(
     items: Sequence[tuple[TxnLog, Geometry, NVMKind]],
+    pattern_peak: bool = True,
 ) -> list[RunMetrics]:
-    """Derive :class:`RunMetrics` for every (log, geom, kind) lane."""
+    """Derive :class:`RunMetrics` for every (log, geom, kind) lane.
+
+    ``pattern_peak=False`` skips the pattern-peak replay, for callers
+    that discard :class:`RunMetrics` and keep only the fields derived
+    from the log itself; ``pattern_peak_bytes_per_sec`` and
+    ``remaining_bytes_per_sec`` then read 0.
+    """
     n_lanes = len(items)
     if n_lanes == 0:
         return []
@@ -240,7 +282,7 @@ def compute_metrics_batch(
     total = int(lens.sum())
     if total == 0:
         return [RunMetrics(0, 0, 0.0) for _ in items]
-    pattern_peaks = pattern_peak_from_log(items)
+    pattern_peaks = pattern_peak_from_log(items) if pattern_peak else [0.0] * n_lanes
 
     def cat(name: str) -> np.ndarray:
         return np.concatenate([log[name] for log in logs if len(log)])
@@ -250,6 +292,8 @@ def compute_metrics_batch(
     pkg = cat("package")
     die = cat("die")
     req = cat("req")
+    client = cat("client")
+    kind_code = cat("kind_code")
     nbytes = cat("nbytes")
     group = cat("group")
     op = cat("op")
@@ -259,14 +303,18 @@ def compute_metrics_batch(
     ss, se = cat("ch_start"), cat("ch_end")
     hs, he = cat("h_start"), cat("h_end")
     md = cat("media_done")
+    done = cat("done")
 
     # dense (lane, resource) and (lane, request) keys
     c_max = max(g.channels for _, g, _ in items)
     p_max = max(g.packages for _, g, _ in items)
+    d_max = max(g.dies for _, g, _ in items)
     lane_chan = lane_row * c_max + chan
     lane_pkg = lane_row * p_max + pkg
+    lane_die = lane_row * d_max + die
     n_ch_keys = n_lanes * c_max
     n_pk_keys = n_lanes * p_max
+    n_die_keys = n_lanes * d_max
     req_counts = np.array(
         [int(log["req"].max()) + 1 if len(log) else 0 for log in logs],
         dtype=np.int64,
@@ -275,44 +323,82 @@ def compute_metrics_batch(
     lane_req = req + np.repeat(req_base, lens)
     n_req_keys = int(req_counts.sum())
 
-    # union-measure families (all exact int64).  Nested families reuse
-    # the outermost family's sort: a sorted subset stays sorted, so the
-    # 2-way and 1-way channel families (and the 3-way request family)
-    # are boolean filters over the already-sorted superset rows.
-    two = lambda a, b: np.concatenate([a, b])  # noqa: E731
-    lc3 = np.concatenate([lane_chan, lane_chan, lane_chan])
-    ids3, k3, s3, e3 = sorted_filter(
-        lc3, np.concatenate([cs, fs, ss]), np.concatenate([ce, fe, se])
+    # every serial resource's intervals — cell time per die, flash bus
+    # per package, channel bus per channel, host link per lane — merged
+    # into runs once, split where the request changes so the request
+    # family can read them too.  The recurrence emits them disjoint and
+    # in row order, so back-to-back intervals collapse before any sort;
+    # merging touching or overlapping intervals is exact in any order.
+    cell_rows, _, cell_s, cell_e = coalesce(lane_die, cs, ce, n_die_keys, lane_req)
+    fb_rows, _, fb_s, fb_e = coalesce(lane_pkg, fs, fe, n_pk_keys, lane_req)
+    chb_rows, _, chb_s, chb_e = coalesce(lane_chan, ss, se, n_ch_keys, lane_req)
+    host_rows, _, host_s, host_e = coalesce(lane_row, hs, he, n_lanes, lane_req)
+
+    # union-measure families (all exact int64), built bottom-up.  A
+    # package's busy time is the union of its dies' cell runs and its
+    # flash-bus runs; one sort by (package, start) measures it and also
+    # yields, as disjoint merged runs, the package's cell time and its
+    # cell-or-flash-bus time.  A channel's cell, cell∪fb and
+    # cell∪fb∪chb families are unions of those package runs (and its
+    # own bus runs), so the channel sort sees far fewer rows.  Nested
+    # families reuse one sort: a sorted subset stays sorted, so each is
+    # a boolean filter over the already-sorted superset rows.
+    n_cell = len(cell_rows)
+    ids_p, kp, sp, ep = sorted_filter(
+        lane_pkg[np.concatenate([cell_rows, fb_rows])],
+        np.concatenate([cell_s, fb_s]),
+        np.concatenate([cell_e, fb_e]),
     )
-    m_cell_fb_chb = measure_sorted(k3, s3, e3, n_ch_keys)
-    sub = ids3 < 2 * total  # cell + fb rows
+    cf_k, cf_s, cf_e = merge_sorted(kp, sp, ep)  # cell∪fb, per package
+    m_pkg_busy = measure_sorted(cf_k, cf_s, cf_e, n_pk_keys)
+    sub = ids_p < n_cell
+    c_k, c_s, c_e = merge_sorted(kp[sub], sp[sub], ep[sub])  # cell, per package
+    chan_of_pkg = np.zeros(n_pk_keys, dtype=np.int64)
+    chan_of_pkg[lane_pkg] = lane_chan
+    n_cf = len(cf_k)
+    n_cf_chb = n_cf + len(chb_rows)
+    ids3, k3, s3, e3 = sorted_filter(
+        np.concatenate([chan_of_pkg[cf_k], lane_chan[chb_rows], chan_of_pkg[c_k]]),
+        np.concatenate([cf_s, chb_s, c_s]),
+        np.concatenate([cf_e, chb_e, c_e]),
+    )
+    sub = ids3 < n_cf_chb  # cell∪fb runs + channel-bus runs
+    m_cell_fb_chb = measure_sorted(k3[sub], s3[sub], e3[sub], n_ch_keys)
+    sub = ids3 < n_cf  # cell∪fb runs
     m_cell_fb = measure_sorted(k3[sub], s3[sub], e3[sub], n_ch_keys)
-    sub = ids3 < total  # cell rows only
+    sub = ids3 >= n_cf_chb  # cell runs
     m_cell = measure_sorted(k3[sub], s3[sub], e3[sub], n_ch_keys)
     # a channel is engaged while a transaction is in flight on it, from
     # arrival to media completion — how GPFS striping keeps "more
     # channels utilized simultaneously" (Section 4.5) on a slow device;
     # a package only while sensing/programming or moving registers
     # (cell + flash bus), hence ION-GPFS's high channel but low package
-    # utilization (Figs 9a vs 9b)
-    m_inflight = union_measure(lane_chan, arrival, md, n_ch_keys)
-    m_active = union_measure(lane_row, arrival, md, n_lanes)
-    m_pkg_busy = union_measure(
-        two(lane_pkg, lane_pkg), two(cs, fs), two(ce, fe), n_pk_keys
-    )
+    # utilization (Figs 9a vs 9b).  A request's rows share its arrival,
+    # so its windows on a channel (and on the device) coalesce into one
+    # [arrival, latest media completion) run.
+    _, k, s, e = coalesce(lane_chan, arrival, md, n_ch_keys)
+    m_inflight = union_measure(k, s, e, n_ch_keys)
+    _, k, s, e = coalesce(lane_row, arrival, md, n_lanes)
+    m_active = union_measure(k, s, e, n_lanes)
     # non-overlapped DMA: per request, the host-path (PCIe/SATA/network)
     # time its own media pipeline cannot hide; on ION configurations
     # the network transfer outlasts the media work, which is why this
-    # category dominates there (Section 4.5)
-    lr3 = np.concatenate([lane_req, lane_req, lane_req])
-    ids4, k4, s4, e4 = sorted_filter(
-        np.concatenate([lane_req, lr3]),
-        np.concatenate([hs, cs, fs, ss]),
-        np.concatenate([he, ce, fe, se]),
+    # category dominates there (Section 4.5).  The media runs merge per
+    # request first, so the host-or-media sort sees only those and the
+    # few host runs.
+    _, kr, sr, er = sorted_filter(
+        lane_req[np.concatenate([cell_rows, fb_rows, chb_rows])],
+        np.concatenate([cell_s, fb_s, chb_s]),
+        np.concatenate([cell_e, fb_e, chb_e]),
     )
-    m_host_media_req = measure_sorted(k4, s4, e4, n_req_keys)
-    sub = ids4 >= total  # media rows (host rows lead the concat)
-    m_media_req = measure_sorted(k4[sub], s4[sub], e4[sub], n_req_keys)
+    kr, sr, er = merge_sorted(kr, sr, er)
+    m_media_req = measure_sorted(kr, sr, er, n_req_keys)
+    m_host_media_req = union_measure(
+        np.concatenate([kr, lane_req[host_rows]]),
+        np.concatenate([sr, host_s]),
+        np.concatenate([er, host_e]),
+        n_req_keys,
+    )
     dma_req = m_host_media_req - m_media_req
 
     # per-transaction waits by op direction (exact integer values)
@@ -344,15 +430,38 @@ def compute_metrics_batch(
     w_req = np.bincount(lane_req, weights=nbytes, minlength=n_req_keys)
     rows_req = np.bincount(lane_req, minlength=n_req_keys)
 
+    # per-lane totals: exact int64 reductions over each lane's rows
+    nonempty = np.flatnonzero(lens)
+    lane_first = (np.cumsum(lens) - lens)[nonempty]
+
+    def per_lane(ufunc: np.ufunc, x: np.ndarray) -> list[int]:
+        out = np.zeros(n_lanes, dtype=np.int64)
+        out[nonempty] = ufunc.reduceat(x, lane_first)
+        return out.tolist()
+
+    data = kind_code == 0
+    payload_l = per_lane(np.add, np.where(data, nbytes, 0))
+    makespan_l = [
+        d - a for d, a in zip(per_lane(np.maximum, done), per_lane(np.minimum, arrival))
+    ]
+    read_l = per_lane(np.add, np.where(is_read, nbytes, 0))
+    write_l = per_lane(np.add, np.where(is_write, nbytes, 0))
+    overhead_l = per_lane(np.add, np.where(data, 0, nbytes))
+    n_requests_l = np.bincount(
+        lane_of_req[rows_req > 0], minlength=n_lanes
+    ).tolist()
+    client_bw = _client_bandwidth(
+        n_lanes, lane_row[data], client[data], nbytes[data], arrival[data], done[data]
+    )
+
     out: list[RunMetrics] = []
     for i, (log, geom, kind) in enumerate(items):
         n = len(log)
         if n == 0:
             out.append(RunMetrics(0, 0, 0.0))
             continue
-        data_mask = log["kind_code"] == 0
-        payload = int(log["nbytes"][data_mask].sum())
-        makespan = int(log["done"].max() - log["arrival"].min())
+        payload = payload_l[i]
+        makespan = makespan_l[i]
         bw = payload * 1e9 / makespan if makespan > 0 else 0.0
         peak = pattern_peaks[i]
 
@@ -412,14 +521,12 @@ def compute_metrics_batch(
         else:
             parallelism = {k: v / w_total for k, v in weights.items()}
 
-        reads = log["op"] == OpCode.READ
-        writes = log["op"] == OpCode.WRITE
         out.append(
             RunMetrics(
                 payload_bytes=payload,
                 makespan_ns=makespan,
                 bandwidth_bytes_per_sec=bw,
-                client_bandwidth=_client_bandwidth(log),
+                client_bandwidth=client_bw[i],
                 pattern_peak_bytes_per_sec=peak,
                 remaining_bytes_per_sec=max(0.0, peak - bw),
                 channel_utilization=chan_util,
@@ -427,10 +534,10 @@ def compute_metrics_batch(
                 breakdown=breakdown,
                 parallelism=parallelism,
                 n_txns=n,
-                n_requests=int(len(np.unique(log["req"]))),
-                read_bytes=int(log["nbytes"][reads].sum()),
-                write_bytes=int(log["nbytes"][writes].sum()),
-                overhead_bytes=int(log["nbytes"][~data_mask].sum()),
+                n_requests=n_requests_l[i],
+                read_bytes=read_l[i],
+                write_bytes=write_l[i],
+                overhead_bytes=overhead_l[i],
             )
         )
     return out

@@ -581,7 +581,7 @@ def _scan(x: np.ndarray, b: np.ndarray, k: np.ndarray, free: np.ndarray) -> np.n
     (the key's first row also offering ``free[k]``).  One global
     running maximum serves every key: lifting key ``k`` by ``k`` times
     the value spread keeps keys apart, as in
-    :func:`repro.ssd.segments.measure_sorted`.
+    :func:`repro.ssd.segments.merge_sorted`.
     """
     n = len(k)
     total = np.cumsum(b)

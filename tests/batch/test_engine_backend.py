@@ -110,6 +110,50 @@ class TestPlannerFallback:
         assert_results_equal(results, baseline)
 
 
+class TestPatternPeakSites:
+    """The pattern-peak replay feeds only ``RunMetrics``, so the batch
+    backend runs it only when the caller keeps them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.ssd.metrics as metrics_mod
+
+        seen: list[int] = []
+        real = metrics_mod.pattern_peak_from_log
+
+        def spy(items):
+            seen.append(len(items))
+            return real(items)
+
+        monkeypatch.setattr(metrics_mod, "pattern_peak_from_log", spy)
+        return seen
+
+    def test_discarded_metrics_skip_the_replay(self, calls):
+        from repro.batch import run_cells_batch
+
+        results, _ = run_cells_batch(CELLS, TINY, 1013, keep_metrics=False)
+        assert set(results) == set(CELLS)
+        assert all(r.metrics is None for r in results.values())
+        MatrixEngine(workers=1).run_cells(CELLS, TINY)
+        assert calls == []
+
+    def test_kept_metrics_equal_the_scalar_run(self, calls):
+        import dataclasses
+
+        from repro.batch import run_cells_batch
+        from repro.experiments.runner import run_config
+        from repro.ssd.metrics import RunMetrics
+
+        results, _ = run_cells_batch(CELLS, TINY, 1013, keep_metrics=True)
+        assert calls == [len(CELLS)]
+        for (label, kind), got in results.items():
+            want = run_config(label, kind, TINY, seed=1013, keep_metrics=True).metrics
+            assert got.metrics is not None and want is not None
+            assert got.metrics.pattern_peak_bytes_per_sec > 0
+            for f in dataclasses.fields(RunMetrics):
+                assert getattr(got.metrics, f.name) == getattr(want, f.name), f.name
+
+
 @pytest.mark.chaos
 class TestChaosBypassesBatch:
     def test_fault_injected_run_skips_batch_and_matches(self):

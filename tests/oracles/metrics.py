@@ -21,7 +21,6 @@ from repro.ssd.metrics import (
     BREAKDOWN_KEYS,
     PAL_KEYS,
     RunMetrics,
-    _client_bandwidth,
     media_pattern_peak,
 )
 from repro.ssd.request import OpCode
@@ -30,6 +29,21 @@ from repro.ssd.scheduler import TxnLog
 from . import intervals as iv
 
 __all__ = ["compute_metrics"]
+
+
+def _client_bandwidth(log: TxnLog) -> dict[int, float]:
+    """Per-client payload bandwidth (data transactions only)."""
+    out: dict[int, float] = {}
+    clients = log["client"]
+    data_mask = log["kind_code"] == 0
+    for c in np.unique(clients):
+        m = (clients == c) & data_mask
+        if not np.any(m):
+            continue
+        nbytes = int(log["nbytes"][m].sum())
+        span = int(log["done"][m].max() - log["arrival"][m].min())
+        out[int(c)] = nbytes * 1e9 / span if span > 0 else 0.0
+    return out
 
 
 def _inflight_intervals_by(log: TxnLog, column: str, count: int) -> list[np.ndarray]:

@@ -1,16 +1,19 @@
 """Property tests: metric invariants under random transaction streams,
-and the metrics pass against the reference pass of
-``tests/oracles/metrics.py``, field by field."""
+the metrics pass against the reference pass of
+``tests/oracles/metrics.py``, field by field, and the recurrence-order
+premise the metrics pass's coalescing gains from."""
 
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ssd.scheduler as kernel_mod
 from repro.interconnect import HostPath, bridged_pcie2
 from repro.nvm import MLC, ONFI3_SDR400, SLC, TLC
 from repro.ssd import (
@@ -27,6 +30,7 @@ from repro.ssd import (
 )
 from repro.ssd.ftl import Txn
 from repro.ssd.metrics import compute_metrics_batch
+from repro.ssd.scheduler import Lane, Link, MediaConsts, assemble_log, lockstep, prepass
 from tests.oracles import metrics as oracle
 
 OPS = (OpCode.READ, OpCode.WRITE, OpCode.ERASE)
@@ -164,7 +168,101 @@ class TestMatchesReferencePass:
                     ))
             res = device.run(groups, posix_window=2)
             saw_erase |= bool((res.log["op"] == OpCode.ERASE).any())
+            assert all(_in_recurrence_order(res.log).values())
             _assert_fields_equal(res.metrics,
                                  oracle.compute_metrics(res.log, geom, kind))
         assert device.ftl.stats["gc_runs"] > 0
         assert saw_erase
+
+
+# ----------------------------------------------------------------------
+def _lockstep_log(geom, host, batches):
+    """The READ rows of ``batches``, one command per batch, replayed by
+    the block kernel of :func:`~repro.ssd.scheduler.lockstep` (``None``
+    when there are none)."""
+    cmds = [
+        ([t for t in txns if t.op == OpCode.READ], arrival, client)
+        for txns, arrival, client in batches
+    ]
+    cmds = [c for c in cmds if c[0]]
+    if not cmds:
+        return None
+    lens = [len(txns) for txns, _, _ in cmds]
+    bounds = np.cumsum([0, *lens]).tolist()
+    rows = np.asarray([t for txns, _, _ in cmds for t in txns], dtype=np.int64)
+    (base,) = prepass(
+        MediaConsts.of(geom, geom.kind), (Link.of(ONFI3_SDR400, host),), *rows.T,
+        same_cmd=np.repeat(np.arange(len(cmds)), lens),
+    )
+
+    def commands():
+        for lo, hi, (_, arrival, _) in zip(bounds, bounds[1:], cmds):
+            yield lo, hi, arrival
+
+    lane = Lane(geom, 0, 0, len(rows), commands(), record=True)
+    with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", 1):  # every row on the kernel
+        lockstep([base], [lane])
+    meta = [
+        (req, client, 0, arrival, lo, hi)
+        for req, ((_, arrival, client), lo, hi) in enumerate(zip(cmds, bounds, bounds[1:]))
+    ]
+    return assemble_log(base, meta, lane.ends)
+
+
+#: each serial resource's interval family: (resource column, start, end);
+#: ``None`` is the lane's one host link
+SERIAL_FAMILIES = {
+    "die cell": ("die", "cell_start", "cell_end"),
+    "package flash bus": ("package", "fb_start", "fb_end"),
+    "channel bus": ("channel", "ch_start", "ch_end"),
+    "lane host": (None, "h_start", "h_end"),
+}
+
+
+def _in_recurrence_order(log) -> dict[str, bool]:
+    """Which families come out disjoint and in row order per resource,
+    and whether every request's rows are contiguous."""
+    out = {}
+    for name, (col, s_col, e_col) in SERIAL_FAMILIES.items():
+        live = log[e_col] > log[s_col]
+        key = np.zeros(len(log), dtype=np.int64) if col is None else log[col]
+        ok = True
+        for k in np.unique(key[live]):
+            sel = live & (key == k)
+            ok &= bool((log[s_col][sel][1:] >= log[e_col][sel][:-1]).all())
+        out[name] = ok
+    req = log["req"]
+    out["request rows contiguous"] = len(np.unique(req)) == 1 + int(
+        np.count_nonzero(req[1:] != req[:-1])
+    )
+    return out
+
+
+class TestRecurrenceOrder:
+    """The timing recurrence serializes each die's cell operations, each
+    package's flash bus, each channel and the host link, and emits a
+    request's rows together, so every family comes out disjoint and in
+    row order: the metrics pass coalesces them before it sorts."""
+
+    @given(random_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_scheduler_logs(self, run):
+        log = _replay(*run)
+        assert _in_recurrence_order(log) == dict.fromkeys(
+            [*SERIAL_FAMILIES, "request rows contiguous"], True
+        )
+
+    @given(random_runs())
+    @settings(max_examples=40, deadline=None)
+    def test_lockstep_logs(self, run):
+        log = _lockstep_log(*run)
+        if log is None:
+            return
+        assert _in_recurrence_order(log) == dict.fromkeys(
+            [*SERIAL_FAMILIES, "request rows contiguous"], True
+        )
+        geom = run[0]
+        _assert_fields_equal(
+            compute_metrics(log, geom, geom.kind),
+            oracle.compute_metrics(log, geom, geom.kind),
+        )
