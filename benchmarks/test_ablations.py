@@ -141,7 +141,7 @@ def test_ablation_gpfs_service_unit(benchmark, output_dir):
 def test_ablation_multiplane_grouping(benchmark, output_dir):
     """Multi-plane command formation (PAL3): grouped plane pairs share
     command cycles; stripping the groups costs bus efficiency."""
-    from repro.ssd.ftl import DeviceFTL, Txn
+    from repro.ssd.ftl import GROUP, DeviceFTL
 
     original = DeviceFTL.translate
 
@@ -150,10 +150,9 @@ def test_ablation_multiplane_grouping(benchmark, output_dir):
         plain_path = make_cnl_device("UFS", TLC, DATA)
 
         def translate_ungrouped(self, cmd):
-            return [
-                Txn(t.op, t.flat, t.nbytes, -1, t.page_in_block)
-                for t in original(self, cmd)
-            ]
+            txns = original(self, cmd)
+            txns[:, GROUP] = -1
+            return txns
 
         grouped = _bw(grouped_path)
         plain_path.device.ftl.translate = translate_ungrouped.__get__(

@@ -30,13 +30,13 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 from conftest import OUTPUT_DIR
 
 from repro.experiments import MatrixEngine, TABLE2_CONFIGS, Workload
 from repro.interconnect import HostPath
 from repro.nvm import ONFI3_SDR400, SLC
 from repro.ssd import Geometry, OpCode, TransactionScheduler
-from repro.ssd.ftl import Txn
 from tests.oracles.reference_scheduler import ReferenceScheduler
 
 MiB = 1024 * 1024
@@ -58,10 +58,11 @@ def _run_engine(workers: int, backend: str) -> tuple[dict, dict[str, float], flo
 def _scheduler_microbench(rounds: int = 200, batch: int = 256) -> dict:
     geom = Geometry(kind=SLC)
     host = HostPath(name="h", bytes_per_sec=2e9, per_request_ns=1000)
-    txns = [
-        Txn(OpCode.READ, (i * 7) % geom.plane_units, 4096, -1, i % 64)
-        for i in range(batch)
-    ]
+    txns = np.array(
+        [(OpCode.READ, (i * 7) % geom.plane_units, 4096, -1, i % 64)
+         for i in range(batch)],
+        dtype=np.int64,
+    )
     out = {}
     for name, cls in (("vectorized", TransactionScheduler),
                       ("reference", ReferenceScheduler)):

@@ -24,7 +24,7 @@ between the batch and the scalar backend for all 52 Table-2 cells.
 
 Fallback contract: anything the columnar plan cannot express — write or
 trim commands, cold (unmapped) reads, fault injection, non-FIFO queue
-policies, geometries without plane pairs — raises
+policies — raises
 :class:`BatchUnsupported` at plan time and the cell runs on the scalar
 backend instead, bit-for-bit unchanged.
 """

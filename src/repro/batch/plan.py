@@ -11,7 +11,7 @@ command-sharing discount).
 ``plan_cell`` builds one cell's plan — or raises
 :class:`BatchUnsupported` if the cell needs anything the static
 translation cannot express (writes, trims, cold reads, fault models,
-non-FIFO queueing, geometries without plane pairs).  ``stack_plans``
+non-FIFO queueing).  ``stack_plans``
 then concatenates all planned cells into one stacked int64 block and
 runs the scheduler's own :func:`~repro.ssd.scheduler.prepass` over it
 once, with each cell's device constants broadcast per row; each plan
@@ -38,6 +38,7 @@ import numpy as np
 from ..core.architecture import StoragePath
 from ..experiments.configs import ExpConfig, config_by_label
 from ..nvm.kinds import NVMKind, kind_by_name
+from ..ssd.ftl import plane_groups
 from ..ssd.request import CommandGroup, DeviceCommand, OpCode
 from ..ssd.scheduler import (
     INFINITE_BUS,
@@ -100,41 +101,6 @@ class CellPlan:
     lanes: dict[str, LaneCols] = field(default_factory=dict)
 
 
-def _pair_planes(
-    flat: np.ndarray, cmd_ord: np.ndarray, U: int, P: int
-) -> np.ndarray:
-    """Vectorized multi-plane pairing, mirroring ``DeviceFTL._group_planes``.
-
-    For ``P == 2`` a pair forms at row *i* exactly when rows *i*, *i+1*
-    belong to the same command, target consecutive flats in sibling
-    planes of one die at the same page slot, and row *i* is
-    plane-aligned.  Pairs can never chain or overlap: a pair start
-    needs an even plane unit, and the second member's unit is odd.
-    Group-id *values* are assigned in plan order rather than dispatch
-    order; only adjacency equality and sign are metric-visible, so the
-    schedule and every metric are unchanged (golden-tested).
-    """
-    n = len(flat)
-    group = np.full(n, -1, dtype=np.int64)
-    if P == 1 or n < 2:
-        return group
-    if P != 2:
-        raise BatchUnsupported(f"plane pairing for planes_per_die={P}")
-    a, b = flat[:-1], flat[1:]
-    pair = (
-        (cmd_ord[1:] == cmd_ord[:-1])
-        & (b == a + 1)
-        & ((b % U) // P == (a % U) // P)
-        & (b // U == a // U)
-        & ((a % U) % P == 0)
-    )
-    idx = np.flatnonzero(pair)
-    gids = np.arange(len(idx), dtype=np.int64)
-    group[idx] = gids
-    group[idx + 1] = gids
-    return group
-
-
 def plan_cell(
     label: str,
     kind_name: str,
@@ -151,8 +117,6 @@ def plan_cell(
     if device.fault_model is not None:
         raise BatchUnsupported("device fault model attached")
     geom = device.geom
-    if geom.planes_per_die not in (1, 2):
-        raise BatchUnsupported(f"planes_per_die={geom.planes_per_die}")
 
     traces = workload.traces(path.clients)
     file_sizes: dict[int, int] = {}
@@ -204,7 +168,11 @@ def plan_cell(
         hi_b = np.minimum(ends[cmd_ord], (lpage + 1) * pb)
         nbytes = hi_b - lo_b
         flat = lpage  # identity striping: map[L] == L for preloaded pages
-        group_ids = _pair_planes(flat, cmd_ord, geom.plane_units, geom.planes_per_die)
+        # group-id values count in plan order rather than dispatch
+        # order; only adjacency equality and sign are metric-visible
+        group_ids, _ = plane_groups(
+            flat, geom.plane_units, geom.planes_per_die, cmd=cmd_ord
+        )
         bounds = np.r_[starts, total]
     else:
         cmd_ord = np.empty(0, dtype=np.int64)

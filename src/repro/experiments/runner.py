@@ -348,7 +348,9 @@ def _unconstrained_media_peak(cell: Cell, traces) -> float:
         kind_by_name(cell.kind), cell.workload.bytes_per_client, seed=cell.seed
     )
     path.device.unconstrain()
-    summary = replay(path, traces, posix_window=cell.workload.posix_window)
+    summary = replay(
+        path, traces, posix_window=cell.workload.posix_window, pattern_peak=False
+    )
     return summary.aggregate_mb
 
 
@@ -408,7 +410,11 @@ def run_cell(
         )
         path.device.attach_faults(fault_model)
     traces = workload.traces(path.clients)
-    summary = replay(path, traces, posix_window=workload.posix_window)
+    # the pattern peak feeds only RunMetrics, which a result keeps
+    # with keep_metrics alone
+    summary = replay(
+        path, traces, posix_window=workload.posix_window, pattern_peak=keep_metrics
+    )
     m = summary.metrics
     tr = obs.tracer()
     if tr is not None:

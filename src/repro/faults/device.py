@@ -25,12 +25,15 @@ Two fault classes, both derived from the Table-1 endurance budgets via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
+from ..ssd.ftl import FLAT
 from .errors import DieFailure, TransientMediaFault
 from .plan import FaultEvent, FaultPlan, media_wear_factor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..nvm.kinds import NVMKind
     from ..ssd.geometry import Geometry
 
@@ -91,15 +94,16 @@ class DeviceFaultModel:
         self,
         seq: int,
         op: str,
-        txns: Sequence,
+        txns: "np.ndarray",
         done: int,
         decode: Callable[[int], tuple],
     ) -> int:
         """Apply injected faults to one completed command.
 
         ``seq`` is the device-order command sequence number (the
-        deterministic site id), ``txns`` the command's page
-        transactions, ``done`` its fault-free completion time;
+        deterministic site id), ``txns`` the command's transaction
+        block (:data:`~repro.ssd.ftl.TXN_COLUMNS`), ``done`` its
+        fault-free completion time;
         returns the (possibly penalized) completion.
         """
         plan = self.plan
@@ -107,7 +111,7 @@ class DeviceFaultModel:
 
         # -- permanent die failures -------------------------------------
         if self.failed_dies:
-            touched = {decode(int(t[1]))[2] for t in txns}
+            touched = {decode(flat)[2] for flat in txns[:, FLAT].tolist()}
             hit = touched & self.failed_dies
             if hit:
                 if self.strict:

@@ -25,9 +25,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..ssd.ftl import DeviceFTL, FTLError, Txn
+import numpy as np
+
+from ..ssd.ftl import DeviceFTL, FTLError
 from ..ssd.geometry import Geometry
-from ..ssd.request import OpCode
 
 __all__ = ["WEAR_POLICIES", "WearPolicy", "WearFTL"]
 
@@ -111,22 +112,27 @@ class WearFTL(DeviceFTL):
         if self.policy.kind != "dynamic":
             return super()._take_free_block(u)
         free = self.free_blocks[u]
-        b = min(free, key=lambda blk: (int(self.erases[u, blk]), blk))
+        pool = np.fromiter(free, dtype=np.int64, count=len(free))
+        wear = self.erases[u, pool]
+        # least-worn block, the lowest id among equals
+        b = int(pool[wear == wear.min()].min())
         free.remove(b)
         return b
 
     # -- static: periodic hot/cold swap ---------------------------------
-    def _collect(self, u: int) -> list[Txn]:
-        txns = super()._collect(u)
+    def _collect(self, u: int) -> np.ndarray:
+        rows = super()._collect(u)
         if (
-            txns
+            len(rows)
             and self.policy.kind == "static"
             and self.erase_gen % self.policy.static_interval == 0
         ):
-            txns.extend(self._static_swap(u))
-        return txns
+            swap = self._static_swap(u)
+            if len(swap):
+                rows = np.concatenate([rows, swap])
+        return rows
 
-    def _static_swap(self, u: int) -> list[Txn]:
+    def _static_swap(self, u: int) -> np.ndarray:
         """Migrate cold data off the unit's least-worn full block.
 
         The freed low-wear block re-enters the free pool where hot
@@ -135,54 +141,13 @@ class WearFTL(DeviceFTL):
         static-leveling exchange.  Costs one erase plus one relocation
         per valid page, all charged to ``wl_moved_pages``.
         """
-        geom = self.geom
-        ppb = geom.pages_per_block
-        U = geom.plane_units
-        cold_candidates = [
-            b
-            for b in range(geom.blocks_per_plane)
-            if self.frontier[u, b] == ppb
-            and b != self.active_block[u]
-            and not self.retired[u, b]
-            and self.valid[u, b] > 0
-        ]
-        if not cold_candidates or not self.free_blocks[u]:
-            return []
-        cold = min(cold_candidates, key=lambda b: (int(self.erases[u, b]), b))
-        live = [
-            b for b in range(geom.blocks_per_plane) if not self.retired[u, b]
-        ]
-        spread = int(self.erases[u, live].max() - self.erases[u, cold])
+        candidates = self._full_blocks(u) & (self.valid[u] > 0)
+        if not candidates.any() or not self.free_blocks[u]:
+            return np.empty((0, 5), dtype=np.int64)
+        erases = self.erases[u]
+        # least-worn candidate, the lowest id among equals
+        cold = int(np.where(candidates, erases, np.iinfo(np.int64).max).argmin())
+        spread = int(erases[~self.retired[u]].max() - erases[cold])
         if spread < self.policy.static_threshold:
-            return []
-        txns: list[Txn] = []
-        base = cold * ppb
-        for p in range(ppb):
-            flat = (base + p) * U + u
-            lpage = self.reverse.get(flat)
-            if lpage is None:
-                continue
-            txns.append(Txn(OpCode.READ, flat, self.page_bytes, -1, p))
-            self._invalidate(flat)
-            new_flat = self._allocate_in_unit(u)
-            self.map[lpage] = new_flat
-            self.reverse[new_flat] = lpage
-            self.stats["wl_moved_pages"] += 1
-            txns.append(
-                Txn(
-                    OpCode.WRITE,
-                    new_flat,
-                    self.page_bytes,
-                    -1,
-                    (new_flat // U) % ppb,
-                )
-            )
-        self.frontier[u, cold] = 0
-        self.valid[u, cold] = 0
-        self.erases[u, cold] += 1
-        self.erase_gen += 1
-        self.free_blocks[u].append(cold)
-        txns.append(Txn(OpCode.ERASE, (cold * ppb) * U + u, 0, -1, 0))
-        if self.debug_invariants:
-            self.check_invariants()
-        return txns
+            return np.empty((0, 5), dtype=np.int64)
+        return self._relocate(u, cold, "wl_moved_pages")

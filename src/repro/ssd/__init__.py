@@ -1,7 +1,7 @@
 """SSD models: geometry, FTL, transaction scheduling, metrics."""
 
 from .controller import ReplayResult, SSDevice
-from .ftl import DeviceFTL, FTLError, Txn
+from .ftl import TXN_COLUMNS, DeviceFTL, FTLError
 from .geometry import PAPER_GEOMETRY_KW, Geometry, PhysAddr
 from .metrics import (
     BREAKDOWN_KEYS,
@@ -20,7 +20,7 @@ __all__ = [
     "PAPER_GEOMETRY_KW",
     "DeviceFTL",
     "FTLError",
-    "Txn",
+    "TXN_COLUMNS",
     "TransactionScheduler",
     "TxnLog",
     "RunMetrics",

@@ -126,6 +126,8 @@ class SSDevice:
         groups: Sequence[CommandGroup],
         posix_window: int = 2,
         start_ns: int = 0,
+        *,
+        pattern_peak: bool = True,
     ) -> ReplayResult:
         """Replay ``groups`` and return the full result.
 
@@ -133,7 +135,10 @@ class SSDevice:
         application keeps outstanding (DOoC prefetch depth >= 1).
         :func:`dispatch` decides which command goes next and when it
         arrives; this loop translates it, schedules its transactions
-        and reports the completion back.
+        and reports the completion back.  ``pattern_peak=False`` skips
+        the metrics' pattern-peak replay for a caller that reads
+        neither ``pattern_peak_bytes_per_sec`` nor
+        ``remaining_bytes_per_sec`` (both then read 0).
         """
         sched = TransactionScheduler(self.geom, self.bus, self.host)
         ftl = self.ftl
@@ -156,9 +161,9 @@ class SSDevice:
                     (cmd_arrival, cmd.op, cmd.lba, cmd.nbytes, cmd.kind, client)
                 )
                 txns = ftl.translate(cmd)
-                if paq and txns:
+                if paq and len(txns):
                     txns = reorder_die_round_robin(txns, self.geom)
-                if txns:
+                if len(txns):
                     done = sched.submit(
                         txns, cmd_arrival, req_id, client=client, kind_label=cmd.kind
                     )
@@ -179,7 +184,9 @@ class SSDevice:
         return ReplayResult(
             log=log,
             group_completions=group_completions,
-            metrics=compute_metrics(log, self.geom, self.kind),
+            metrics=compute_metrics(
+                log, self.geom, self.kind, pattern_peak=pattern_peak
+            ),
             ftl_stats=dict(ftl.stats),
             command_log=command_log,
             fault_stats=faults.snapshot() if faults is not None else {},

@@ -543,6 +543,11 @@ def compute_metrics_batch(
     return out
 
 
-def compute_metrics(log: TxnLog, geom: Geometry, kind: NVMKind) -> RunMetrics:
-    """Derive every paper metric from a finished transaction log."""
-    return compute_metrics_batch([(log, geom, kind)])[0]
+def compute_metrics(
+    log: TxnLog, geom: Geometry, kind: NVMKind, pattern_peak: bool = True
+) -> RunMetrics:
+    """Derive every paper metric from a finished transaction log.
+
+    ``pattern_peak`` as in :func:`compute_metrics_batch`.
+    """
+    return compute_metrics_batch([(log, geom, kind)], pattern_peak=pattern_peak)[0]

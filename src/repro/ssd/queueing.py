@@ -26,54 +26,59 @@ its write), which arrival order preserves.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Sequence
+import numpy as np
 
-from .ftl import Txn
+from .ftl import FLAT, GROUP, OP
 from .geometry import Geometry
 from .request import OpCode
 
 __all__ = ["reorder_die_round_robin", "PaqQueue"]
 
 
-def _die_of(txn: Txn, geom: Geometry) -> int:
-    u = txn.flat % geom.plane_units
-    return u // geom.planes_per_die
+def _die_round_robin_order(txns: np.ndarray, geom: Geometry) -> np.ndarray:
+    """The row order :func:`reorder_die_round_robin` emits ``txns`` in.
+
+    Rows chunk into atomic units — a multi-plane group moves as one,
+    every other row alone — and the units are emitted in rounds: each
+    round takes the next unit of every die that has one left, dies in
+    order of first appearance.
+    """
+    n = len(txns)
+    group = txns[:, GROUP]
+    start = np.ones(n, dtype=bool)
+    start[1:] = (group[1:] < 0) | (group[1:] != group[:-1])
+    firsts = np.flatnonzero(start)
+    lens = np.diff(firsts, append=n)
+    die = txns[firsts, FLAT] % geom.plane_units // geom.planes_per_die
+    # each die's rank by first appearance, and each unit's round: how
+    # many units of its die precede it
+    _, first_unit, die_of_unit = np.unique(die, return_index=True, return_inverse=True)
+    die_rank = np.argsort(np.argsort(first_unit))[die_of_unit]
+    by_die = np.argsort(die_of_unit, kind="stable")
+    die_sorted = die_of_unit[by_die]
+    run_start = np.flatnonzero(np.r_[True, die_sorted[1:] != die_sorted[:-1]])
+    counts = np.diff(run_start, append=len(die))
+    rounds = np.empty(len(die), dtype=np.int64)
+    rounds[by_die] = np.arange(len(die)) - np.repeat(run_start, counts)
+    units = np.lexsort((die_rank, rounds))
+    # expand the unit order to rows
+    ulen = lens[units]
+    offset = np.repeat(firsts[units] - (np.cumsum(ulen) - ulen), ulen)
+    return offset + np.arange(n)
 
 
-def reorder_die_round_robin(txns: Sequence[Txn], geom: Geometry) -> list[Txn]:
+def reorder_die_round_robin(txns: np.ndarray, geom: Geometry) -> np.ndarray:
     """Reorder a read batch so dispatch alternates across dies.
 
+    ``txns`` is a transaction block (:data:`~repro.ssd.ftl.TXN_COLUMNS`).
     Per-die order is preserved (so the FTL's intent is kept) and
     multi-plane groups stay adjacent (they are one physical command).
     Batches containing writes or erases are returned unchanged —
     arrival order may encode dependencies there.
     """
-    if any(t.op != OpCode.READ for t in txns):
-        return list(txns)
-    # chunk into atomic units: a multi-plane group moves as one
-    units: list[list[Txn]] = []
-    i = 0
-    n = len(txns)
-    while i < n:
-        j = i + 1
-        if txns[i].group >= 0:
-            while j < n and txns[j].group == txns[i].group:
-                j += 1
-        units.append(list(txns[i:j]))
-        i = j
-    queues: "OrderedDict[int, deque[list[Txn]]]" = OrderedDict()
-    for unit in units:
-        die = _die_of(unit[0], geom)
-        queues.setdefault(die, deque()).append(unit)
-    out: list[Txn] = []
-    while queues:
-        for die in list(queues):
-            unit = queues[die].popleft()
-            out.extend(unit)
-            if not queues[die]:
-                del queues[die]
-    return out
+    if (txns[:, OP] != OpCode.READ).any():
+        return txns
+    return txns[_die_round_robin_order(txns, geom)]
 
 
 class PaqQueue:
@@ -90,32 +95,32 @@ class PaqQueue:
             raise ValueError("window must be >= 1")
         self.geom = geom
         self.window = window
-        self._pending: list[tuple[int, Txn]] = []
-        self._seq = 0
+        self._pending: list[np.ndarray] = []
         self.inversions = 0
 
-    def push(self, txn: Txn) -> None:
-        self._pending.append((self._seq, txn))
-        self._seq += 1
+    def push(self, txn) -> None:
+        """Enqueue one transaction row (:data:`~repro.ssd.ftl.TXN_COLUMNS`)."""
+        self._pending.append(np.asarray(txn, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self._pending)
 
-    def drain(self) -> list[Txn]:
+    def drain(self) -> np.ndarray:
         """Dispatch everything pending, window by window."""
-        out: list[Txn] = []
-        while self._pending:
-            window, self._pending = (
-                self._pending[: self.window],
-                self._pending[self.window :],
-            )
-            seqs = {id(t): s for s, t in window}
-            reordered = reorder_die_round_robin([t for _s, t in window], self.geom)
-            emitted_seq = [seqs[id(t)] for t in reordered]
-            self.inversions += sum(
-                1
-                for i, s in enumerate(emitted_seq)
-                if any(s2 < s for s2 in emitted_seq[i + 1 :])
-            )
-            out.extend(reordered)
-        return out
+        if not self._pending:
+            return np.empty((0, 5), dtype=np.int64)
+        rows = np.stack(self._pending)
+        self._pending = []
+        out = []
+        for lo in range(0, len(rows), self.window):
+            window = rows[lo : lo + self.window]
+            if (window[:, OP] != OpCode.READ).any():
+                order = np.arange(len(window))
+            else:
+                order = _die_round_robin_order(window, self.geom)
+            # a row overtook an earlier arrival when a later-emitted row
+            # arrived before it
+            later_min = np.minimum.accumulate(order[::-1])[::-1]
+            self.inversions += int(np.count_nonzero(order[:-1] > later_min[1:]))
+            out.append(window[order])
+        return np.concatenate(out)

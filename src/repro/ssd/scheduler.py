@@ -43,9 +43,10 @@ The timing kernel has two halves, shared by every replay:
   lanes through it side by side (the batch backend's planned cells,
   and every pattern-peak replay of :mod:`repro.ssd.metrics`).
 
-:class:`TransactionScheduler` pre-passes raw :data:`~repro.ssd.ftl.Txn`
-tuples per submitted command, or takes a :class:`TxnSlice` window of
-rows a planner already pre-passed; either way it runs the same
+:class:`TransactionScheduler` pre-passes each submitted command's
+transaction block (the FTL's int64 ``(n, 5)`` columns,
+:data:`~repro.ssd.ftl.TXN_COLUMNS`) as is, or takes a :class:`TxnSlice`
+window of rows a planner already pre-passed; either way it runs the same
 recurrence, and :meth:`TransactionScheduler.finish` assembles the
 23-column log in one gather (:func:`assemble_log`, which the lockstep
 replay shares).  The media pattern peak of a log with writes
@@ -63,7 +64,6 @@ import numpy as np
 from ..interconnect.host import HostPath
 from ..nvm.bus import BusSpec
 from ..nvm.kinds import NVMKind
-from .ftl import Txn
 from .geometry import Geometry
 from .request import OpCode
 
@@ -845,11 +845,11 @@ class TransactionScheduler:
         self.res = Resources(geometry)
         self._media = MediaConsts.of(geometry, self.kind)
         self._links = (Link.of(bus, host),)
-        #: the planner's lane that submitted slices index (None for raw
-        #: tuple submits) and its recurrence lists
+        #: the planner's lane that submitted slices index (None for
+        #: transaction-block submits) and its recurrence lists
         self._lane: Optional[LaneCols] = None
         self._lane_lists: tuple[list[int], ...] = ()
-        #: raw-tuple submits' (op, flat, nbytes, group, pib) rows
+        #: submitted transaction blocks, (op, flat, nbytes, group, pib)
         self._raw: list[np.ndarray] = []
         #: (req, client, kind code, arrival, lo, hi) per submitted
         #: command; lo:hi index the lane, or the concatenated raw rows
@@ -878,7 +878,7 @@ class TransactionScheduler:
     # ------------------------------------------------------------------
     def submit(
         self,
-        txns: Union[Sequence[Txn], TxnSlice],
+        txns: Union[np.ndarray, TxnSlice],
         arrival: int,
         req_id: int,
         client: int = 0,
@@ -886,7 +886,8 @@ class TransactionScheduler:
     ) -> int:
         """Schedule the transactions of one block request.
 
-        ``txns`` are raw transaction tuples, or a :class:`TxnSlice` of
+        ``txns`` is the request's int64 ``(n, 5)`` transaction block
+        (:data:`~repro.ssd.ftl.TXN_COLUMNS`), or a :class:`TxnSlice` of
         a lane pre-passed by a planner.  Returns the request's
         completion time: for reads, when the last byte has crossed the
         host path; for writes/erases, when the media operation is
@@ -903,14 +904,11 @@ class TransactionScheduler:
         else:
             if self._lane is not None:
                 raise ValueError("one scheduler replays rows of one lane only")
-            if not isinstance(txns, (list, tuple)):
-                txns = list(txns)
             n = len(txns)
             if n == 0:
                 return arrival
-            arr = np.asarray(txns, dtype=np.int64).reshape(n, 5)
-            self._raw.append(arr)
-            (chunk,) = prepass(self._media, self._links, *arr.T)
+            self._raw.append(txns)
+            (chunk,) = prepass(self._media, self._links, *txns.T)
             cols = chunk.lists()
             lo, hi = 0, n
             rows = (self._n, self._n + n)
@@ -930,7 +928,7 @@ class TransactionScheduler:
         lane = self._lane
         if lane is None and n:
             # the columns the log keeps do not depend on where one
-            # command ends, so the raw rows pre-pass in one sweep
+            # command ends, so the submitted blocks pre-pass in one sweep
             (lane,) = prepass(self._media, self._links, *np.concatenate(self._raw).T)
         return assemble_log(lane, self._meta, [out[:n] for out in self._out])
 

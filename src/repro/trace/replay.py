@@ -74,11 +74,14 @@ def replay(
     path: StoragePath,
     traces: list[PosixTrace] | PosixTrace,
     posix_window: int = 2,
+    *,
+    pattern_peak: bool = True,
 ) -> ReplaySummary:
     """Format, preload and replay one or more client traces.
 
     Each trace's ``client`` attribute must be unique; file sizes from
     all clients are merged into one layout (the shared data set).
+    ``pattern_peak`` is passed to :meth:`SSDevice.run`.
     """
     if isinstance(traces, PosixTrace):
         traces = [traces]
@@ -99,7 +102,9 @@ def replay(
         if len(per_client_groups) == 1
         else _interleave(per_client_groups)
     )
-    result = path.device.run(groups, posix_window=posix_window)
+    result = path.device.run(
+        groups, posix_window=posix_window, pattern_peak=pattern_peak
+    )
     per_client_mb = {
         c: bw / 1e6 for c, bw in result.metrics.client_bandwidth.items()
     }

@@ -31,6 +31,30 @@ class TestRunConfig:
         r = run_config("CNL-UFS", "MLC", SMALL, keep_metrics=True)
         assert r.metrics is not None
 
+    def test_pattern_peak_replays_only_for_kept_metrics(self, monkeypatch):
+        """The pattern peak feeds only ``RunMetrics``: the scalar runner
+        skips it for the main replay's discarded metrics and for the
+        unconstrained peak replay, which reads the aggregate alone."""
+        import dataclasses
+
+        import repro.ssd.metrics as metrics_mod
+
+        calls: list[int] = []
+        real = metrics_mod.pattern_peak_from_log
+
+        def spy(items):
+            calls.append(len(items))
+            return real(items)
+
+        monkeypatch.setattr(metrics_mod, "pattern_peak_from_log", spy)
+        tiny = Workload(panels=2, panel_bytes=256 * 1024)
+        plain = run_config("CNL-EXT4", "SLC", tiny, keep_metrics=False)
+        assert calls == []
+        kept = run_config("CNL-EXT4", "SLC", tiny, keep_metrics=True)
+        assert calls == [1]
+        assert kept.metrics.pattern_peak_bytes_per_sec > 0
+        assert dataclasses.replace(kept, metrics=None) == plain
+
     def test_accepts_objects_or_strings(self):
         from repro.experiments import config_by_label
         from repro.nvm import MLC as MLC_KIND

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.experiments.runner import Workload, run_config
@@ -34,6 +35,11 @@ def _decode(flat: int) -> tuple:
     return (0, 0, flat, 0)  # index 2 is the die, matching sched._decode
 
 
+def _one_row(flat: int) -> np.ndarray:
+    """A one-transaction block (op, flat, nbytes, group, pib) at ``flat``."""
+    return np.array([(0, flat, 0, -1, 0)], dtype=np.int64)
+
+
 class TestPureOverlay:
     def test_zero_rate_spec_is_bit_identical(self):
         healthy = run_config("CNL-EXT4", "SLC", W, with_remaining=False)
@@ -48,7 +54,7 @@ class TestPureOverlay:
     def test_no_penalty_means_done_unchanged(self):
         model = _model(FaultSpec(seed=1))  # all rates zero
         for seq in range(50):
-            assert model.on_command(seq, "read", [(0, 3)], 1000, _decode) == 1000
+            assert model.on_command(seq, "read", _one_row(3), 1000, _decode) == 1000
         assert model.faults_injected == 0
 
 
@@ -96,7 +102,7 @@ class TestRetryLadder:
         assert model.read_fault_p == 0.75  # capped
         done = 0
         for seq in range(200):
-            done = model.on_command(seq, "read", [(0, 1)], 0, _decode)
+            done = model.on_command(seq, "read", _one_row(1), 0, _decode)
         assert model.read_faults > 0
         assert model.retries >= model.read_faults  # >= one round per fault
         assert model.penalty_ns > 0
@@ -107,7 +113,7 @@ class TestRetryLadder:
     def test_writes_never_hit_read_retry(self):
         model = _model(FaultSpec(seed=2, read_fault_rate=1.0))
         for seq in range(100):
-            model.on_command(seq, "write", [(0, 1)], 0, _decode)
+            model.on_command(seq, "write", _one_row(1), 0, _decode)
         assert model.read_faults == 0
 
 
@@ -125,7 +131,7 @@ class TestDieFailures:
     def test_touching_failed_die_pays_recovery(self):
         model = self._failing_model(strict=False)
         die = min(model.failed_dies)
-        done = model.on_command(0, "write", [(0, die)], 1000, _decode)
+        done = model.on_command(0, "write", _one_row(die), 1000, _decode)
         assert done > 1000
         assert model.die_fault_hits == 1
         assert model.remapped == 1
@@ -134,7 +140,7 @@ class TestDieFailures:
         model = self._failing_model(strict=True)
         die = min(model.failed_dies)
         with pytest.raises(DieFailure) as exc:
-            model.on_command(0, "write", [(0, die)], 1000, _decode)
+            model.on_command(0, "write", _one_row(die), 1000, _decode)
         assert exc.value.code == "die_failure"
         assert not is_transient(exc.value)
 
@@ -145,7 +151,7 @@ class TestDieFailures:
         raised = None
         for seq in range(5000):  # exhaustion needs the 0.25^n recurrence
             try:
-                model.on_command(seq, "read", [(0, 1)], 0, _decode)
+                model.on_command(seq, "read", _one_row(1), 0, _decode)
             except TransientMediaFault as exc:
                 raised = exc
                 break

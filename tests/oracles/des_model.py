@@ -24,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.interconnect.host import HostPath
 from repro.nvm.bus import BusSpec
 from repro.nvm.kinds import NVMKind
 from repro.sim import Resource, Simulator
-from repro.ssd.ftl import Txn
+from repro.ssd.ftl import GROUP
 from repro.ssd.geometry import Geometry
 from repro.ssd.request import OpCode
 
@@ -85,22 +87,23 @@ class DesSSD:
             return k.program_latency_ns(pib)
         return k.erase_ns
 
-    def _txn_process(self, txn: Txn, arrival: int, pay_cmd: bool):
+    def _txn_process(self, txn: list[int], arrival: int, pay_cmd: bool):
         sim = self.sim
         geom = self.geom
-        u = txn.flat % geom.plane_units
-        addr = geom.decode(txn.flat)
+        op, flat, nbytes, _group, pib = txn
+        u = flat % geom.plane_units
+        addr = geom.decode(flat)
         die_g = geom.global_die(addr.channel, addr.package, addr.die)
         pkg_g = geom.global_package(addr.channel, addr.package)
-        cell_ns = self._cell_ns(txn.op, txn.page_in_block)
-        fb_ns = int(txn.nbytes * self._bus_nspb)
+        cell_ns = self._cell_ns(op, pib)
+        fb_ns = int(nbytes * self._bus_nspb)
         cmd_ns = self.bus.cmd_ns if pay_cmd else 0
-        host_ns = int(txn.nbytes * self._host_nspb)
+        host_ns = int(nbytes * self._host_nspb)
 
         if arrival > sim.now:
             yield sim.timeout(arrival - sim.now)
 
-        if txn.op == OpCode.READ:
+        if op == OpCode.READ:
             yield self.plane[u].acquire()
             yield self.die[die_g].acquire()
             yield sim.timeout(cell_ns)
@@ -115,7 +118,7 @@ class DesSSD:
             yield self.host_res.acquire()
             yield sim.timeout(host_ns)
             self.host_res.release()
-        elif txn.op == OpCode.WRITE:
+        elif op == OpCode.WRITE:
             yield self.host_res.acquire()
             yield sim.timeout(host_ns)
             self.host_res.release()
@@ -137,21 +140,22 @@ class DesSSD:
             self.die[die_g].release()
             self.plane[u].release()
 
-        self._payload += txn.nbytes
+        self._payload += nbytes
         self._count += 1
 
     # ------------------------------------------------------------------
-    def run(self, batches: Sequence[tuple[Sequence[Txn], int]]) -> DesRunStats:
-        """Run ``(txns, arrival)`` batches to completion.
+    def run(self, batches: Sequence[tuple[np.ndarray, int]]) -> DesRunStats:
+        """Run ``(transaction block, arrival)`` batches to completion.
 
         Processes are started in batch order, so FIFO resource queues
         see the same ordering the list scheduler does.
         """
         for txns, arrival in batches:
             prev_group = -2
-            for t in txns:
-                pay_cmd = not (t.group >= 0 and t.group == prev_group)
-                prev_group = t.group
+            for t in txns.tolist():
+                group = t[GROUP]
+                pay_cmd = not (group >= 0 and group == prev_group)
+                prev_group = group
                 self.sim.process(self._txn_process(t, arrival, pay_cmd))
         end = self.sim.run()
         return DesRunStats(

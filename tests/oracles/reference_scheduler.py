@@ -14,14 +14,11 @@ change.  Semantics are documented in :mod:`repro.ssd.scheduler`.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.interconnect.host import HostPath
 from repro.nvm.bus import BusSpec
 from repro.nvm.kinds import NVMKind
-from repro.ssd.ftl import Txn
 from repro.ssd.geometry import Geometry
 from repro.ssd.request import OpCode
 from repro.ssd.scheduler import KIND_CODES, LOG_COLUMNS, TxnLog
@@ -91,13 +88,13 @@ class ReferenceScheduler:
     # ------------------------------------------------------------------
     def submit(
         self,
-        txns: Sequence[Txn],
+        txns: np.ndarray,
         arrival: int,
         req_id: int,
         client: int = 0,
         kind_label: str = "data",
     ) -> int:
-        """Schedule the transactions of one block request."""
+        """Schedule one block request's transaction block."""
         if arrival < 0:
             raise ValueError("negative arrival")
         bus_nspb = self._bus_ns_per_byte
@@ -123,7 +120,7 @@ class ReferenceScheduler:
         append = rows.append
 
         prev_group = -2  # group id of the previous txn (for cmd sharing)
-        for op, flat, nbytes, group, pib in txns:
+        for op, flat, nbytes, group, pib in txns.tolist():
             u = flat % U
             plane = u % P
             rest = u // P

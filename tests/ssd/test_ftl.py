@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.nvm import SLC, TLC
 from repro.ssd import DeviceFTL, FTLError, Geometry, OpCode
+from repro.ssd.ftl import FLAT, GROUP, NBYTES, OP
 from repro.ssd.request import DeviceCommand
 
 KiB = 1024
@@ -54,8 +55,8 @@ class TestReadTranslation:
         ftl.preload(64 * KiB)
         txns = ftl.translate(DeviceCommand("read", 0, 8 * geom.page_bytes))
         assert len(txns) == 8
-        assert [t.flat for t in txns] == list(range(8))
-        assert all(t.op == OpCode.READ for t in txns)
+        assert txns[:, FLAT].tolist() == list(range(8))
+        assert np.all(txns[:, OP] == OpCode.READ)
 
     def test_partial_page_edges(self):
         ftl, geom = small_ftl()
@@ -63,15 +64,15 @@ class TestReadTranslation:
         pb = geom.page_bytes
         txns = ftl.translate(DeviceCommand("read", pb // 2, pb))
         assert len(txns) == 2
-        assert txns[0].nbytes == pb // 2
-        assert txns[1].nbytes == pb - pb // 2
+        assert txns[0, NBYTES] == pb // 2
+        assert txns[1, NBYTES] == pb - pb // 2
 
     def test_bytes_conserved(self):
         ftl, geom = small_ftl()
         ftl.preload(128 * KiB)
         n = 37 * KiB
         txns = ftl.translate(DeviceCommand("read", 3 * KiB, n))
-        assert sum(t.nbytes for t in txns) == n
+        assert txns[:, NBYTES].sum() == n
 
     def test_read_beyond_space(self):
         ftl, _ = small_ftl(logical_kib=64)
@@ -81,7 +82,7 @@ class TestReadTranslation:
     def test_cold_read_adopts_identity(self):
         ftl, geom = small_ftl()
         txns = ftl.translate(DeviceCommand("read", 0, geom.page_bytes))
-        assert txns[0].flat == 0
+        assert txns[0, FLAT] == 0
         assert ftl.map[0] == 0
         ftl.check_invariants()
 
@@ -91,7 +92,7 @@ class TestPlaneGrouping:
         ftl, geom = small_ftl()
         ftl.preload(64 * KiB)
         txns = ftl.translate(DeviceCommand("read", 0, 4 * geom.page_bytes))
-        groups = [t.group for t in txns]
+        groups = txns[:, GROUP].tolist()
         assert groups[0] == groups[1] >= 0
         assert groups[2] == groups[3] >= 0
         assert groups[0] != groups[2]
@@ -101,22 +102,22 @@ class TestPlaneGrouping:
         ftl.preload(64 * KiB)
         txns = ftl.translate(DeviceCommand("read", geom.page_bytes, geom.page_bytes * 2))
         # starts at flat 1 (plane 1): cannot pair with flat 2 (other die)
-        assert all(t.group == -1 for t in txns)
+        assert np.all(txns[:, GROUP] == -1)
 
     def test_group_members_same_die(self):
         ftl, geom = small_ftl()
         ftl.preload(128 * KiB)
         txns = ftl.translate(DeviceCommand("read", 0, 16 * geom.page_bytes))
         by_group = {}
-        for t in txns:
-            if t.group >= 0:
-                by_group.setdefault(t.group, []).append(t)
+        for flat, group in txns[:, [FLAT, GROUP]].tolist():
+            if group >= 0:
+                by_group.setdefault(group, []).append(flat)
         assert by_group, "expected some plane groups"
         U = geom.plane_units
         P = geom.planes_per_die
         for members in by_group.values():
-            dies = {(m.flat % U) // P for m in members}
-            slots = {m.flat // U for m in members}
+            dies = {(m % U) // P for m in members}
+            slots = {m // U for m in members}
             assert len(dies) == 1 and len(slots) == 1
             assert len(members) <= P
 
@@ -125,22 +126,22 @@ class TestWriteTranslation:
     def test_full_page_write_allocates(self):
         ftl, geom = small_ftl()
         txns = ftl.translate(DeviceCommand("write", 0, geom.page_bytes))
-        assert [t.op for t in txns] == [OpCode.WRITE]
-        assert ftl.map[0] == txns[0].flat
+        assert txns[:, OP].tolist() == [OpCode.WRITE]
+        assert ftl.map[0] == txns[0, FLAT]
         ftl.check_invariants()
 
     def test_subpage_overwrite_triggers_rmw(self):
         ftl, geom = small_ftl()
         ftl.preload(64 * KiB)
         txns = ftl.translate(DeviceCommand("write", 0, geom.page_bytes // 2))
-        ops = [t.op for t in txns]
+        ops = txns[:, OP].tolist()
         assert OpCode.READ in ops and OpCode.WRITE in ops
         assert ftl.stats["rmw_reads"] == 1
 
     def test_subpage_write_to_cold_page_no_rmw(self):
         ftl, geom = small_ftl()
         txns = ftl.translate(DeviceCommand("write", 0, geom.page_bytes // 2))
-        assert [t.op for t in txns] == [OpCode.WRITE]
+        assert txns[:, OP].tolist() == [OpCode.WRITE]
 
     def test_overwrite_invalidates_old(self):
         ftl, geom = small_ftl()
@@ -148,19 +149,19 @@ class TestWriteTranslation:
         old = int(ftl.map[0])
         ftl.translate(DeviceCommand("write", 0, geom.page_bytes))
         assert int(ftl.map[0]) != old
-        assert old not in ftl.reverse
+        assert ftl.reverse[old] == 0  # 0: no logical page
         ftl.check_invariants()
 
     def test_writes_stripe_across_units(self):
         ftl, geom = small_ftl()
         txns = ftl.translate(DeviceCommand("write", 0, 8 * geom.page_bytes))
-        units = {t.flat % geom.plane_units for t in txns}
+        units = set((txns[:, FLAT] % geom.plane_units).tolist())
         assert len(units) == 8
 
     def test_trim_unmaps(self):
         ftl, geom = small_ftl()
         ftl.preload(64 * KiB)
-        assert ftl.translate(DeviceCommand("trim", 0, geom.page_bytes)) == []
+        assert len(ftl.translate(DeviceCommand("trim", 0, geom.page_bytes))) == 0
         assert ftl.map[0] == -1
         ftl.check_invariants()
 
@@ -174,7 +175,7 @@ class TestGarbageCollection:
         # 1 spare block x 64 pages must fill before the low-water mark)
         for i in range(1500):
             txns = ftl.translate(DeviceCommand("write", 0, pb))
-            saw_erase = saw_erase or any(t.op == OpCode.ERASE for t in txns)
+            saw_erase = saw_erase or bool(np.any(txns[:, OP] == OpCode.ERASE))
         assert saw_erase
         assert ftl.stats["gc_runs"] > 0
         ftl.check_invariants()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.interconnect import HostPath, bridged_pcie2
@@ -15,7 +16,6 @@ from repro.ssd import (
     compute_metrics,
     media_pattern_peak,
 )
-from repro.ssd.ftl import Txn
 
 FAST = HostPath(name="fast", bytes_per_sec=1e12, per_request_ns=0)
 
@@ -25,13 +25,14 @@ def make_run(txn_batches, host=FAST, kind=SLC):
                     dies_per_package=2, planes_per_die=2, blocks_per_plane=8)
     sched = TransactionScheduler(geom, ONFI3_SDR400, host)
     for req_id, (txns, arrival) in enumerate(txn_batches):
-        sched.submit(txns, arrival=arrival, req_id=req_id)
+        block = np.array(txns, dtype=np.int64).reshape(-1, 5)
+        sched.submit(block, arrival=arrival, req_id=req_id)
     log = sched.finish()
     return compute_metrics(log, geom, kind), log, geom
 
 
 def reads(flats, nbytes=2048, group=-1):
-    return [Txn(OpCode.READ, f, nbytes, group, 0) for f in flats]
+    return [(OpCode.READ, f, nbytes, group, 0) for f in flats]
 
 
 class TestBandwidth:

@@ -28,7 +28,7 @@ from repro.ssd import (
     TransactionScheduler,
     compute_metrics,
 )
-from repro.ssd.ftl import Txn
+from repro.ssd.ftl import NBYTES, OP
 from repro.ssd.metrics import compute_metrics_batch
 from repro.ssd.scheduler import Lane, Link, MediaConsts, assemble_log, lockstep, prepass
 from tests.oracles import metrics as oracle
@@ -59,12 +59,12 @@ def random_runs(draw):
             if op == OpCode.ERASE:  # a whole block, no payload, as GC erases
                 unit = draw(st.integers(0, units - 1))
                 block = draw(st.integers(0, geom.blocks_per_plane - 1))
-                txns.append(Txn(op, block * ppb * units + unit, 0, -1, 0))
+                txns.append((op, block * ppb * units + unit, 0, -1, 0))
                 continue
             flat = draw(st.integers(0, geom.total_pages - 1))
             nbytes = draw(st.integers(1, geom.page_bytes))
-            txns.append(Txn(op, flat, nbytes, group, (flat // units) % ppb))
-        batches.append((txns, draw(st.integers(0, 5_000_000)),
+            txns.append((op, flat, nbytes, group, (flat // units) % ppb))
+        batches.append((np.array(txns, dtype=np.int64), draw(st.integers(0, 5_000_000)),
                         draw(st.integers(0, n_clients - 1))))
     return geom, host, batches
 
@@ -86,7 +86,7 @@ class TestMetricInvariants:
     @settings(max_examples=40, deadline=None)
     def test_all_invariants(self, run):
         geom, host, batches = run
-        payload = sum(t.nbytes for txns, _, _ in batches for t in txns)
+        payload = sum(int(txns[:, NBYTES].sum()) for txns, _, _ in batches)
         log = _replay(geom, host, batches)
         m = compute_metrics(log, geom, geom.kind)
 
@@ -181,15 +181,15 @@ def _lockstep_log(geom, host, batches):
     the block kernel of :func:`~repro.ssd.scheduler.lockstep` (``None``
     when there are none)."""
     cmds = [
-        ([t for t in txns if t.op == OpCode.READ], arrival, client)
+        (txns[txns[:, OP] == OpCode.READ], arrival, client)
         for txns, arrival, client in batches
     ]
-    cmds = [c for c in cmds if c[0]]
+    cmds = [c for c in cmds if len(c[0])]
     if not cmds:
         return None
     lens = [len(txns) for txns, _, _ in cmds]
     bounds = np.cumsum([0, *lens]).tolist()
-    rows = np.asarray([t for txns, _, _ in cmds for t in txns], dtype=np.int64)
+    rows = np.concatenate([txns for txns, _, _ in cmds])
     (base,) = prepass(
         MediaConsts.of(geom, geom.kind), (Link.of(ONFI3_SDR400, host),), *rows.T,
         same_cmd=np.repeat(np.arange(len(cmds)), lens),

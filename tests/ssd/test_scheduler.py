@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.interconnect import HostPath
 from repro.nvm import DDR800, ONFI3_SDR400, SLC, TLC
 from repro.ssd import Geometry, OpCode, TransactionScheduler
-from repro.ssd.ftl import Txn
 
 FAST_HOST = HostPath(name="fast", bytes_per_sec=1e12, per_request_ns=0)
 
@@ -23,13 +23,18 @@ def sched_for(kind=SLC, bus=ONFI3_SDR400, host=FAST_HOST, **geom_kw):
 
 
 def read_txn(flat, nbytes=2048, group=-1, pib=0):
-    return Txn(OpCode.READ, flat, nbytes, group, pib)
+    return (OpCode.READ, flat, nbytes, group, pib)
+
+
+def block(rows):
+    """A transaction block of ``(op, flat, nbytes, group, pib)`` rows."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
 
 class TestReadPath:
     def test_single_read_latency(self):
         sched, geom = sched_for()
-        done = sched.submit([read_txn(0)], arrival=0, req_id=0)
+        done = sched.submit(block([read_txn(0)]), arrival=0, req_id=0)
         log = sched.finish()
         # cell -> flash bus -> channel bus (+cmd) -> host
         cell = SLC.read_ns
@@ -42,7 +47,7 @@ class TestReadPath:
 
     def test_arrival_offsets_everything(self):
         sched, _ = sched_for()
-        sched.submit([read_txn(0)], arrival=1000, req_id=0)
+        sched.submit(block([read_txn(0)]), arrival=1000, req_id=0)
         log = sched.finish()
         assert log["cell_start"][0] == 1000
 
@@ -50,7 +55,7 @@ class TestReadPath:
         sched, geom = sched_for()
         U = geom.plane_units
         # flats 0 and 0+U: same plane unit, consecutive page slots
-        sched.submit([read_txn(0), read_txn(U)], arrival=0, req_id=0)
+        sched.submit(block([read_txn(0), read_txn(U)]), arrival=0, req_id=0)
         log = sched.finish()
         # second cell waits for the first's register transfer to finish
         assert log["cell_start"][1] >= log["fb_end"][0]
@@ -59,20 +64,20 @@ class TestReadPath:
         sched, geom = sched_for()
         P = geom.planes_per_die
         # flats 0 and 2: different channels in plane-first striping
-        sched.submit([read_txn(0), read_txn(P)], arrival=0, req_id=0)
+        sched.submit(block([read_txn(0), read_txn(P)]), arrival=0, req_id=0)
         log = sched.finish()
         assert log["cell_start"][1] == log["cell_start"][0]
 
     def test_channel_shared_by_transfers(self):
         sched, geom = sched_for()
         # same die pair: transfers serialize on the channel
-        sched.submit([read_txn(0), read_txn(1)], arrival=0, req_id=0)
+        sched.submit(block([read_txn(0), read_txn(1)]), arrival=0, req_id=0)
         log = sched.finish()
         assert log["ch_start"][1] >= log["ch_end"][0]
 
     def test_full_page_sense_for_partial_read(self):
         sched, _ = sched_for()
-        sched.submit([read_txn(0, nbytes=512)], arrival=0, req_id=0)
+        sched.submit(block([read_txn(0, nbytes=512)]), arrival=0, req_id=0)
         log = sched.finish()
         assert log["cell_end"][0] - log["cell_start"][0] == SLC.read_ns
         # but the bus moves only the payload
@@ -82,7 +87,7 @@ class TestReadPath:
 class TestMultiPlaneGroups:
     def test_group_shares_command_cycles(self):
         sched, _ = sched_for()
-        grouped = [read_txn(0, group=5), read_txn(1, group=5)]
+        grouped = block([read_txn(0, group=5), read_txn(1, group=5)])
         sched.submit(grouped, arrival=0, req_id=0)
         log = sched.finish()
         ch0 = log["ch_end"][0] - log["ch_start"][0]
@@ -91,7 +96,7 @@ class TestMultiPlaneGroups:
 
     def test_ungrouped_pay_full_command(self):
         sched, _ = sched_for()
-        sched.submit([read_txn(0), read_txn(1)], arrival=0, req_id=0)
+        sched.submit(block([read_txn(0), read_txn(1)]), arrival=0, req_id=0)
         log = sched.finish()
         ch0 = log["ch_end"][0] - log["ch_start"][0]
         ch1 = log["ch_end"][1] - log["ch_start"][1]
@@ -101,8 +106,8 @@ class TestMultiPlaneGroups:
 class TestWritePath:
     def test_write_order_host_channel_cell(self):
         sched, _ = sched_for()
-        t = Txn(OpCode.WRITE, 0, 2048, -1, 0)
-        done = sched.submit([t], arrival=0, req_id=0)
+        t = (OpCode.WRITE, 0, 2048, -1, 0)
+        done = sched.submit(block([t]), arrival=0, req_id=0)
         log = sched.finish()
         assert log["h_end"][0] <= log["ch_start"][0]
         assert log["ch_end"][0] <= log["fb_start"][0]
@@ -111,9 +116,9 @@ class TestWritePath:
 
     def test_program_ladder_applied(self):
         sched, _ = sched_for(kind=TLC)
-        slow = Txn(OpCode.WRITE, 0, 8192, -1, 2)  # upper page
-        fast = Txn(OpCode.WRITE, 2, 8192, -1, 0)  # lower page
-        sched.submit([slow, fast], arrival=0, req_id=0)
+        slow = (OpCode.WRITE, 0, 8192, -1, 2)  # upper page
+        fast = (OpCode.WRITE, 2, 8192, -1, 0)  # lower page
+        sched.submit(block([slow, fast]), arrival=0, req_id=0)
         log = sched.finish()
         assert (log["cell_end"][0] - log["cell_start"][0]) == 6_000_000
         assert (log["cell_end"][1] - log["cell_start"][1]) == 440_000
@@ -122,16 +127,16 @@ class TestWritePath:
 class TestErase:
     def test_erase_occupies_die_only(self):
         sched, _ = sched_for()
-        t = Txn(OpCode.ERASE, 0, 0, -1, 0)
-        done = sched.submit([t], arrival=0, req_id=0)
+        t = (OpCode.ERASE, 0, 0, -1, 0)
+        done = sched.submit(block([t]), arrival=0, req_id=0)
         log = sched.finish()
         assert done == SLC.erase_ns
         assert log["ch_end"][0] == log["cell_end"][0]  # no bus activity
 
     def test_erase_blocks_subsequent_read_on_die(self):
         sched, _ = sched_for()
-        sched.submit([Txn(OpCode.ERASE, 0, 0, -1, 0)], arrival=0, req_id=0)
-        sched.submit([read_txn(0)], arrival=0, req_id=1)
+        sched.submit(block([(OpCode.ERASE, 0, 0, -1, 0)]), arrival=0, req_id=0)
+        sched.submit(block([read_txn(0)]), arrival=0, req_id=1)
         log = sched.finish()
         assert log["cell_start"][1] >= SLC.erase_ns
 
@@ -141,15 +146,15 @@ class TestHostPath:
         slow = HostPath(name="slow", bytes_per_sec=1e6, per_request_ns=0)
         sched, geom = sched_for(host=slow)
         P = geom.planes_per_die
-        sched.submit([read_txn(0), read_txn(P)], arrival=0, req_id=0)
+        sched.submit(block([read_txn(0), read_txn(P)]), arrival=0, req_id=0)
         log = sched.finish()
         assert log["h_start"][1] >= log["h_end"][0]
 
     def test_faster_bus_shortens_transfers(self):
         s1, _ = sched_for(bus=ONFI3_SDR400)
         s2, _ = sched_for(bus=DDR800)
-        s1.submit([read_txn(0)], 0, 0)
-        s2.submit([read_txn(0)], 0, 0)
+        s1.submit(block([read_txn(0)]), 0, 0)
+        s2.submit(block([read_txn(0)]), 0, 0)
         t1 = s1.finish()
         t2 = s2.finish()
         fb1 = t1["fb_end"][0] - t1["fb_start"][0]
@@ -161,11 +166,11 @@ class TestBookkeeping:
     def test_negative_arrival_rejected(self):
         sched, _ = sched_for()
         with pytest.raises(ValueError):
-            sched.submit([read_txn(0)], arrival=-1, req_id=0)
+            sched.submit(block([read_txn(0)]), arrival=-1, req_id=0)
 
     def test_log_columns_consistent(self):
         sched, _ = sched_for()
-        sched.submit([read_txn(i) for i in range(6)], arrival=0, req_id=3, client=2)
+        sched.submit(block([read_txn(i) for i in range(6)]), arrival=0, req_id=3, client=2)
         log = sched.finish()
         assert len(log) == 6
         assert set(log["req"].tolist()) == {3}
@@ -177,13 +182,13 @@ class TestBookkeeping:
 
     def test_n_txns(self):
         sched, _ = sched_for()
-        sched.submit([read_txn(0)], 0, 0)
+        sched.submit(block([read_txn(0)]), 0, 0)
         assert sched.n_txns == 1
 
     def test_decode_matches_geometry(self):
         sched, geom = sched_for()
         for flat in range(geom.plane_units):
-            sched.submit([read_txn(flat)], arrival=0, req_id=flat)
+            sched.submit(block([read_txn(flat)]), arrival=0, req_id=flat)
         log = sched.finish()
         for flat in range(geom.plane_units):
             ids = (log["channel"][flat], log["package"][flat],

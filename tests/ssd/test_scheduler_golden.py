@@ -81,7 +81,7 @@ class TestGoldenRandomMix:
             for rid, req in enumerate(trace):
                 cmd = DeviceCommand(req.op, req.offset, req.nbytes)
                 txns = ftl.translate(cmd)
-                if txns:
+                if len(txns):
                     t = sched.submit(txns, arrival=t, req_id=rid)
                 completions.append(t)
             return sched.finish(), completions

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.interconnect import HostPath
 from repro.nvm import ONFI3_SDR400, SLC, TLC
 from repro.ssd import Geometry, OpCode, TransactionScheduler
-from repro.ssd.ftl import Txn
 
 HOST = HostPath(name="h", bytes_per_sec=2e9, per_request_ns=500)
 
@@ -61,7 +60,8 @@ def txn_streams(draw):
         flat = draw(st.integers(0, geom.total_pages - 1))
         nbytes = 0 if op == OpCode.ERASE else draw(st.integers(1, page))
         pib = (flat // geom.plane_units) % geom.pages_per_block
-        txns.append(Txn(op, flat, nbytes, -1, pib))
+        txns.append((op, flat, nbytes, -1, pib))
+    txns = np.array(txns, dtype=np.int64)
     batches = []
     i = 0
     while i < len(txns):

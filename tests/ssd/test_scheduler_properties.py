@@ -23,7 +23,6 @@ from repro.interconnect import HostPath
 from repro.nvm import DDR800, ONFI3_SDR400, PCM, SLC, TLC
 from repro.nvm.bus import BusSpec
 from repro.ssd import Geometry, OpCode
-from repro.ssd.ftl import Txn
 from repro.ssd.scheduler import (
     KIND_CODES,
     LOG_COLUMNS,
@@ -56,12 +55,12 @@ def streams(draw):
     )
     # runs of rows; a run of >1 rows (or a lone row) may carry a group
     # id, and ids repeat freely so equal groups can meet across commands
-    rows: list[Txn] = []
+    rows = []
     for _ in range(draw(st.integers(1, 12))):
         group = draw(st.sampled_from((-1, 0, 1, 2)))
         for _ in range(draw(st.integers(1, 3))):
             rows.append(
-                Txn(
+                (
                     draw(st.sampled_from((OpCode.READ, OpCode.WRITE, OpCode.ERASE))),
                     draw(st.integers(0, 4 * geom.total_pages)),
                     draw(st.integers(1, geom.page_bytes)),
@@ -69,6 +68,7 @@ def streams(draw):
                     draw(st.integers(0, 3 * geom.pages_per_block)),
                 )
             )
+    rows = np.array(rows, dtype=np.int64)
     cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=8)))
     bounds = [0, *cuts, len(rows)]
     commands = [
@@ -114,8 +114,7 @@ def test_raw_submits_match_reference_oracle(run):
 def test_prepassed_windows_match_raw_submits(run, data):
     geom, bus, host, commands = run
     order = data.draw(st.permutations(range(len(commands))))
-    rows = [t for txns, *_ in commands for t in txns]
-    cols = np.asarray(rows, dtype=np.int64).reshape(len(rows), 5).T
+    cols = np.concatenate([txns for txns, *_ in commands]).T
     cmd_of_row = np.repeat(np.arange(len(commands)), [len(c[0]) for c in commands])
     (lane,) = prepass(
         MediaConsts.of(geom, geom.kind), (Link.of(bus, host),), *cols,
