@@ -13,11 +13,13 @@ This package exploits that: it pre-translates every cell's command
 stream, stacks all cells into one (cell x txn) int64 columnar block,
 evaluates address decode, latency-ladder lookups, bus/link arithmetic
 and command-sharing discounts for the whole matrix in a single numpy
-sweep, replays every cell's flow control through the controller's own
-``dispatch`` generator and the scheduler's block recurrence in
-lockstep, and measures all cells with the one metrics pass
-(:func:`repro.ssd.metrics.compute_metrics_batch`) that also measures
-every scalar replay.
+sweep, and replays every cell's flow control through the controller's
+own ``dispatch`` generator and the scheduler's block recurrence in
+lockstep.  It then streams the cells one at a time: each cell's log is
+assembled, measured by a one-lane call of the metrics pass that also
+measures every scalar replay
+(:func:`repro.ssd.metrics.compute_metrics_batch`) and dropped before
+the next cell's is built.
 
 Golden tests assert :class:`~repro.ssd.metrics.RunMetrics` equality
 between the batch and the scalar backend for all 52 Table-2 cells.

@@ -4,11 +4,13 @@ Per cell the scalar path pays two full replays (main + unconstrained
 peak), two FTL preloads, two command-stream translations, a metrics
 call per replay and a tuple round-trip per command.  The batch backend
 pays one vectorized plan, one stacked pre-pass shared by the whole
-matrix, one lockstep replay of every cell's main and peak lane
-(:mod:`repro.batch.scheduler`) and one call of the metrics pass for
-all main lanes; the peak lane yields its aggregate bandwidth without a
-log.  The metrics pass replays the media pattern peak only when the
-caller keeps :class:`~repro.ssd.metrics.RunMetrics`
+matrix and one lockstep replay of every cell's main and peak lane
+(:mod:`repro.batch.scheduler`); the peak lane yields its aggregate
+bandwidth without a log.  The main lanes are then streamed cell by
+cell: each cell's log is assembled, measured by a one-lane call of the
+metrics pass and dropped before the next cell's, so the matrix never
+holds more than one log.  The metrics pass replays the media pattern
+peak only when the caller keeps :class:`~repro.ssd.metrics.RunMetrics`
 (``keep_metrics=True``): no :class:`ConfigResult` field reads it.
 
 Caching matches :func:`repro.experiments.runner.run_cell`: the peak
@@ -28,6 +30,7 @@ import numpy as np
 from ..experiments.runner import Cell, ConfigResult, Workload, emit_replay_spans
 from ..obs import trace as obs
 from ..ssd.metrics import compute_metrics_batch
+from ..ssd.scheduler import assemble_log
 from .plan import BatchUnsupported, CellPlan, plan_cell, stack_plans
 from .scheduler import replay_plans
 
@@ -46,11 +49,10 @@ class BatchReport:
     planned: list[Pair] = field(default_factory=list)
     #: cell -> BatchUnsupported reason; these must run on the scalar path
     fallback: dict[Pair, str] = field(default_factory=dict)
-    #: per-cell wall seconds: the cell's own plan time plus its share of
-    #: the stacked pre-pass (by planned rows), of the lockstep replay (by
-    #: rows stepped) and of the stacked metrics (by rows measured and
-    #: pattern-peak rows replayed); they sum to the four phase totals
-    #: below
+    #: per-cell wall seconds: the cell's own plan time, its share of the
+    #: stacked pre-pass (by planned rows) and of the lockstep replay (by
+    #: rows stepped), its own log assembly (counted as replay) and its
+    #: own metrics call; they sum to the four phase totals below
     seconds: dict[Pair, float] = field(default_factory=dict)
     stacked_rows: int = 0
     plan_seconds: float = 0.0
@@ -148,38 +150,39 @@ def run_cells_batch(
     with_peak = [
         with_remaining and (p.label, p.kind_name) not in peaks for p in replayed
     ]
-    logs, replay_peaks = replay_plans(replayed, with_peak)
-    report.replay_seconds = time.perf_counter() - t0
+    mains, replay_peaks = replay_plans(replayed, with_peak)
+    lockstep_seconds = time.perf_counter() - t0
     for plan, peak in zip(replayed, replay_peaks):
         if peak is not None:
             peaks[(plan.label, plan.kind_name)] = peak
             if cache is not None:
                 cache.put_peak(ident[(plan.label, plan.kind_name)], peak)
-
-    # the pattern peak only feeds RunMetrics, so it is replayed only
-    # when the caller keeps them
-    t0 = time.perf_counter()
-    metrics_list = compute_metrics_batch(
-        [(log, p.path.device.geom, p.path.device.kind) for log, p in zip(logs, replayed)],
-        pattern_peak=keep_metrics,
-    )
-    report.metrics_seconds = time.perf_counter() - t0
-    if tr is not None:
-        tr.wall_event(
-            "metrics", "stacked_metrics", report.metrics_seconds,
-            cells=len(replayed),
-        )
-    # replay: rows stepped on the main and peak lanes; metrics: rows
-    # measured, plus the pattern-peak replay's rows when it runs
-    replay_shares = _shares(
-        report.replay_seconds, [p.n * (1 + peak) for p, peak in zip(replayed, with_peak)]
-    )
-    metrics_shares = _shares(
-        report.metrics_seconds, [p.n * (1 + keep_metrics) for p in replayed]
+    # the lockstep is shared: split it by rows stepped on the main and
+    # peak lanes
+    lockstep_shares = _shares(
+        lockstep_seconds, [p.n * (1 + peak) for p, peak in zip(replayed, with_peak)]
     )
 
-    for i, (plan, m) in enumerate(zip(replayed, metrics_list)):
+    # one cell at a time: its log exists only while it is measured,
+    # and popping its replay releases the lane's recorded ends and trace
+    mains.reverse()
+    for i, plan in enumerate(replayed):
         cell = (plan.label, plan.kind_name)
+        t0 = time.perf_counter()
+        log = assemble_log(*mains.pop())
+        t1 = time.perf_counter()
+        # the pattern peak only feeds RunMetrics, so it is replayed
+        # only when the caller keeps them
+        (m,) = compute_metrics_batch(
+            [(log, plan.path.device.geom, plan.path.device.kind)],
+            pattern_peak=keep_metrics,
+        )
+        del log
+        measure_seconds = time.perf_counter() - t1
+        replay_share = lockstep_shares[i] + (t1 - t0)
+        report.replay_seconds += replay_share
+        report.metrics_seconds += measure_seconds
+
         per_client_mb = {c: bw / 1e6 for c, bw in m.client_bandwidth.items()}
         bandwidth_mb = (
             float(np.mean(list(per_client_mb.values()))) if per_client_mb else 0.0
@@ -202,10 +205,10 @@ def run_cells_batch(
             faults=None,
             backend="batch",
         )
-        report.seconds[cell] = secs[cell] + replay_shares[i] + metrics_shares[i]
+        report.seconds[cell] = secs[cell] + replay_share + measure_seconds
         if tr is not None:
-            tr.wall_event(
-                "scheduler", f"{plan.label}|{plan.kind_name}", replay_shares[i]
-            )
+            name = f"{plan.label}|{plan.kind_name}"
+            tr.wall_event("scheduler", name, replay_share)
+            tr.wall_event("metrics", name, measure_seconds)
             emit_replay_spans(tr, ident[cell], m)
     return results, report

@@ -6,16 +6,16 @@ becomes one :class:`~repro.ssd.scheduler.Lane` of a single
 :func:`~repro.batch.plan.stack_plans`.  A lane's commands come from the
 controller's :func:`~repro.ssd.controller.dispatch` of the planned
 command groups (:func:`planned_commands`), which records what it saw
-in a :class:`CommandTrace`: the main lane's log is assembled from it,
-and the peak lane reports its aggregate bandwidth from it without a
-log.
+in a :class:`CommandTrace`: the caller assembles the main lane's log
+from it (:class:`MainReplay`), and the peak lane reports its aggregate
+bandwidth from it without a log.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, cast
+from typing import NamedTuple, Optional, Sequence, cast
 
 import numpy as np
 
@@ -26,13 +26,12 @@ from ..ssd.scheduler import (
     KIND_CODES,
     Commands,
     Lane,
-    TxnLog,
-    assemble_log,
+    LaneCols,
     lockstep,
 )
 from .plan import CellPlan, PlannedCommand
 
-__all__ = ["CommandTrace", "planned_commands", "replay_plans"]
+__all__ = ["CommandTrace", "MainReplay", "planned_commands", "replay_plans"]
 
 
 @dataclass
@@ -56,6 +55,17 @@ class CommandTrace:
         makespan = self.last_done - int(meta[:, 3].min())
         bw = payload * 1e9 / makespan if makespan > 0 else 0.0
         return bw / 1e6
+
+
+class MainReplay(NamedTuple):
+    """A replayed main lane: the arguments of
+    :func:`~repro.ssd.scheduler.assemble_log` for its log."""
+
+    lane: LaneCols
+    #: the lane's :attr:`CommandTrace.meta`
+    meta: list[tuple[int, int, int, int, int, int]]
+    #: the lane's recorded cell, flash-bus, channel and host ends
+    ends: list[np.ndarray]
 
 
 def planned_commands(
@@ -86,13 +96,15 @@ def planned_commands(
 
 def replay_plans(
     plans: Sequence[CellPlan], with_peak: Sequence[bool]
-) -> tuple[list[TxnLog], list[Optional[float]]]:
+) -> tuple[list[MainReplay], list[Optional[float]]]:
     """Replay every plan's ``main`` lane, and its ``peak`` lane where
     ``with_peak`` says, all in lockstep.
 
-    Returns the main lanes' logs and the peak lanes' aggregate
-    bandwidth in MB/s (``None`` where not replayed).  The peak lane
-    replays on the unconstrained interface
+    Returns, per plan, what :func:`~repro.ssd.scheduler.assemble_log`
+    needs to build the main lane's log, and the peak lanes' aggregate
+    bandwidth in MB/s (``None`` where not replayed).  No log is built
+    here: the caller assembles and measures one cell at a time.  The
+    peak lane replays on the unconstrained interface
     (:meth:`~repro.ssd.controller.SSDevice.unconstrain`) without
     touching the device.
     """
@@ -123,12 +135,12 @@ def replay_plans(
         [bases["main"], bases["peak"]],
         [m for m, _ in mains] + [p for p, _ in filter(None, peaks)],
     )
-    logs = [
-        assemble_log(plan.lanes["main"], trace.meta, main.ends)
+    replays = [
+        MainReplay(plan.lanes["main"], trace.meta, main.ends)
         for plan, (main, trace) in zip(plans, mains)
     ]
     peak_mb = [
         None if p is None else p[1].aggregate_mb(plan.nbytes)
         for plan, p in zip(plans, peaks)
     ]
-    return logs, peak_mb
+    return replays, peak_mb

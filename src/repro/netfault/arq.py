@@ -89,7 +89,8 @@ def compute_schedule(
     mtu = nf.mtu_bytes
     n_packets = (nbytes + mtu - 1) // mtu
     cum = [min(k * mtu, nbytes) for k in range(n_packets + 1)]
-    base = wire.transfer_ns
+    # healthy wire time to each packet boundary, once per transfer
+    wire_at = [wire.transfer_ns(c) for c in cum]
     sched = TransferSchedule(nbytes=nbytes, n_packets=n_packets, wire_ns=0)
     t = 0
 
@@ -102,7 +103,7 @@ def compute_schedule(
     for k in range(1, n_packets + 1):
         pkt = k - 1
         size = cum[k] - cum[k - 1]
-        base_dur = base(cum[k]) - base(cum[k - 1])
+        base_dur = wire_at[k] - wire_at[k - 1]
         attempt = 0
         while True:
             dur = rate.stretch(base_dur)
@@ -125,7 +126,7 @@ def compute_schedule(
             # and must be re-sent; charge its wire occupancy as waste
             inflight = min(nf.window_packets - 1, n_packets - k)
             if inflight:
-                tail = rate.stretch(base(cum[k + inflight]) - base(cum[k]))
+                tail = rate.stretch(wire_at[k + inflight] - wire_at[k])
                 t += tail
                 sched.wasted_ns += tail
             attempt += 1

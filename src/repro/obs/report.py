@@ -10,7 +10,7 @@ The report answers the two questions an optimization pass starts with:
   smoke test asserts (>= 95%).
 * **wall time** — of every wall second the run burned, which compute
   stage was responsible (FTL planning, the scheduler recurrence, the
-  stacked metrics pass, pool supervision, queue wait, cache)?  This is
+  metrics pass, pool supervision, queue wait, cache)?  This is
   the profiling view the lockstep-vectorization roadmap item targets:
   the ``scheduler`` row *is* the per-cell recurrence loop.
 

@@ -10,7 +10,7 @@ from .metrics import (
     compute_metrics,
     media_pattern_peak,
 )
-from .queueing import PaqQueue, reorder_die_round_robin
+from .queueing import reorder_die_round_robin
 from .request import CommandGroup, DeviceCommand, OpCode, PosixRequest
 from .scheduler import TransactionScheduler, TxnLog
 
@@ -30,7 +30,6 @@ __all__ = [
     "PAL_KEYS",
     "SSDevice",
     "ReplayResult",
-    "PaqQueue",
     "reorder_die_round_robin",
     "CommandGroup",
     "DeviceCommand",

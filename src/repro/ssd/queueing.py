@@ -8,16 +8,12 @@ arrival order — where consecutive transactions often collide on the
 same die while other dies idle — it dispatches conflict-free
 transactions first.
 
-Two pieces:
-
-* :func:`reorder_die_round_robin` — the stateless reordering used by
-  the replay path: transactions are grouped per die (preserving each
-  die's internal order and multi-plane groups) and re-emitted
-  round-robin across dies, so a fragmented pattern that happens to
-  queue several operations on one die no longer serializes the batch.
-* :class:`PaqQueue` — a windowed queue with the same policy for
-  incremental use; tracks how many inversions (conflict avoidances)
-  it performed.
+:func:`reorder_die_round_robin` is the stateless reordering the
+controller's ``paq`` queue policy applies: transactions are grouped per
+die (preserving each die's internal order and multi-plane groups) and
+re-emitted round-robin across dies, so a fragmented pattern that
+happens to queue several operations on one die no longer serializes
+the batch.
 
 Reordering is only applied to read-only batches: mixed batches may
 carry FTL-internal dependencies (a GC relocation's read must precede
@@ -32,17 +28,25 @@ from .ftl import FLAT, GROUP, OP
 from .geometry import Geometry
 from .request import OpCode
 
-__all__ = ["reorder_die_round_robin", "PaqQueue"]
+__all__ = ["reorder_die_round_robin"]
 
 
-def _die_round_robin_order(txns: np.ndarray, geom: Geometry) -> np.ndarray:
-    """The row order :func:`reorder_die_round_robin` emits ``txns`` in.
+def reorder_die_round_robin(txns: np.ndarray, geom: Geometry) -> np.ndarray:
+    """Reorder a read batch so dispatch alternates across dies.
+
+    ``txns`` is a transaction block (:data:`~repro.ssd.ftl.TXN_COLUMNS`).
+    Per-die order is preserved (so the FTL's intent is kept) and
+    multi-plane groups stay adjacent (they are one physical command).
+    Batches containing writes or erases are returned unchanged —
+    arrival order may encode dependencies there.
 
     Rows chunk into atomic units — a multi-plane group moves as one,
     every other row alone — and the units are emitted in rounds: each
     round takes the next unit of every die that has one left, dies in
     order of first appearance.
     """
+    if (txns[:, OP] != OpCode.READ).any():
+        return txns
     n = len(txns)
     group = txns[:, GROUP]
     start = np.ones(n, dtype=bool)
@@ -64,63 +68,4 @@ def _die_round_robin_order(txns: np.ndarray, geom: Geometry) -> np.ndarray:
     # expand the unit order to rows
     ulen = lens[units]
     offset = np.repeat(firsts[units] - (np.cumsum(ulen) - ulen), ulen)
-    return offset + np.arange(n)
-
-
-def reorder_die_round_robin(txns: np.ndarray, geom: Geometry) -> np.ndarray:
-    """Reorder a read batch so dispatch alternates across dies.
-
-    ``txns`` is a transaction block (:data:`~repro.ssd.ftl.TXN_COLUMNS`).
-    Per-die order is preserved (so the FTL's intent is kept) and
-    multi-plane groups stay adjacent (they are one physical command).
-    Batches containing writes or erases are returned unchanged —
-    arrival order may encode dependencies there.
-    """
-    if (txns[:, OP] != OpCode.READ).any():
-        return txns
-    return txns[_die_round_robin_order(txns, geom)]
-
-
-class PaqQueue:
-    """A windowed physically-addressed queue.
-
-    Transactions are enqueued in arrival order; :meth:`drain` emits
-    them die-round-robin within the window.  ``inversions`` counts how
-    many transactions were dispatched ahead of an earlier-arrived one
-    — a measure of how much conflict avoidance the policy found.
-    """
-
-    def __init__(self, geom: Geometry, window: int = 64):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.geom = geom
-        self.window = window
-        self._pending: list[np.ndarray] = []
-        self.inversions = 0
-
-    def push(self, txn) -> None:
-        """Enqueue one transaction row (:data:`~repro.ssd.ftl.TXN_COLUMNS`)."""
-        self._pending.append(np.asarray(txn, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def drain(self) -> np.ndarray:
-        """Dispatch everything pending, window by window."""
-        if not self._pending:
-            return np.empty((0, 5), dtype=np.int64)
-        rows = np.stack(self._pending)
-        self._pending = []
-        out = []
-        for lo in range(0, len(rows), self.window):
-            window = rows[lo : lo + self.window]
-            if (window[:, OP] != OpCode.READ).any():
-                order = np.arange(len(window))
-            else:
-                order = _die_round_robin_order(window, self.geom)
-            # a row overtook an earlier arrival when a later-emitted row
-            # arrived before it
-            later_min = np.minimum.accumulate(order[::-1])[::-1]
-            self.inversions += int(np.count_nonzero(order[:-1] > later_min[1:]))
-            out.append(window[order])
-        return np.concatenate(out)
+    return txns[offset + np.arange(n)]

@@ -47,9 +47,10 @@ The timing kernel has two halves, shared by every replay:
 transaction block (the FTL's int64 ``(n, 5)`` columns,
 :data:`~repro.ssd.ftl.TXN_COLUMNS`) as is, or takes a :class:`TxnSlice`
 window of rows a planner already pre-passed; either way it runs the same
-recurrence, and :meth:`TransactionScheduler.finish` assembles the
-23-column log in one gather (:func:`assemble_log`, which the lockstep
-replay shares).  The media pattern peak of a log with writes
+recurrence.  :meth:`TransactionScheduler.finish` builds the 23-column
+log from the submitted blocks' pre-passed columns, concatenated, or
+from one gather of the planner's lane (:func:`assemble_log`, which the
+lockstep replay shares).  The media pattern peak of a log with writes
 (:func:`repro.ssd.metrics.media_pattern_peak`) calls the two halves
 directly.
 """
@@ -849,10 +850,11 @@ class TransactionScheduler:
         #: transaction-block submits) and its recurrence lists
         self._lane: Optional[LaneCols] = None
         self._lane_lists: tuple[list[int], ...] = ()
-        #: submitted transaction blocks, (op, flat, nbytes, group, pib)
-        self._raw: list[np.ndarray] = []
+        #: the log's row columns (:data:`_ROW_COLS`) of each submitted
+        #: transaction block's pre-pass, stacked: one array per block
+        self._chunks: list[np.ndarray] = []
         #: (req, client, kind code, arrival, lo, hi) per submitted
-        #: command; lo:hi index the lane, or the concatenated raw rows
+        #: command; lo:hi index the lane, or the concatenated chunks
         self._meta: list[tuple[int, int, int, int, int, int]] = []
         #: the recurrence's eight interval-bound columns, preallocated
         self._out: list[list[int]] = [[] for _ in range(8)]
@@ -860,7 +862,7 @@ class TransactionScheduler:
 
     def _bind(self, lane: LaneCols) -> tuple[list[int], ...]:
         if lane is not self._lane:
-            if self._lane is not None or self._raw:
+            if self._lane is not None or self._chunks:
                 raise ValueError("one scheduler replays rows of one lane only")
             self._lane = lane
             self._lane_lists = lane.lists()
@@ -907,8 +909,10 @@ class TransactionScheduler:
             n = len(txns)
             if n == 0:
                 return arrival
-            self._raw.append(txns)
             (chunk,) = prepass(self._media, self._links, *txns.T)
+            self._chunks.append(
+                np.stack([getattr(chunk, col) for col in _ROW_COLS.values()])
+            )
             cols = chunk.lists()
             lo, hi = 0, n
             rows = (self._n, self._n + n)
@@ -923,14 +927,15 @@ class TransactionScheduler:
 
     # ------------------------------------------------------------------
     def finish(self) -> TxnLog:
-        """The columnar log: one gather of the replayed rows, per column."""
+        """The columnar log of every replayed row, in replay order."""
         n = self._n
-        lane = self._lane
-        if lane is None and n:
-            # the columns the log keeps do not depend on where one
-            # command ends, so the submitted blocks pre-pass in one sweep
-            (lane,) = prepass(self._media, self._links, *np.concatenate(self._raw).T)
-        return assemble_log(lane, self._meta, [out[:n] for out in self._out])
+        bounds = [out[:n] for out in self._out]
+        if self._lane is not None or n == 0:
+            return assemble_log(self._lane, self._meta, bounds)
+        # transaction blocks replay in submission order, so the log's
+        # row columns are the pre-passed chunks' columns, concatenated
+        rows = dict(zip(_ROW_COLS, np.concatenate(self._chunks, axis=1)))
+        return _log_of(rows, *_meta_runs(self._meta), bounds)
 
     @property
     def n_txns(self) -> int:
@@ -955,14 +960,11 @@ def assemble_log(
     if n == 0:
         return TxnLog({name: np.empty(0, dtype=np.int64) for name in LOG_COLUMNS})
     assert lane is not None, "replayed rows need their lane"
-    meta_a = np.asarray(meta, dtype=np.int64)
-    lens = meta_a[:, 5] - meta_a[:, 4]
+    meta_a, lens = _meta_runs(meta)
     starts = np.cumsum(lens) - lens
     # lane row of each log row, in replay order
     idx = np.repeat(meta_a[:, 4] - starts, lens) + np.arange(n, dtype=np.int64)
     cols = {name: getattr(lane, col)[idx] for name, col in _ROW_COLS.items()}
-    for j, name in enumerate(("req", "client", "kind_code", "arrival")):
-        cols[name] = np.repeat(meta_a[:, j], lens)
     vals = [np.asarray(b, dtype=np.int64) for b in bounds]
     if len(vals) == 4:
         fb = lane.fb[idx]
@@ -971,7 +973,28 @@ def assemble_log(
             c_end - lane.cell_ns[idx], c_end, f_end - fb, f_end,
             s_end - lane.cmd[idx] - fb, s_end, h_end - lane.hb[idx], h_end,
         ]
-    cols.update(zip(_BOUND_COLS, vals))
+    return _log_of(cols, meta_a, lens, vals)
+
+
+def _meta_runs(
+    meta: Sequence[tuple[int, int, int, int, int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``meta`` as an int64 array, and each command's row count."""
+    meta_a = np.asarray(meta, dtype=np.int64)
+    return meta_a, meta_a[:, 5] - meta_a[:, 4]
+
+
+def _log_of(
+    cols: dict[str, np.ndarray],
+    meta_a: np.ndarray,
+    lens: np.ndarray,
+    bounds: Sequence[Union[Sequence[int], np.ndarray]],
+) -> TxnLog:
+    """The log from its row columns (:data:`_ROW_COLS`), in log order,
+    each command's meta and row count, and all eight interval bounds."""
+    for j, name in enumerate(("req", "client", "kind_code", "arrival")):
+        cols[name] = np.repeat(meta_a[:, j], lens)
+    cols.update(zip(_BOUND_COLS, (np.asarray(b, dtype=np.int64) for b in bounds)))
     # reads complete on the media with the channel transfer and for
     # the requester with the host transfer; writes and erases with
     # the cell operation

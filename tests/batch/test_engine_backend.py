@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.batch.plan import BatchUnsupported
@@ -145,13 +146,90 @@ class TestPatternPeakSites:
         from repro.ssd.metrics import RunMetrics
 
         results, _ = run_cells_batch(CELLS, TINY, 1013, keep_metrics=True)
-        assert calls == [len(CELLS)]
+        # one one-lane metrics call, hence one peak replay, per cell
+        assert calls == [1] * len(CELLS)
         for (label, kind), got in results.items():
             want = run_config(label, kind, TINY, seed=1013, keep_metrics=True).metrics
             assert got.metrics is not None and want is not None
             assert got.metrics.pattern_peak_bytes_per_sec > 0
             for f in dataclasses.fields(RunMetrics):
                 assert getattr(got.metrics, f.name) == getattr(want, f.name), f.name
+
+
+class TestStreaming:
+    """The backend assembles and measures one cell's log at a time."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        import repro.batch.backend as backend_mod
+
+        seen: list[tuple[str, int]] = []
+        real_assemble = backend_mod.assemble_log
+        real_measure = backend_mod.compute_metrics_batch
+
+        def assemble(*args):
+            log = real_assemble(*args)
+            seen.append(("assemble", len(log)))
+            return log
+
+        def measure(items, **kwargs):
+            seen.append(("measure", len(items)))
+            return real_measure(items, **kwargs)
+
+        monkeypatch.setattr(backend_mod, "assemble_log", assemble)
+        monkeypatch.setattr(backend_mod, "compute_metrics_batch", measure)
+        return seen
+
+    def test_assembly_and_measurement_alternate_cell_by_cell(self, events):
+        from repro.batch import run_cells_batch
+
+        results, _ = run_cells_batch(CELLS, TINY, 1013)
+        assert set(results) == set(CELLS)
+        assert [e for e, _ in events] == ["assemble", "measure"] * len(CELLS)
+        # every metrics call measures exactly one lane, of a non-empty log
+        assert [n for e, n in events if e == "measure"] == [1] * len(CELLS)
+        assert all(n > 0 for e, n in events if e == "assemble")
+
+    @pytest.mark.parametrize("keep_metrics", [False, True])
+    def test_per_cell_results_equal_one_stacked_call(self, keep_metrics):
+        """Measuring each cell alone gives what one stacked call over
+        the same logs gives, field by field."""
+        import dataclasses
+
+        from repro.batch import plan_cell, run_cells_batch, stack_plans
+        from repro.batch.scheduler import replay_plans
+        from repro.ssd.metrics import RunMetrics, compute_metrics_batch
+        from repro.ssd.scheduler import assemble_log
+
+        results, _ = run_cells_batch(CELLS, TINY, 1013, keep_metrics=keep_metrics)
+        plans = [plan_cell(label, kind, TINY, 1013) for label, kind in CELLS]
+        stack_plans(plans)
+        mains, _ = replay_plans(plans, [False] * len(plans))
+        stacked = compute_metrics_batch(
+            [
+                (assemble_log(*main), p.path.device.geom, p.path.device.kind)
+                for main, p in zip(mains, plans)
+            ],
+            pattern_peak=keep_metrics,
+        )
+        for cell, want in zip(CELLS, stacked):
+            got = results[cell]
+            assert got.aggregate_mb == want.bandwidth_mb, cell
+            assert got.bandwidth_mb == float(
+                np.mean([bw / 1e6 for bw in want.client_bandwidth.values()])
+            ), cell
+            assert got.channel_utilization == want.channel_utilization, cell
+            assert got.package_utilization == want.package_utilization, cell
+            assert got.breakdown == want.breakdown, cell
+            assert got.parallelism == want.parallelism, cell
+            if keep_metrics:
+                assert got.metrics is not None
+                for f in dataclasses.fields(RunMetrics):
+                    assert getattr(got.metrics, f.name) == getattr(want, f.name), (
+                        cell, f.name,
+                    )
+            else:
+                assert got.metrics is None
 
 
 @pytest.mark.chaos

@@ -11,7 +11,7 @@ from repro.core import make_cnl_device
 from repro.nvm import TLC, SLC
 from repro.ssd import Geometry, OpCode
 from repro.ssd.ftl import FLAT, GROUP
-from repro.ssd.queueing import PaqQueue, reorder_die_round_robin
+from repro.ssd.queueing import reorder_die_round_robin
 from repro.trace import ooc_eigensolver_trace, replay
 
 MiB = 1024 * 1024
@@ -120,27 +120,6 @@ def test_reorder_matches_the_per_die_queue_loop(runs):
     rows = [read(flat + k, group) for flat, group, n in runs for k in range(n)]
     out = reorder_die_round_robin(block(rows), g)
     assert out.tolist() == [list(r) for r in _round_robin_loop(rows, g)]
-
-
-class TestPaqQueue:
-    def test_drain_emits_everything(self):
-        q = PaqQueue(geom(), window=4)
-        for f in (0, 16, 2, 18, 32):
-            q.push(read(f))
-        out = q.drain()
-        assert len(out) == 5
-        assert len(q) == 0
-
-    def test_inversions_counted(self):
-        q = PaqQueue(geom(), window=4)
-        for f in (0, 16, 2):  # die A, die A, die B -> B jumps the queue
-            q.push(read(f))
-        q.drain()
-        assert q.inversions > 0
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            PaqQueue(geom(), window=0)
 
 
 class TestDeviceIntegration:

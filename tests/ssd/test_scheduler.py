@@ -200,3 +200,30 @@ class TestBookkeeping:
             assert plane == addr.plane
             assert pkg == geom.global_package(addr.channel, addr.package)
             assert die == geom.global_die(addr.channel, addr.package, addr.die)
+
+    def test_each_block_prepasses_once_and_finish_never(self, monkeypatch):
+        """``finish`` reuses the pre-pass ``submit`` ran on each block."""
+        import repro.ssd.scheduler as scheduler_mod
+
+        sched, _ = sched_for()
+        calls: list[int] = []
+        real = scheduler_mod.prepass
+
+        def spy(media, links, op, *rest, **kwargs):
+            calls.append(len(op))
+            return real(media, links, op, *rest, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "prepass", spy)
+        blocks = [
+            block([read_txn(0), read_txn(1)]),
+            block([(OpCode.WRITE, 2, 2048, -1, 0)]),
+            block([read_txn(3), read_txn(4), read_txn(5)]),
+        ]
+        for req, txns in enumerate(blocks):
+            sched.submit(txns, arrival=0, req_id=req)
+        assert calls == [2, 1, 3]
+        log = sched.finish()
+        assert calls == [2, 1, 3]
+        assert log["flat"].tolist() == [0, 1, 2, 3, 4, 5]
+        assert log["req"].tolist() == [0, 0, 1, 2, 2, 2]
+        assert log["op"].tolist() == [OpCode.READ] * 2 + [OpCode.WRITE] + [OpCode.READ] * 3
