@@ -9,7 +9,9 @@ Two-phase whole-program analysis over the parsed file set:
    stores — how a dataclass field acquires taint), and the parameters
    that reach a sink inside it or transitively below it.  Summaries
    are recomputed until stable, so a wall-clock read three calls away
-   from a ``sim_span`` still connects.
+   from a ``sim_span`` still connects.  Each sweep re-evaluates only
+   the functions that read a summary which changed since their last
+   evaluation (DESIGN.md §17).
 2. **Emission.**  Each function is interpreted once more; wherever a
    *concrete* label (not a parameter placeholder) meets a sink — a
    direct sink call, or an argument position whose callee summary says
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..lint.context import FileContext
-from ..lint.findings import Finding
+from ..lint.findings import Finding, unique_sites
 from . import model
 from .model import EMPTY, Taint, join, kinds_of, label, param_ref, value_only
 from .symbols import FunctionInfo, ProjectIndex, dotted
@@ -98,36 +100,67 @@ class FlowAnalyzer:
     def __init__(self, contexts: list[FileContext]):
         self.contexts = {ctx.relpath: ctx for ctx in contexts}
         self.index = ProjectIndex.build(
-            [(ctx.relpath, ctx.tree) for ctx in contexts]
+            [(ctx.relpath, ctx.tree) for ctx in contexts],
+            nodes={ctx.relpath: ctx.nodes for ctx in contexts},
         )
         self.summaries: dict[str, Summary] = {}
 
     # -- public -------------------------------------------------------
     def run(self) -> list[Finding]:
+        self._solve()
+        return self._findings()
+
+    # -- phases -------------------------------------------------------
+    def _solve(self) -> int:
+        """Phase 1: Gauss–Seidel sweeps over the functions in sorted
+        order until no summary changes; returns the sweeps run.
+
+        An evaluation is a pure function of the index and the summaries
+        it reads, so a function none of whose reads changed since its
+        last evaluation would reproduce its summary: it is skipped.
+        Every sweep therefore ends with the summaries a full sweep would
+        produce, and the ``_MAX_ROUNDS`` cap bites at the same sweep.
+        """
         order = sorted(self.index.functions)
-        for _ in range(_MAX_ROUNDS):
-            changed = False
+        reads: dict[str, set[str]] = {}
+        readers: dict[str, set[str]] = {}
+        dirty = set(order)
+        sweeps = 0
+        while dirty and sweeps < _MAX_ROUNDS:
+            sweeps += 1
             for fqn in order:
-                new = self._evaluate(self.index.functions[fqn], emit=None)
+                if fqn not in dirty:
+                    continue
+                dirty.discard(fqn)
+                new, now_reads = self._evaluate(
+                    self.index.functions[fqn], emit=None
+                )
+                for callee in reads.get(fqn, ()):
+                    readers[callee].discard(fqn)
+                for callee in now_reads:
+                    readers.setdefault(callee, set()).add(fqn)
+                reads[fqn] = now_reads
                 if self.summaries.get(fqn) != new:
                     self.summaries[fqn] = new
-                    changed = True
-            if not changed:
-                break
+                    dirty.update(readers.get(fqn, ()))
+        return sweeps
+
+    def _findings(self) -> list[Finding]:
+        """Phase 2: interpret every function once more, emitting."""
         findings: list[Finding] = []
-        for fqn in order:
+        for fqn in sorted(self.index.functions):
             self._evaluate(self.index.functions[fqn], emit=findings)
         # loop bodies are interpreted twice (loop-carried taints), so
         # keep the last finding per site: its taint set is the widest
-        unique = {(f.rule, f.path, f.line, f.col): f for f in findings}
-        return sorted(unique.values())
+        return sorted(unique_sites(findings))
 
     # -- per-function interpretation ----------------------------------
     def _evaluate(
         self, fn: FunctionInfo, emit: Optional[list[Finding]]
-    ) -> Summary:
+    ) -> tuple[Summary, set[str]]:
+        """The function's summary and the fqns whose summaries it read."""
         ev = _Evaluator(self, fn, emit)
-        return ev.run()
+        return ev.run(), ev.reads
 
 
 class _Evaluator:
@@ -149,6 +182,8 @@ class _Evaluator:
         self.param_out: dict[int, Taint] = {}
         self.sinks: set = set()
         self.param_index = {name: i for i, name in enumerate(fn.params)}
+        #: callee fqns whose summaries this evaluation consulted
+        self.reads: set[str] = set()
 
     # .. setup ........................................................
     def run(self) -> Summary:
@@ -165,22 +200,10 @@ class _Evaluator:
         )
 
     def _bind_annotations(self) -> None:
-        args = self.fn.node.args
-        for a in args.posonlyargs + args.args + args.kwonlyargs:
-            if a.annotation is None:
-                continue
-            ann = a.annotation
-            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                try:
-                    ann = ast.parse(ann.value, mode="eval").body
-                except SyntaxError:
-                    continue
-            name = dotted(ann)
-            if name is None:
-                continue
+        for arg, name in self.fn.annotations:
             resolved = self.index.resolve_name(self.mod, name)
             if resolved and self.index.class_for(resolved) is not None:
-                self.scope.binds[a.arg] = self.index.class_for(resolved).fqn
+                self.scope.binds[arg] = self.index.class_for(resolved).fqn
 
     # .. statements ...................................................
     def _exec_body(self, body: list[ast.stmt]) -> None:
@@ -696,6 +719,7 @@ class _Evaluator:
         receiver_node: Optional[ast.expr],
         constructed: bool = False,
     ) -> Taint:
+        self.reads.add(fn_info.fqn)
         summary = self.analyzer.summaries.get(fn_info.fqn, Summary())
         offset = 1 if (bound or constructed) else 0
         params = fn_info.params

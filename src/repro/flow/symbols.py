@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "FunctionInfo",
@@ -67,6 +67,9 @@ class FunctionInfo:
     params: list[str] = field(default_factory=list)
     owner_class: Optional[str] = None  # class fqn for methods
     is_nested: bool = False
+    #: (param, dotted annotation) in signature order; string
+    #: annotations are parsed here, once
+    annotations: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def display(self) -> str:
@@ -110,6 +113,26 @@ def _params_of(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return names
 
 
+def _annotations_of(
+    node: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> list[tuple[str, str]]:
+    a = node.args
+    out: list[tuple[str, str]] = []
+    for p in a.posonlyargs + a.args + a.kwonlyargs:
+        ann = p.annotation
+        if ann is None:
+            continue
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            try:
+                ann = ast.parse(ann.value, mode="eval").body
+            except SyntaxError:
+                continue
+        name = dotted(ann)
+        if name is not None:
+            out.append((p.arg, name))
+    return out
+
+
 class ProjectIndex:
     """Symbol table over one parsed file set."""
 
@@ -117,29 +140,57 @@ class ProjectIndex:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
+        #: dotted suffix -> the one module name ending in ``.suffix``,
+        #: or ``None`` when several do
+        self._by_suffix: dict[str, Optional[str]] = {}
 
     # -- construction -------------------------------------------------
     @classmethod
-    def build(cls, files: list[tuple[str, ast.Module]]) -> "ProjectIndex":
-        """Index ``(relpath, tree)`` pairs."""
+    def build(
+        cls,
+        files: list[tuple[str, ast.Module]],
+        nodes: Optional[Mapping[str, Sequence[ast.AST]]] = None,
+    ) -> "ProjectIndex":
+        """Index ``(relpath, tree)`` pairs.
+
+        ``nodes`` maps a relpath to its tree's ``ast.walk`` node list
+        when the caller already holds one (lint's per-file contexts).
+        """
         index = cls()
         for relpath, tree in files:
-            index._index_module(relpath, tree)
+            walked = nodes.get(relpath) if nodes is not None else None
+            index._index_module(relpath, tree, walked)
+        index._index_suffixes()
         for cinfo in index.classes.values():
             index._bind_init_attrs(cinfo)
         return index
 
-    def _index_module(self, relpath: str, tree: ast.Module) -> None:
+    def _index_module(
+        self,
+        relpath: str,
+        tree: ast.Module,
+        nodes: Optional[Sequence[ast.AST]] = None,
+    ) -> None:
         name = module_name_for(relpath)
         mod = ModuleInfo(name=name, relpath=relpath, tree=tree)
         self.modules[name] = mod
-        self._collect_imports(mod, tree)
+        self._collect_imports(mod, ast.walk(tree) if nodes is None else nodes)
         self._collect_defs(mod, tree)
 
-    def _collect_imports(self, mod: ModuleInfo, tree: ast.Module) -> None:
-        # walk the whole tree: TYPE_CHECKING / function-local imports
+    def _index_suffixes(self) -> None:
+        for name in self.modules:
+            parts = name.split(".")
+            for i in range(1, len(parts)):
+                suffix = ".".join(parts[i:])
+                seen = self._by_suffix.get(suffix, name)
+                self._by_suffix[suffix] = name if seen == name else None
+
+    def _collect_imports(
+        self, mod: ModuleInfo, nodes: Iterable[ast.AST]
+    ) -> None:
+        # the whole tree: TYPE_CHECKING / function-local imports
         # still name project modules usefully
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -180,6 +231,7 @@ class ProjectIndex:
                     node=node,
                     relpath=mod.relpath,
                     params=_params_of(node),
+                    annotations=_annotations_of(node),
                 )
             elif isinstance(node, ast.ClassDef):
                 cfqn = f"{mod.name}.{node.name}"
@@ -205,6 +257,7 @@ class ProjectIndex:
                             relpath=mod.relpath,
                             params=_params_of(item),
                             owner_class=cfqn,
+                            annotations=_annotations_of(item),
                         )
 
     def _bind_init_attrs(self, cinfo: ClassInfo) -> None:
@@ -232,12 +285,13 @@ class ProjectIndex:
 
     # -- resolution ---------------------------------------------------
     def resolve_module(self, guess: str) -> Optional[ModuleInfo]:
+        """The module named ``guess``, else the one module whose dotted
+        name ends in ``.guess``, else ``None``."""
         mod = self.modules.get(guess)
         if mod is not None:
             return mod
-        suffix = "." + guess
-        hits = sorted(n for n in self.modules if n.endswith(suffix))
-        return self.modules[hits[0]] if len(hits) == 1 else None
+        hit = self._by_suffix.get(guess)
+        return self.modules[hit] if hit is not None else None
 
     def resolve_name(self, mod: ModuleInfo, name: str) -> Optional[str]:
         """Fully-qualify a dotted name as seen from ``mod``.

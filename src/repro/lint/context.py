@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -61,6 +62,12 @@ class FileContext:
             self.lines = self.source.splitlines()
 
     # -- helpers --------------------------------------------------------
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree in ``ast.walk`` (BFS) order, walked once
+        and shared by every rule that scans the whole file."""
+        return list(ast.walk(self.tree))
+
     @property
     def det_gated(self) -> bool:
         """Is this file inside a determinism-gated directory?"""

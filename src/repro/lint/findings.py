@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Iterable
 
-__all__ = ["Finding"]
+__all__ = ["Finding", "unique_sites"]
 
 
 @dataclass(frozen=True, order=True)
@@ -49,3 +50,14 @@ class Finding:
             "snippet": self.snippet,
             "fingerprint": self.fingerprint(),
         }
+
+
+def unique_sites(findings: Iterable[Finding]) -> list[Finding]:
+    """One finding per ``(rule, path, line, col)``, the last seen winning.
+
+    Checkers that scan a nested scope both on its own and as part of
+    its enclosing scope reach the same site twice; the later visit is
+    the innermost (``ast.walk`` is breadth-first), whose message names
+    the tightest context.
+    """
+    return list({(f.rule, f.path, f.line, f.col): f for f in findings}.values())

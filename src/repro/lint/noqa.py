@@ -32,6 +32,8 @@ NoqaMap = dict[int, frozenset[str] | None]
 def noqa_lines(source: str) -> NoqaMap:
     """Map line numbers to the suppressions their comments declare."""
     out: NoqaMap = {}
+    if "noqa" not in source.lower():
+        return out  # no comment can match: skip tokenizing the file
     reader = io.StringIO(source).readline
     try:
         for tok in tokenize.generate_tokens(reader):

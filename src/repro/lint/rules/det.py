@@ -27,7 +27,7 @@ import re
 from typing import Iterator, Optional
 
 from ..context import FileContext
-from ..findings import Finding
+from ..findings import Finding, unique_sites
 from ..registry import FileChecker, dotted_name, register
 
 __all__ = ["DetChecker"]
@@ -149,7 +149,7 @@ class DetChecker(FileChecker):
 
     # -- DET001..DET004: forbidden calls --------------------------------
     def _check_calls(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -197,36 +197,48 @@ class DetChecker(FileChecker):
                 )
 
     # -- DET005: unordered iteration in hash/key contexts ----------------
-    def _check_hash_contexts(self, ctx: FileContext) -> Iterator[Finding]:
-        for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not self._is_hash_context(fn):
-                continue
-            for node in ast.walk(fn):
-                iterables: list[ast.expr] = []
-                if isinstance(node, (ast.For, ast.AsyncFor)):
-                    iterables.append(node.iter)
-                elif isinstance(
-                    node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-                ):
-                    iterables.extend(gen.iter for gen in node.generators)
-                for it in iterables:
-                    why = _iterable_order_warning(it)
-                    if why is not None:
-                        yield ctx.finding(
-                            "DET005",
-                            it,
-                            f"iterating {why} inside `{fn.name}` feeds a "
-                            "hash/key computation with unstable order; wrap "
-                            "the iterable in `sorted(...)`",
-                        )
+    def _check_hash_contexts(self, ctx: FileContext) -> list[Finding]:
+        # a nested hash context is scanned as part of its enclosing
+        # function too; one finding per site, named after the innermost
+        return unique_sites(
+            finding
+            for fn in ctx.nodes
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for finding in self._check_function(ctx, fn)
+        )
+
+    def _check_function(
+        self, ctx: FileContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> Iterator[Finding]:
+        nodes = list(ast.walk(fn))
+        if not self._is_hash_context(fn, nodes):
+            return
+        for node in nodes:
+            iterables: list[ast.expr] = []
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                iterables.append(node.iter)
+            elif isinstance(
+                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+            ):
+                iterables.extend(gen.iter for gen in node.generators)
+            for it in iterables:
+                why = _iterable_order_warning(it)
+                if why is not None:
+                    yield ctx.finding(
+                        "DET005",
+                        it,
+                        f"iterating {why} inside `{fn.name}` feeds a "
+                        "hash/key computation with unstable order; wrap "
+                        "the iterable in `sorted(...)`",
+                    )
 
     @staticmethod
-    def _is_hash_context(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    def _is_hash_context(
+        fn: ast.FunctionDef | ast.AsyncFunctionDef, nodes: list[ast.AST]
+    ) -> bool:
         if _HASH_CONTEXT_NAME.search(fn.name.lower()):
             return True
-        for node in ast.walk(fn):
+        for node in nodes:
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name is not None and name.startswith("hashlib."):

@@ -39,7 +39,7 @@ class ObsChecker(FileChecker):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.det_gated:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name is None:

@@ -36,7 +36,7 @@ import re
 from typing import Iterator
 
 from ..context import FileContext
-from ..findings import Finding
+from ..findings import Finding, unique_sites
 from ..registry import FileChecker, dotted_name, register
 
 __all__ = ["PoolChecker"]
@@ -114,33 +114,46 @@ class PoolChecker(FileChecker):
     }
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        functions = [
-            n
-            for n in ast.walk(ctx.tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for fn in functions:
-            yield from self._check_function(ctx, fn)
+        if not any(
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr in _SUBMIT_METHODS
+            for n in ctx.nodes
+        ):
+            return  # no submit site anywhere: no function can report
+        # a nested function is checked on its own and again inside its
+        # enclosing one (whose bindings it may capture); report each
+        # site once
+        yield from unique_sites(
+            finding
+            for fn in ctx.nodes
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for finding in self._check_function(ctx, fn)
+        )
 
     def _check_function(
         self, ctx: FileContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterator[Finding]:
         scope = _Scope()
-        # statement-order walk: bindings before the submit site count
+        calls: list[ast.Call] = []
+        # one walk: every binding in the function counts at every
+        # submit site, so calls are checked once the walk is done
         for node in ast.walk(fn):
             if isinstance(node, ast.Assign):
                 kind = _ctor_kind(node.value)
                 for t in node.targets:
                     scope.bind_target(t, kind)
-            elif isinstance(node, ast.With) or isinstance(node, ast.AsyncWith):
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     if item.optional_vars is not None:
                         scope.bind_target(
                             item.optional_vars, _ctor_kind(item.context_expr)
                         )
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and self._is_pool_call(node, scope):
-                yield from self._check_payload(ctx, node, scope)
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+        for call in calls:
+            if self._is_pool_call(call, scope):
+                yield from self._check_payload(ctx, call, scope)
 
     @staticmethod
     def _is_pool_call(call: ast.Call, scope: _Scope) -> bool:

@@ -76,7 +76,7 @@ class SiteChecker(FileChecker):
     }
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             for arg, family in _site_args(node):

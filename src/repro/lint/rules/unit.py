@@ -106,7 +106,7 @@ class UnitChecker(FileChecker):
     }
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.BinOp) and isinstance(node.op, _MIXABLE_OPS):
                 lu, ru = _expr_unit(node.left), _expr_unit(node.right)
                 if lu is not None and ru is not None and lu != ru:

@@ -60,7 +60,7 @@ class WearChecker(FileChecker):
         parts = Path(ctx.relpath).parts[:-1]  # directories only
         if any(p in _EXEMPT_DIRS for p in parts):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Assign):
                 targets: list[ast.expr] = list(node.targets)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):

@@ -101,3 +101,40 @@ def test_unresolvable_head_returned_verbatim_for_external_tables():
     assert index.resolve_name(mod, "id") == "id"
     # locals headed by self resolve to nothing
     assert index.resolve_name(mod, "self.thing") is None
+
+
+def test_resolve_module_exact_then_unique_dotted_suffix():
+    index = build(
+        {
+            "src/pkg/util.py": "",
+            "src/pkg/a/common.py": "",
+            "src/pkg/b/common.py": "",
+        }
+    )
+    assert index.resolve_module("pkg.util").name == "pkg.util"
+    assert index.resolve_module("util").name == "pkg.util"
+    assert index.resolve_module("a.common").name == "pkg.a.common"
+    # two modules end in ".common": ambiguous
+    assert index.resolve_module("common") is None
+    # a suffix must start at a dot
+    assert index.resolve_module("til") is None
+    assert index.resolve_module("missing") is None
+
+
+def test_string_annotations_are_parsed_at_index_build():
+    index = build(
+        {
+            "src/pkg/m.py": (
+                "def f(a: 'pkg.m.Engine', b: Engine, c: 'not (valid', "
+                "d: int, *rest, e: 'list[int]', f=None):\n"
+                "    return a\n"
+                "class Engine:\n"
+                "    pass\n"
+            ),
+        }
+    )
+    assert index.functions["pkg.m.f"].annotations == [
+        ("a", "pkg.m.Engine"),
+        ("b", "Engine"),
+        ("d", "int"),
+    ]

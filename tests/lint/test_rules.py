@@ -1,5 +1,6 @@
 """Golden fixture tests: one clean + one violating file per rule family."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -140,3 +141,38 @@ def test_wear_exempts_device_layers(tmp_path):
     elsewhere.parent.mkdir(parents=True)
     elsewhere.write_text(src)
     assert "WEAR001" in rules_in(elsewhere, "WEAR")
+
+
+# -- nested scopes: one finding per site --------------------------------
+def _without_noqa(tmp_path: Path, fixture: str) -> Path:
+    """A copy of ``fixture`` (same directory shape) with its noqa
+    comments stripped."""
+    target = tmp_path / fixture
+    target.parent.mkdir(parents=True, exist_ok=True)
+    src = (FIXTURES / fixture).read_text()
+    target.write_text(re.sub(r"  # repro: noqa\[\w+\]", "", src))
+    return target
+
+
+@pytest.mark.parametrize(
+    "fixture, rule",
+    [("pool_nested.py", "POOL001"), ("sim/det_nested.py", "DET005")],
+)
+def test_nested_def_reports_each_site_once(tmp_path, fixture, rule):
+    """A nested function is scanned on its own and inside its enclosing
+    one; the site must still be reported, and silenced, exactly once."""
+    config = LintConfig(select=frozenset({rule}))
+    findings = lint_paths([_without_noqa(tmp_path, fixture)], config).findings
+    assert [f.rule for f in findings] == [rule]
+
+    silenced = lint_paths([FIXTURES / fixture], config)
+    assert silenced.findings == []
+    assert silenced.suppressed == 1
+
+
+def test_nested_det005_names_the_innermost_function(tmp_path):
+    target = _without_noqa(tmp_path, "sim/det_nested.py")
+    (finding,) = lint_paths(
+        [target], LintConfig(select=frozenset({"DET005"}))
+    ).findings
+    assert "inside `key_of`" in finding.message

@@ -12,4 +12,7 @@
   request by request over interval sets (:mod:`.intervals`);
   :func:`repro.ssd.metrics.compute_metrics` must equal it field by
   field on any log.
+* :mod:`.flow_fixpoint` — the FLOW summary fixpoint as round-robin
+  sweeps over every function; the worklist solve in
+  :mod:`repro.flow.analysis` must reach the same summaries and findings.
 """
