@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Static-analysis gate, mirroring the CI `lint` job exactly:
-#   1. python -m repro lint   (DET/UNIT/SITE/POOL/SCHEMA/FLOW, baseline-gated)
+#   1. python -m repro lint   (DET/UNIT/SITE/WEAR/SCHEMA/FLOW, baseline-gated)
 #   2. python -m repro flow   (whole-program dataflow, reuses the lint cache)
 #   3. ruff                   (pyflakes-class errors, pinned version)
 #   4. mypy                   (strict on repro.lint + repro.faults)

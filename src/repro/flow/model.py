@@ -17,11 +17,10 @@ of *labels* and the lattice join is set union:
   run-dependent as a heap address).
 * **escape kinds** (``lambda``/``file``/``rng``/``tracer``/``ftl``/
   ``plan``/``sim``) — objects that must not cross a process-pool
-  boundary under the pool policy POOL001-004 enforces per file: they
-  either do not pickle (lambdas, handles, simulators), pickle into
-  silently-wrong state (live RNGs, tracers), or pickle at ruinous cost
-  (columnar batch plans).  Rule ``FLOW003`` generalizes that policy
-  interprocedurally.
+  boundary: they either do not pickle (lambdas, handles, simulators),
+  pickle into silently-wrong state (live RNGs, tracers), or pickle at
+  ruinous cost (columnar batch plans).  Rule ``FLOW003`` is the one
+  pool-escape check; the tables below define what it tracks.
 
 Taint elements are ``(kind, origin)`` tuples where ``origin`` is a
 human-readable provenance string (``"time.perf_counter() at
@@ -183,7 +182,6 @@ _UNSTABLE_FQNS = frozenset(
 
 #: ctor (or factory) names -> escape kind; matched on the resolved fqn
 #: and, for the project's own well-known classes, on the bare basename
-#: (mirrors the per-file POOL heuristics so the two layers agree)
 _ESCAPE_FQNS = {
     "open": "file",
     "io.open": "file",
@@ -393,7 +391,6 @@ def match_sinks(
             and (
                 _POOL_RECEIVER.search(receiver) is not None
                 # MatrixEngine.map fan-out through an untyped receiver
-                # (mirrors the per-file POOL heuristic)
                 or (method == "map" and receiver.split(".")[-1] == "engine")
             )
         )

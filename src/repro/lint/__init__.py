@@ -9,12 +9,17 @@ invariants *statically*, on every file, before a test runs:
 ================  ====================================================
 Rule family        Invariant
 ================  ====================================================
-``DET``            no ambient entropy in the simulation layers
+``DET``            no ambient entropy (wall clocks and wall-domain
+                   spans included) in the simulation layers
 ``UNIT``           ``_ns``/``_bytes``-style suffixes never mix
 ``SITE``           fault-plan sites hash identically in every process
-``POOL``           nothing unpicklable crosses the process pool
+``WEAR``           the FTL erase ledger moves only in ``ssd/`` and
+                   ``lifetime/``
 ``SCHEMA``         cache-key definitions cannot drift past
                    ``SCHEMA_VERSION`` (fingerprint snapshot diff)
+``FLOW``           whole-program taint: no wall-clock value reaches a
+                   sim timestamp, no process-dependent value a site
+                   identity, nothing unpicklable a process pool
 ================  ====================================================
 
 Entry points: ``python -m repro lint`` (CLI), :func:`lint_paths`

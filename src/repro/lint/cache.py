@@ -8,17 +8,20 @@ an unchanged tree skips it entirely (the common CI case: the lint step
 populates the cache and the SARIF export step reuses it).
 
 Invalidation is content-addressed and self-salting: the salt hashes
-the sources of :mod:`repro.lint` and :mod:`repro.flow` themselves, so
-editing any rule or the engine discards every entry.  Raw (pre-noqa,
-pre-baseline) findings are cached, so suppression or baseline edits
-never require re-analysis.  The cache directory defaults to
-``.repro-lint-cache/`` and is gitignored.
+the sources of :mod:`repro.lint` and :mod:`repro.flow` themselves and
+the interpreter version, so editing any rule or the engine, or
+switching Python, discards every entry.  A file is parsed only on a
+miss, so a warm run over an unchanged tree parses nothing.  Raw
+(pre-noqa, pre-baseline) findings are cached, so suppression or
+baseline edits never require re-analysis.  The cache directory
+defaults to ``.repro-lint-cache/`` and is gitignored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -33,8 +36,9 @@ _FIELDS = ("path", "line", "col", "rule", "message", "snippet")
 
 
 def _tool_salt() -> str:
-    """Hash of the analyzer's own sources: new rules, new cache."""
-    h = hashlib.sha256()
+    """Hash of the analyzer's own sources and the interpreter version
+    (which decides what parses): new rules, new cache."""
+    h = hashlib.sha256(sys.version.encode())
     here = Path(__file__).resolve().parent
     flow = here.parent / "flow"
     for pkg in (here, flow):

@@ -155,22 +155,28 @@ def run_cli(
     argv: Optional[Sequence[str]] = None,
     *,
     prog: str = "python -m repro lint",
-    description: str = (
-        "AST-based determinism & invariant analyzer for the repro "
-        "codebase (rules: DET, UNIT, SITE, POOL, SCHEMA, FLOW)."
-    ),
+    description: Optional[str] = None,
     families: Optional[Sequence[str]] = None,
 ) -> int:
     """Shared CLI for ``repro lint`` and its family-restricted fronts.
 
     ``families`` restricts the run to those rule families: they become
     the default ``--select``, user selections outside them are usage
-    errors, and fingerprint maintenance flags are hidden.
+    errors, and fingerprint maintenance flags are hidden.  A
+    ``--select`` token that is neither a registered code nor a
+    registered family is a usage error too.
     """
+    rule_codes = all_rule_codes()
+    known_families = sorted({_family(code) for code in rule_codes})
+    known = set(rule_codes) | set(known_families)
+    if description is None:
+        description = (
+            "AST-based determinism & invariant analyzer for the repro "
+            f"codebase (rules: {', '.join(known_families)})."
+        )
     parser = _build_parser(prog, description, families)
     args = parser.parse_args(list(argv) if argv is not None else None)
 
-    rule_codes = all_rule_codes()
     if families is not None:
         rule_codes = {
             code: desc
@@ -210,6 +216,12 @@ def run_cli(
         select = frozenset(
             s.strip().upper() for s in args.select.split(",") if s.strip()
         )
+        unknown = sorted(select - known)
+        if unknown:
+            parser.error(
+                f"unknown rule code or family: {', '.join(unknown)} "
+                "(see --list-rules)"
+            )
         if families is not None:
             outside = sorted(
                 s for s in select if _family(s) not in families

@@ -9,7 +9,7 @@ module under :mod:`repro.lint.rules` is the whole integration surface.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .context import FileContext, LintConfig
 from .findings import Finding
@@ -93,11 +93,3 @@ def dotted_name(node: ast.AST) -> str | None:
         base = dotted_name(node.value)
         return f"{base}.{node.attr}" if base else None
     return None
-
-
-def iter_args(call: ast.Call) -> Iterable[ast.expr]:
-    """Positional (including starred) and keyword argument values."""
-    for a in call.args:
-        yield a.value if isinstance(a, ast.Starred) else a
-    for kw in call.keywords:
-        yield kw.value

@@ -1,5 +1,5 @@
 """Rule modules; importing this package registers every checker."""
 
-from . import det, flow, obs, pool, schema, site, unit, wear
+from . import det, flow, schema, site, unit, wear
 
-__all__ = ["det", "flow", "obs", "pool", "schema", "site", "unit", "wear"]
+__all__ = ["det", "flow", "schema", "site", "unit", "wear"]

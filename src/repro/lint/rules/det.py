@@ -4,10 +4,14 @@ Every quantity the reproduction reports must be a pure function of
 ``(config, workload, seed)``: the parallel engine asserts serial ==
 parallel bit-for-bit, the cache replays results across sessions, and
 the fault oracle replays decisions across processes.  Any ambient
-entropy inside ``sim/``, ``ssd/``, ``nvm/``, ``fs/``, ``cluster/`` or
-``faults/`` breaks all three at once, so it is flagged at lint time:
+entropy inside ``sim/``, ``ssd/``, ``nvm/``, ``fs/``, ``cluster/``,
+``faults/`` or ``lifetime/`` breaks all three at once, so it is flagged
+at lint time:
 
-* ``DET001`` — wall-clock reads (``time.time``, ``datetime.now``, ...);
+* ``DET001`` — wall-clock reads (``time.time``, ``datetime.now``, ...),
+  including the tracer's wall domain: ``wall_span``/``wall_event``
+  calls or imports (sim-domain code emits ``sim_span`` with explicit
+  DES timestamps; wall spans belong in experiments/ or service/);
 * ``DET002`` — entropy sources (``os.urandom``, ``uuid.uuid4``, ...);
 * ``DET003`` — the process-global or unseeded RNG (``random.random``,
   ``numpy.random.rand``, ``default_rng()`` with no seed): global RNG
@@ -51,6 +55,9 @@ _WALLCLOCK_SUFFIXES = (
     "datetime.today",
     "date.today",
 )
+#: wall-clock tracer entry points (:mod:`repro.obs.trace`), matched on
+#: the last part of the dotted name (``tracer.wall_span``)
+_WALL_SPANS = frozenset({"wall_span", "wall_event"})
 
 _ENTROPY = frozenset(
     {
@@ -147,9 +154,20 @@ class DetChecker(FileChecker):
         yield from self._check_calls(ctx)
         yield from self._check_hash_contexts(ctx)
 
-    # -- DET001..DET004: forbidden calls --------------------------------
+    # -- DET001..DET004: forbidden calls (and wall-span imports) --------
     def _check_calls(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ctx.nodes:
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in _WALL_SPANS:
+                        yield ctx.finding(
+                            "DET001",
+                            node,
+                            f"importing `{alias.name}` into a simulation "
+                            "layer invites wall-clock spans there; use "
+                            "`sim_span` with DES timestamps instead",
+                        )
+                continue
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -161,6 +179,15 @@ class DetChecker(FileChecker):
                     node,
                     f"`{name}()` reads the wall clock; simulated time must "
                     "come from the DES clock so replays are bit-identical",
+                )
+            elif name.rsplit(".", 1)[-1] in _WALL_SPANS:
+                yield ctx.finding(
+                    "DET001",
+                    node,
+                    f"`{name}()` records wall-clock time inside a "
+                    "simulation layer; emit `sim_span` with explicit DES "
+                    "timestamps (wall spans belong in experiments/ or "
+                    "service/)",
                 )
             elif name in _ENTROPY:
                 yield ctx.finding(

@@ -18,7 +18,7 @@ taint lattices — lives in :mod:`repro.flow.analysis`.
 * ``FLOW003`` — an unpicklable-by-policy object (lambda/closure, open
   handle, live RNG/tracer/FTL/simulator, columnar batch plan) reaches
   a process-pool submission, even via helper returns or captures —
-  the interprocedural generalization of POOL001-004.
+  the only pool-escape check.
 """
 
 from __future__ import annotations
@@ -40,10 +40,5 @@ class FlowChecker(ProjectChecker):
     def check_project(
         self, ctxs: list[FileContext], config: LintConfig
     ) -> Iterator[Finding]:
-        if not ctxs:
-            return
-        if config.select is not None and not any(
-            config.selects(code) for code in self.codes
-        ):
-            return  # whole-program pass skipped entirely when deselected
-        yield from analyze_contexts(ctxs)
+        if ctxs:
+            yield from analyze_contexts(ctxs)

@@ -84,12 +84,18 @@ def _display_path(path: Path) -> str:
         return resolved.as_posix()
 
 
-def _build_context(path: Path, config: LintConfig) -> FileContext | Finding:
+def _read(path: Path) -> tuple[str, str] | Finding:
+    """``(relpath, source)``, or a PARSE finding for an unreadable file."""
     relpath = _display_path(path)
     try:
-        source = path.read_text()
+        return relpath, path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         return Finding(relpath, 1, 0, "PARSE", f"unreadable file: {exc}")
+
+
+def _parse(
+    path: Path, relpath: str, source: str, config: LintConfig
+) -> FileContext | Finding:
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
@@ -120,25 +126,26 @@ def lint_paths(
 
     ``cache`` (the ``--changed-only`` path) reuses raw findings for
     files whose content hash is unchanged, and the whole-program pass
-    for an unchanged tree; with a cache active every checker runs (or
-    is reused) so cached entries are always complete, and ``select``
-    filtering stays post-hoc.  Without a cache, checkers none of whose
-    codes are selected are skipped outright.
+    for an unchanged tree; a file is parsed only when one of them
+    misses, and one that fails to parse is never cached.  With a cache
+    active every checker runs (or is reused) so cached entries are
+    always complete, and ``select`` filtering stays post-hoc.  Without
+    a cache, checkers none of whose codes are selected are skipped
+    outright.
     """
     config = config or LintConfig()
     baseline = baseline or Baseline()
     result = LintResult()
 
-    contexts: list[FileContext] = []
-    raw: list[Finding] = []
+    raw: list[Finding] = []  # PARSE findings are never suppressible
+    sources: list[tuple[Path, str, str]] = []
     for path in iter_python_files(paths):
-        built = _build_context(path, config)
-        if isinstance(built, Finding):
-            raw.append(built)  # a PARSE finding, never suppressible
-            result.files_scanned += 1
-            continue
-        contexts.append(built)
         result.files_scanned += 1
+        read = _read(path)
+        if isinstance(read, Finding):
+            raw.append(read)
+        else:
+            sources.append((path, *read))
 
     if cache is None:
         file_cls = [c for c in file_checkers() if _any_selected(c, config)]
@@ -148,43 +155,50 @@ def lint_paths(
     else:
         file_cls = list(file_checkers())
         project_cls = list(project_checkers())
-
     checkers = [cls() for cls in file_cls]
+
+    contexts: dict[str, FileContext] = {}  # relpath -> parsed, on demand
     digests: dict[str, str] = {}
     noqa_by_path: dict[str, dict[int, frozenset[str] | None]] = {}
-    for ctx in contexts:
-        noqa_by_path[ctx.relpath] = noqa_lines(ctx.source)
+    for path, relpath, source in sources:
+        noqa_by_path[relpath] = noqa_lines(source)
         if cache is not None:
-            digest = AnalysisCache.file_hash(ctx.source)
-            digests[ctx.relpath] = digest
-            cached = cache.get_file(ctx.relpath, digest)
+            digests[relpath] = AnalysisCache.file_hash(source)
+            cached = cache.get_file(relpath, digests[relpath])
             if cached is not None:
                 raw.extend(cached)
                 continue
-            fresh: list[Finding] = []
-            for checker in checkers:
-                fresh.extend(checker.check(ctx))
-            cache.put_file(ctx.relpath, digest, fresh)
-            raw.extend(fresh)
-        else:
-            for checker in checkers:
-                raw.extend(checker.check(ctx))
+        built = _parse(path, relpath, source, config)
+        if isinstance(built, Finding):
+            raw.append(built)
+            digests.pop(relpath, None)  # never cached, not in the tree
+            continue
+        contexts[relpath] = built
+        fresh = [f for checker in checkers for f in checker.check(built)]
+        if cache is not None:
+            cache.put_file(relpath, digests[relpath], fresh)
+        raw.extend(fresh)
 
-    if cache is not None:
-        tree_digest = AnalysisCache.tree_hash(digests)
-        project_findings = cache.get_project(tree_digest)
-        if project_findings is None:
-            project_findings = []
-            for pchecker_cls in project_cls:
-                project_findings.extend(
-                    pchecker_cls().check_project(contexts, config)
-                )
+    tree_digest = AnalysisCache.tree_hash(digests)
+    project_findings = cache.get_project(tree_digest) if cache is not None else None
+    if project_findings is None:
+        # the project pass needs the files the per-file cache served,
+        # each of which parsed when it was cached (same content, same
+        # salt, which hashes the interpreter version too)
+        for path, relpath, source in sources:
+            if relpath in digests and relpath not in contexts:
+                built = _parse(path, relpath, source, config)
+                assert isinstance(built, FileContext), built
+                contexts[relpath] = built
+        ctxs = [contexts[r] for _, r, _ in sources if r in contexts]
+        project_findings = [
+            f for cls in project_cls for f in cls().check_project(ctxs, config)
+        ]
+        if cache is not None:
             cache.put_project(tree_digest, project_findings)
-        raw.extend(project_findings)
+    raw.extend(project_findings)
+    if cache is not None:
         cache.save()
-    else:
-        for pchecker_cls in project_cls:
-            raw.extend(pchecker_cls().check_project(contexts, config))
 
     kept: list[Finding] = []
     for f in raw:

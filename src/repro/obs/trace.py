@@ -12,7 +12,7 @@ live in one of two clock domains and the two never mix:
 * ``wall`` — timestamps are wall seconds relative to the tracer's
   epoch, recorded with ``perf_counter``.  Wall spans are the profiling
   view (where does *compute* time go) and are only legal outside the
-  sim-domain directories — ``repro.lint`` rule OBS001 enforces this.
+  sim-domain directories — ``repro.lint`` rule DET001 enforces this.
 
 Site identity reuses the :mod:`repro.faults.plan` idiom: every span
 gets a stable BLAKE2b digest of ``(tracer ctx, parent site, domain,
@@ -174,7 +174,7 @@ class Tracer:
     def wall_span(self, layer: str, name: str, **attrs):
         """Time a wall-clock interval; nests under the enclosing one.
 
-        Forbidden inside the sim-domain directories (lint rule OBS001):
+        Forbidden inside the sim-domain directories (lint rule DET001):
         wall time there would leak nondeterminism into simulated state.
         """
         t0 = time.perf_counter() - self.epoch

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import repro
 from repro.flow.analysis import _MAX_ROUNDS, FlowAnalyzer
 from repro.lint.context import FileContext, LintConfig
-from repro.lint.runner import _build_context, iter_python_files
+from repro.lint.runner import _parse, _read, iter_python_files
 from tests.oracles import flow_fixpoint as oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -24,7 +24,9 @@ SRC = Path(repro.__file__).resolve().parent
 
 
 def contexts(path: Path) -> list[FileContext]:
-    built = (_build_context(p, LintConfig()) for p in iter_python_files([path]))
+    built = (
+        _parse(p, *_read(p), LintConfig()) for p in iter_python_files([path])
+    )
     return [c for c in built if isinstance(c, FileContext)]
 
 

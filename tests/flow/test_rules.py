@@ -1,7 +1,7 @@
 """FLOW rule fixtures: every rule must fire *interprocedurally*.
 
 Each violating case keeps its source and its sink in different
-functions (mostly different files), shapes the per-file DET/SITE/POOL
+functions (mostly different files), shapes the per-file DET/SITE
 rules provably miss — the point of the whole-program pass.
 """
 
@@ -87,7 +87,7 @@ def test_per_file_rules_miss_all_of_it():
     cross.
     """
     config = LintConfig(
-        select=frozenset({"DET", "UNIT", "SITE", "POOL", "WEAR", "SCHEMA"})
+        select=frozenset({"DET", "UNIT", "SITE", "WEAR", "SCHEMA"})
     )
     result = lint_paths([PROJ], config)
     assert result.findings == []

@@ -1,5 +1,6 @@
 """Incremental-analysis cache: reuse, invalidation, self-salting."""
 
+import ast
 from pathlib import Path
 
 from repro.lint import LintConfig, lint_paths
@@ -104,3 +105,52 @@ def test_cached_findings_are_raw_so_baseline_edits_apply(tmp_path):
     )
     assert result.findings == []
     assert result.suppressed >= 1
+
+
+def test_warm_run_over_an_unchanged_tree_parses_nothing(tmp_path, monkeypatch):
+    proj = _tree(tmp_path)
+    (proj / "broken.py").write_text("def broken(:\n")
+    cold = lint_paths([proj], LintConfig(), cache=AnalysisCache(tmp_path / "c"))
+    assert [f.rule for f in cold.findings].count("PARSE") == 1
+
+    calls = []
+    real_parse = ast.parse
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args)
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    warm = lint_paths([proj], LintConfig(), cache=AnalysisCache(tmp_path / "c"))
+    # the unparseable file is never cached, so it alone is parsed again
+    assert len(calls) == 1
+    assert warm.to_dict() == cold.to_dict()
+
+    # an unparseable file never enters the tree digest either, so the
+    # tree without it is still fully warm
+    (proj / "broken.py").unlink()
+    calls.clear()
+    warm = lint_paths([proj], LintConfig(), cache=AnalysisCache(tmp_path / "c"))
+    assert calls == []
+    assert [f.render() for f in warm.findings] == [
+        f.render() for f in cold.findings if f.rule != "PARSE"
+    ]
+
+    # one edit: that file misses, and the project pass parses the rest
+    (proj / "other.py").write_text("def ok():\n    return 2\n")
+    lint_paths([proj], LintConfig(), cache=AnalysisCache(tmp_path / "c"))
+    assert len(calls) == 2
+
+
+def test_a_narrow_select_still_caches_the_whole_project_pass(tmp_path):
+    """A run that deselects FLOW must not cache an empty whole-program
+    pass that a later FLOW run on the same tree would then reuse."""
+    proj = _tree(tmp_path)
+    det_only = LintConfig(select=frozenset({"DET"}))
+    lint_paths([proj], det_only, cache=AnalysisCache(tmp_path / "c"))
+
+    flow_only = LintConfig(select=frozenset({"FLOW"}))
+    cache = AnalysisCache(tmp_path / "c")
+    warm = lint_paths([proj], flow_only, cache=cache)
+    assert cache.hits and not cache.misses
+    assert [f.rule for f in warm.findings] == ["FLOW001", "FLOW001"]

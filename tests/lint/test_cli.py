@@ -65,8 +65,10 @@ def test_json_output_schema(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("DET001", "UNIT001", "SITE001", "POOL001", "SCHEMA002"):
+    for code in ("DET001", "UNIT001", "SITE001", "FLOW003", "SCHEMA002"):
         assert code in out
+    # retired families: FLOW003 owns pool escapes, DET001 wall spans
+    assert "POOL" not in out and "OBS" not in out
 
 
 def test_select_flag(capsys):
@@ -83,6 +85,27 @@ def test_select_flag(capsys):
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert {f["rule"] for f in payload["findings"]} == {"UNIT003"}
+
+
+@pytest.mark.parametrize("token", ["UNIT03", "POOL001", "OBS"])
+@pytest.mark.parametrize("front", ["lint", "flow"])
+def test_unknown_select_token_is_a_usage_error(token, front, capsys):
+    """A typo or a retired code selects nothing; it must not pass as a
+    clean run."""
+    from repro.flow.cli import main as flow_main
+
+    run = main if front == "lint" else flow_main
+    with pytest.raises(SystemExit) as exc:
+        run([str(FIXTURES / "unit_clean.py"), "--select", f"FLOW,{token}"])
+    assert exc.value.code == 2
+    assert f"unknown rule code or family: {token}" in capsys.readouterr().err
+
+
+def test_description_lists_the_registered_families(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "(rules: DET, FLOW, SCHEMA, SITE, UNIT, WEAR)" in out
 
 
 def test_write_baseline_requires_justification(tmp_path):

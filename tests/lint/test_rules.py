@@ -77,23 +77,18 @@ def test_site_clean_file_is_clean():
     assert rules_in(FIXTURES / "site_clean.py") == []
 
 
-# -- POOL ---------------------------------------------------------------
-def test_pool_violations_all_fire():
-    rules = rules_in(FIXTURES / "pool_violations.py")
-    assert rules.count("POOL001") == 1
-    assert rules.count("POOL002") == 2
-    assert rules.count("POOL003") == 1
-    assert rules.count("POOL004") == 2  # bound plan + planning in the call
-
-
-def test_pool_clean_file_is_clean():
-    assert rules_in(FIXTURES / "pool_clean.py") == []
-
-
-# -- OBS ----------------------------------------------------------------
+# -- DET001: the tracer's wall domain ----------------------------------
 def test_obs_violations_all_fire():
-    rules = rules_in(FIXTURES / "sim" / "obs_violations.py", "OBS")
-    assert rules.count("OBS001") == 3  # import + wall_span + wall_event
+    """``wall_span``/``wall_event`` calls and imports are wall-clock
+    reads: one DET001 on each of the import, the span and the event."""
+    result = lint_paths(
+        [FIXTURES / "sim" / "obs_violations.py"], LintConfig()
+    )
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("DET001", 3),
+        ("DET001", 7),
+        ("DET001", 9),
+    ]
 
 
 def test_obs_clean_file_is_clean():
@@ -101,12 +96,12 @@ def test_obs_clean_file_is_clean():
 
 
 def test_obs_only_gated_dirs(tmp_path):
-    """Wall spans are the whole point outside sim/ssd/...: not OBS's business."""
+    """Wall spans are the whole point outside sim/ssd/...: not DET's business."""
     src = (FIXTURES / "sim" / "obs_violations.py").read_text()
     ungated = tmp_path / "experiments" / "runner.py"
     ungated.parent.mkdir(parents=True)
     ungated.write_text(src)
-    assert rules_in(ungated, "OBS") == []
+    assert rules_in(ungated) == []
 
 
 # -- select filter ------------------------------------------------------
@@ -154,10 +149,7 @@ def _without_noqa(tmp_path: Path, fixture: str) -> Path:
     return target
 
 
-@pytest.mark.parametrize(
-    "fixture, rule",
-    [("pool_nested.py", "POOL001"), ("sim/det_nested.py", "DET005")],
-)
+@pytest.mark.parametrize("fixture, rule", [("sim/det_nested.py", "DET005")])
 def test_nested_def_reports_each_site_once(tmp_path, fixture, rule):
     """A nested function is scanned on its own and inside its enclosing
     one; the site must still be reported, and silenced, exactly once."""

@@ -91,5 +91,5 @@ def test_flow_cli_rejects_out_of_family_select():
     from repro.flow.cli import main as flow_main
 
     with pytest.raises(SystemExit) as exc:
-        flow_main(["--select", "POOL001"])
+        flow_main(["--select", "DET001"])
     assert exc.value.code == 2
