@@ -16,9 +16,8 @@ and command-sharing discounts for the whole matrix in a single numpy
 sweep, and replays every cell's flow control through the controller's
 own ``dispatch`` generator and the scheduler's block recurrence in
 lockstep.  It then streams the cells one at a time: each cell's log is
-assembled, measured by a one-lane call of the metrics pass that also
-measures every scalar replay
-(:func:`repro.ssd.metrics.compute_metrics_batch`) and dropped before
+assembled, measured by the metrics pass that also measures every scalar
+replay (:func:`repro.ssd.metrics.compute_metrics`) and dropped before
 the next cell's is built.
 
 Golden tests assert :class:`~repro.ssd.metrics.RunMetrics` equality

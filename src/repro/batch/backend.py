@@ -7,10 +7,10 @@ pays one vectorized plan, one stacked pre-pass shared by the whole
 matrix and one lockstep replay of every cell's main and peak lane
 (:mod:`repro.batch.scheduler`); the peak lane yields its aggregate
 bandwidth without a log.  The main lanes are then streamed cell by
-cell: each cell's log is assembled, measured by a one-lane call of the
-metrics pass and dropped before the next cell's, so the matrix never
-holds more than one log.  The metrics pass replays the media pattern
-peak only when the caller keeps :class:`~repro.ssd.metrics.RunMetrics`
+cell: each cell's log is assembled, measured by the metrics pass and
+dropped before the next cell's, so the matrix never holds more than
+one log.  The metrics pass replays the media pattern peak only when
+the caller keeps :class:`~repro.ssd.metrics.RunMetrics`
 (``keep_metrics=True``): no :class:`ConfigResult` field reads it.
 
 Caching matches :func:`repro.experiments.runner.run_cell`: the peak
@@ -29,7 +29,9 @@ import numpy as np
 
 from ..experiments.runner import Cell, ConfigResult, Workload, emit_replay_spans
 from ..obs import trace as obs
-from ..ssd.metrics import compute_metrics_batch
+# the benchmark's ``batch.metrics`` wrap site (perfbench/layers.py SITES)
+# patches this name
+from ..ssd.metrics import compute_metrics as compute_metrics_batch
 from ..ssd.scheduler import assemble_log
 from .plan import BatchUnsupported, CellPlan, plan_cell, stack_plans
 from .scheduler import replay_plans
@@ -173,8 +175,8 @@ def run_cells_batch(
         t1 = time.perf_counter()
         # the pattern peak only feeds RunMetrics, so it is replayed
         # only when the caller keeps them
-        (m,) = compute_metrics_batch(
-            [(log, plan.path.device.geom, plan.path.device.kind)],
+        m = compute_metrics_batch(
+            log, plan.path.device.geom, plan.path.device.kind,
             pattern_peak=keep_metrics,
         )
         del log

@@ -40,8 +40,8 @@ The timing kernel has two halves, shared by every replay:
   :func:`block_recurrence` is the same recurrence for READ rows, one
   *block* (:func:`block_ends`) of each of many lanes per call, as
   segmented max-plus scans in numpy; :func:`lockstep` steps many
-  lanes through it side by side (the batch backend's planned cells,
-  and every pattern-peak replay of :mod:`repro.ssd.metrics`).
+  lanes through it side by side (the batch backend's planned cells),
+  and steps every all-READ pattern peak of :mod:`repro.ssd.metrics`.
 
 :class:`TransactionScheduler` pre-passes each submitted command's
 transaction block (the FTL's int64 ``(n, 5)`` columns,

@@ -1,10 +1,9 @@
 """Segmented interval algebra: per-key union measures in one sweep.
 
 The metrics pass (:mod:`repro.ssd.metrics`) needs union measures of
-interval families for *every* (lane, resource) and (lane, request)
-pair of any number of concatenated transaction logs at once, so this
-module computes them with a single sort + running-maximum sweep over
-all rows, keyed by a dense int64 segment id.
+interval families for *every* resource and request of a transaction
+log at once, so this module computes them with a single sort +
+running-maximum sweep over all rows, keyed by a dense int64 segment id.
 
 Everything stays in int64 (endpoints are exact nanoseconds), so the
 per-key totals are exact; the float conversions happen only when the

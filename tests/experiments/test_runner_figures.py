@@ -40,18 +40,18 @@ class TestRunConfig:
         import repro.ssd.metrics as metrics_mod
 
         calls: list[int] = []
-        real = metrics_mod.pattern_peak_from_log
+        real = metrics_mod.media_pattern_peak
 
-        def spy(items):
-            calls.append(len(items))
-            return real(items)
+        def spy(log, geom, kind):
+            calls.append(len(log))
+            return real(log, geom, kind)
 
-        monkeypatch.setattr(metrics_mod, "pattern_peak_from_log", spy)
+        monkeypatch.setattr(metrics_mod, "media_pattern_peak", spy)
         tiny = Workload(panels=2, panel_bytes=256 * 1024)
         plain = run_config("CNL-EXT4", "SLC", tiny, keep_metrics=False)
         assert calls == []
         kept = run_config("CNL-EXT4", "SLC", tiny, keep_metrics=True)
-        assert calls == [1]
+        assert len(calls) == 1
         assert kept.metrics.pattern_peak_bytes_per_sec > 0
         assert dataclasses.replace(kept, metrics=None) == plain
 

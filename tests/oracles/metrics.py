@@ -4,11 +4,11 @@ The paper's metrics written out the direct way: for each channel,
 package and block request, merge, intersect and subtract its busy
 intervals with :mod:`.intervals` and measure what is left.
 :func:`repro.ssd.metrics.compute_metrics` computes the same
-:class:`~repro.ssd.metrics.RunMetrics` with one stacked segmented
-sweep, and must equal this pass field by field on any log.  The
-pattern peak comes from the scalar recurrence
-(:func:`~repro.ssd.metrics.media_pattern_peak`), never from the
-lockstep replay the production pass uses for all-READ logs.
+:class:`~repro.ssd.metrics.RunMetrics` with one segmented sweep, and
+must equal this pass field by field on any log.  The pattern peak
+comes from the scalar recurrence (:func:`media_pattern_peak` here),
+never from the lockstep replay the production pass uses for all-READ
+logs.
 """
 
 from __future__ import annotations
@@ -17,18 +17,43 @@ import numpy as np
 
 from repro.nvm.kinds import NVMKind
 from repro.ssd.geometry import Geometry
-from repro.ssd.metrics import (
-    BREAKDOWN_KEYS,
-    PAL_KEYS,
-    RunMetrics,
-    media_pattern_peak,
-)
+from repro.ssd.metrics import BREAKDOWN_KEYS, PAL_KEYS, RunMetrics
 from repro.ssd.request import OpCode
-from repro.ssd.scheduler import TxnLog
+from repro.ssd.scheduler import (
+    INFINITE_BUS,
+    INFINITE_HOST,
+    Link,
+    MediaConsts,
+    Resources,
+    TxnLog,
+    prepass,
+    recurrence,
+)
 
 from . import intervals as iv
 
-__all__ = ["compute_metrics"]
+__all__ = ["compute_metrics", "media_pattern_peak"]
+
+
+def media_pattern_peak(log: TxnLog, geom: Geometry, kind: NVMKind) -> float:
+    """Payload over the completion time of the log's rows re-scheduled
+    by the scalar recurrence, all arriving at 0 over an infinite host
+    and bus."""
+    n = len(log)
+    if n == 0:
+        return 0.0
+    (lane,) = prepass(
+        MediaConsts.of(geom, kind),
+        (Link.of(INFINITE_BUS, INFINITE_HOST),),
+        log["op"],
+        log["flat"],
+        log["nbytes"],
+        log["group"],
+        log["pib"],
+    )
+    end = recurrence(lane.lists(), 0, n, 0, Resources(geom))
+    payload = int(log["nbytes"][log["kind_code"] == 0].sum())
+    return payload * 1e9 / end if end > 0 else 0.0
 
 
 def _client_bandwidth(log: TxnLog) -> dict[int, float]:

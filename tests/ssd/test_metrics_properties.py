@@ -29,7 +29,6 @@ from repro.ssd import (
     compute_metrics,
 )
 from repro.ssd.ftl import NBYTES, OP
-from repro.ssd.metrics import compute_metrics_batch
 from repro.ssd.scheduler import Lane, Link, MediaConsts, assemble_log, lockstep, prepass
 from tests.oracles import metrics as oracle
 
@@ -37,7 +36,7 @@ OPS = (OpCode.READ, OpCode.WRITE, OpCode.ERASE)
 
 
 @st.composite
-def random_runs(draw):
+def random_runs(draw, ops=OPS):
     geom = Geometry(kind=draw(st.sampled_from((SLC, MLC, TLC))),
                     channels=draw(st.integers(1, 3)), packages_per_channel=2,
                     dies_per_package=2, planes_per_die=2, blocks_per_plane=8)
@@ -54,7 +53,7 @@ def random_runs(draw):
         n = draw(st.integers(1, 12))
         txns = []
         for _i in range(n):
-            op = draw(st.sampled_from(OPS))
+            op = draw(st.sampled_from(ops))
             group = draw(st.integers(-1, 2))
             if op == OpCode.ERASE:  # a whole block, no payload, as GC erases
                 unit = draw(st.integers(0, units - 1))
@@ -136,10 +135,31 @@ class TestMatchesReferencePass:
 
     @given(st.lists(random_runs(), min_size=2, max_size=4))
     @settings(max_examples=15, deadline=None)
-    def test_lanes_of_different_geometries_equal_their_own_calls(self, runs):
-        items = [(_replay(g, h, b), g, g.kind) for g, h, b in runs]
-        for got, item in zip(compute_metrics_batch(items), items):
-            _assert_fields_equal(got, compute_metrics(*item))
+    def test_mixed_geometries_equal_the_oracle(self, runs):
+        """Logs of different geometries measured one after another: each
+        equals the oracle on its own geometry."""
+        for geom, host, batches in runs:
+            log = _replay(geom, host, batches)
+            _assert_fields_equal(
+                compute_metrics(log, geom, geom.kind),
+                oracle.compute_metrics(log, geom, geom.kind),
+            )
+
+    @given(random_runs(ops=(OpCode.READ,)))
+    @settings(max_examples=40, deadline=None)
+    def test_lockstep_pattern_peak_equals_the_oracle(self, run):
+        """An all-READ log's pattern peak steps through the block kernel
+        of :func:`~repro.ssd.scheduler.lockstep` (every row of it, at a
+        break-even of one row) and equals the oracle's scalar peak."""
+        geom, host, batches = run
+        log = _replay(geom, host, batches)
+        blocks = mock.Mock(wraps=kernel_mod.block_recurrence)
+        with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", 1), \
+                mock.patch.object(kernel_mod, "block_recurrence", blocks):
+            got = compute_metrics(log, geom, geom.kind)
+        assert blocks.called
+        assert got.pattern_peak_bytes_per_sec > 0
+        _assert_fields_equal(got, oracle.compute_metrics(log, geom, geom.kind))
 
     @given(kind=st.sampled_from((SLC, MLC, TLC)), seed=st.integers(0, 2**16))
     @settings(max_examples=6, deadline=None)
