@@ -10,10 +10,10 @@ and every per-transaction quantity except the resource-timeline
 recurrence is embarrassingly data-parallel.
 
 This package exploits that: it pre-translates every cell's command
-stream, stacks all cells into one (cell x txn) int64 columnar block,
-evaluates address decode, latency-ladder lookups, bus/link arithmetic
-and command-sharing discounts for the whole matrix in a single numpy
-sweep, and replays every cell's flow control through the controller's
+stream, evaluates address decode, latency-ladder lookups, bus/link
+arithmetic and command-sharing discounts with numpy one cell at a
+time, stacks the columns the replay reads into one (cell x txn) int64
+block, and replays every cell's flow control through the controller's
 own ``dispatch`` generator and the scheduler's block recurrence in
 lockstep.  It then streams the cells one at a time: each cell's log is
 assembled, measured by the metrics pass that also measures every scalar

@@ -3,9 +3,9 @@
 Per cell the scalar path pays two full replays (main + unconstrained
 peak), two FTL preloads, two command-stream translations, a metrics
 call per replay and a tuple round-trip per command.  The batch backend
-pays one vectorized plan, one stacked pre-pass shared by the whole
-matrix and one lockstep replay of every cell's main and peak lane
-(:mod:`repro.batch.scheduler`); the peak lane yields its aggregate
+pays one vectorized plan and pre-pass per cell, stacked into the
+columns the replay reads, and one lockstep replay of every cell's main
+and peak lane (:mod:`repro.batch.scheduler`); the peak lane yields its aggregate
 bandwidth without a log.  The main lanes are then streamed cell by
 cell: each cell's log is assembled, measured by the metrics pass and
 dropped before the next cell's, so the matrix never holds more than
@@ -171,7 +171,8 @@ def run_cells_batch(
     for i, plan in enumerate(replayed):
         cell = (plan.label, plan.kind_name)
         t0 = time.perf_counter()
-        log = assemble_log(*mains.pop())
+        main = mains.pop()
+        log = assemble_log(main.plan.lane("main"), main.meta, main.ends)
         t1 = time.perf_counter()
         # the pattern peak only feeds RunMetrics, so it is replayed
         # only when the caller keeps them

@@ -11,14 +11,19 @@ command-sharing discount).
 ``plan_cell`` builds one cell's plan — or raises
 :class:`BatchUnsupported` if the cell needs anything the static
 translation cannot express (writes, trims, cold reads, fault models,
-non-FIFO queueing).  ``stack_plans``
-then concatenates all planned cells into one stacked int64 block and
-runs the scheduler's own :func:`~repro.ssd.scheduler.prepass` over it
-once, with each cell's device constants broadcast per row; each plan
-receives per-cell views (``lanes``) that :mod:`repro.batch.scheduler`
-replays in lockstep with every other planned cell.
+non-FIFO queueing).  ``stack_plans`` then runs the scheduler's own
+:func:`~repro.ssd.scheduler.prepass` over each plan in turn, with that
+cell's device constants as scalars, and copies only the columns the
+lockstep replay reads (:class:`~repro.ssd.scheduler.StepCols`) into
+stacked bases preallocated for every plan's rows.
+:mod:`repro.batch.scheduler` replays every planned cell in lockstep
+over those bases; the row columns the log also needs (op, flat, bytes,
+group, page-in-block, plane) stay with the plan, and
+:meth:`CellPlan.lane` joins the two for one cell when its log is
+assembled.
 
-Two lanes are materialized per cell from the same transaction columns:
+Two links are pre-passed per cell from the same transaction columns
+(:data:`LINKS`):
 
 * ``main`` — the configured bus/host/command-overhead constants,
 * ``peak`` — the unconstrained interface
@@ -31,7 +36,8 @@ Two lanes are materialized per cell from the same transaction columns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
@@ -46,6 +52,7 @@ from ..ssd.scheduler import (
     LaneCols,
     Link,
     MediaConsts,
+    StepCols,
     prepass,
 )
 from ..trace.replay import _interleave
@@ -53,6 +60,7 @@ from ..trace.replay import _interleave
 __all__ = [
     "BatchUnsupported",
     "CellPlan",
+    "LINKS",
     "LaneCols",
     "PlannedCommand",
     "plan_cell",
@@ -77,9 +85,17 @@ class PlannedCommand(DeviceCommand):
     hi: int = 0
 
 
+#: the links :func:`stack_plans` pre-passes, in the order of its bases
+#: (a lockstep :class:`~repro.ssd.scheduler.Lane`'s ``link``)
+LINKS = ("main", "peak")
+#: the stacked columns every link shares; the rest of
+#: :class:`~repro.ssd.scheduler.StepCols` is per link
+_SHARED_COLS = ("unit", "die", "pkg", "chan", "cell_ns")
+
+
 @dataclass
 class CellPlan:
-    """One cell's static replay plan plus its stacked-column views."""
+    """One cell's static replay plan, and its rows of the stacked bases."""
 
     label: str
     kind_name: str
@@ -91,14 +107,37 @@ class CellPlan:
     n: int
     flat: np.ndarray
     nbytes: np.ndarray
-    cmd_ord: np.ndarray  # row -> command ordinal within the cell
+    #: row -> command ordinal within the cell; only the pre-pass reads
+    #: it, so :func:`stack_plans` drops it
+    cmd_ord: Optional[np.ndarray]
     group_ids: np.ndarray
-    #: filled by :func:`stack_plans`: the ``main`` and ``peak`` lanes of
-    #: every stacked row, this plan's rows ``row0:row0 + n`` of them,
-    #: and views of just those rows
-    stacked: dict[str, LaneCols] = field(default_factory=dict)
+    #: filled by :func:`stack_plans`: one base per link of :data:`LINKS`,
+    #: shared by every plan of the call, this plan's rows
+    #: ``row0:row0 + n`` of them
+    bases: list[StepCols] = field(default_factory=list)
     row0: int = 0
-    lanes: dict[str, LaneCols] = field(default_factory=dict)
+
+    def txns(self) -> tuple[np.ndarray, ...]:
+        """The pre-pass inputs: op, flat, nbytes, group and page-in-block
+        of every row (all reads, by plan construction)."""
+        geom = self.path.device.geom
+        pib = (self.flat // geom.plane_units) % geom.pages_per_block
+        op = np.full(self.n, OpCode.READ, dtype=np.int64)
+        return op, self.flat, self.nbytes, self.group_ids, pib
+
+    def lane(self, link: str) -> LaneCols:
+        """Every pre-passed column of this cell on ``link``: views of its
+        rows of the stacked base, and the row columns rebuilt from the
+        plan."""
+        base = self.bases[LINKS.index(link)].window(
+            slice(self.row0, self.row0 + self.n)
+        )
+        op, flat, nbytes, group, pib = self.txns()
+        plane = base.unit % self.path.device.geom.planes_per_die
+        return LaneCols(
+            **vars(base), op=op, flat=flat, nbytes=nbytes, group=group, pib=pib,
+            plane=plane,
+        )
 
 
 def plan_cell(
@@ -228,43 +267,41 @@ def plan_cell(
 
 
 def stack_plans(plans: list[CellPlan]) -> int:
-    """Pre-pass every planned row of the matrix at once.
+    """Pre-pass every plan into the stacked bases the lockstep reads.
 
-    Concatenates every planned cell into one (cell x txn) int64 block
-    and runs :func:`~repro.ssd.scheduler.prepass` over it with each
-    cell's geometry, ladders, bus and host broadcast per row.  Each
-    plan receives ``main`` and ``peak`` lane views over its rows.
-    Returns the stacked row count.
+    Each plan is pre-passed on its own, with its device's constants as
+    scalars, on every link of :data:`LINKS`; only the result's
+    :class:`~repro.ssd.scheduler.StepCols` are copied, into columns
+    preallocated for every plan's rows, so no whole-matrix temporary
+    exists beside the bases.  Each plan receives the bases and its
+    first row in them, and drops its ``cmd_ord``.  Returns the stacked
+    row count.
     """
-    if not plans:
-        return 0
-    ns = np.array([p.n for p in plans], dtype=np.int64)
-    total = int(ns.sum())
-    cell = np.repeat(np.arange(len(plans), dtype=np.int64), ns)
-    flat = np.concatenate([p.flat for p in plans])
-    nbytes = np.concatenate([p.nbytes for p in plans])
-    group = np.concatenate([p.group_ids for p in plans])
-    # a multi-plane pair shares command cycles only within one command
-    cmd_key = np.concatenate([p.cmd_ord + i * (1 << 32) for i, p in enumerate(plans)])
-
-    devices = [p.path.device for p in plans]
-    media = MediaConsts.stack(
-        [MediaConsts.of(d.geom, p.kind) for d, p in zip(devices, plans)], cell
-    )
-    ppb = np.array([d.geom.pages_per_block for d in devices], dtype=np.int64)[cell]
-    pib = (flat // media.U) % ppb
-    op = np.full(total, OpCode.READ, dtype=np.int64)  # reads by plan construction
-    main_link = Link.stack([Link.of(d.bus, d.host) for d in devices], cell)
+    total = sum(p.n for p in plans)
+    shared = {name: np.empty(total, dtype=np.int64) for name in _SHARED_COLS}
+    per_link = [f.name for f in fields(StepCols) if f.name not in shared]
+    bases = [
+        StepCols(**shared, **{name: np.empty(total, dtype=np.int64) for name in per_link})
+        for _ in LINKS
+    ]
     peak_link = Link.of(INFINITE_BUS, INFINITE_HOST)
-    main, peak = prepass(
-        media, (main_link, peak_link), op, flat, nbytes, group, pib, same_cmd=cmd_key
-    )
-
-    offsets = np.cumsum(ns) - ns
-    stacked = {"main": main, "peak": peak}
-    for p, off, n in zip(plans, offsets.tolist(), ns.tolist()):
-        rows = slice(off, off + n)
-        p.stacked = stacked
-        p.row0 = off
-        p.lanes = {name: lane.window(rows) for name, lane in stacked.items()}
+    row0 = 0
+    for p in plans:
+        device = p.path.device
+        lanes = prepass(
+            MediaConsts.of(device.geom, p.kind),
+            (Link.of(device.bus, device.host), peak_link),
+            *p.txns(),
+            # a multi-plane pair shares command cycles only within one
+            # command
+            same_cmd=p.cmd_ord,
+        )
+        rows = slice(row0, row0 + p.n)
+        for name, col in shared.items():
+            col[rows] = getattr(lanes[0], name)
+        for base, lane in zip(bases, lanes):
+            for name in per_link:
+                getattr(base, name)[rows] = getattr(lane, name)
+        p.bases, p.row0, p.cmd_ord = bases, row0, None
+        row0 += p.n
     return total

@@ -26,7 +26,6 @@ from ..ssd.scheduler import (
     KIND_CODES,
     Commands,
     Lane,
-    LaneCols,
     lockstep,
 )
 from .plan import CellPlan, PlannedCommand
@@ -58,10 +57,11 @@ class CommandTrace:
 
 
 class MainReplay(NamedTuple):
-    """A replayed main lane: the arguments of
+    """A replayed main lane: with the plan's main lane
+    (:meth:`~repro.batch.plan.CellPlan.lane`), the arguments of
     :func:`~repro.ssd.scheduler.assemble_log` for its log."""
 
-    lane: LaneCols
+    plan: CellPlan
     #: the lane's :attr:`CommandTrace.meta`
     meta: list[tuple[int, int, int, int, int, int]]
     #: the lane's recorded cell, flash-bus, channel and host ends
@@ -110,8 +110,8 @@ def replay_plans(
     """
     if not plans:
         return [], []
-    bases = plans[0].stacked
-    assert all(p.stacked is bases for p in plans), "plans of one stack_plans call"
+    bases = plans[0].bases
+    assert all(p.bases is bases for p in plans), "plans of one stack_plans call"
 
     def lane(plan: CellPlan, link: int, per_req_ns: int, trace: CommandTrace) -> Lane:
         device = plan.path.device
@@ -131,12 +131,9 @@ def replay_plans(
         peaks.append(
             (lane(plan, 1, INFINITE_HOST.per_request_ns, trace), trace) if peak else None
         )
-    lockstep(
-        [bases["main"], bases["peak"]],
-        [m for m, _ in mains] + [p for p, _ in filter(None, peaks)],
-    )
+    lockstep(bases, [m for m, _ in mains] + [p for p, _ in filter(None, peaks)])
     replays = [
-        MainReplay(plan.lanes["main"], trace.meta, main.ends)
+        MainReplay(plan, trace.meta, main.ends)
         for plan, (main, trace) in zip(plans, mains)
     ]
     peak_mb = [

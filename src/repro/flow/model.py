@@ -204,6 +204,7 @@ _ESCAPE_BASENAMES = {
     "WearFTL": "ftl",
     "CellPlan": "plan",
     "LaneCols": "plan",
+    "StepCols": "plan",
     "plan_cell": "plan",
 }
 

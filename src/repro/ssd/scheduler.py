@@ -31,10 +31,11 @@ The timing kernel has two halves, shared by every replay:
 * :func:`prepass` computes everything without a cross-transaction
   dependency — address decode, latency-ladder lookup, bus/host
   transfer times and the multi-plane command-sharing discount — with
-  numpy over any number of rows.  Its constants are Python ints for one
-  device, or per-row arrays (:meth:`MediaConsts.stack`,
-  :meth:`Link.stack`) when a planner pre-passes many devices' rows in
-  one sweep.
+  numpy over any number of one device's rows, with that device's
+  constants as Python scalars (:meth:`MediaConsts.of`, :meth:`Link.of`).
+  A planner that replays many devices pre-passes each device's rows on
+  its own and copies the columns :func:`lockstep` reads
+  (:class:`StepCols`) into its stacked bases.
 * :func:`recurrence` is the irreducibly sequential resource-timeline
   recurrence, a scalar loop over plain ints for READ/WRITE/ERASE rows.
   :func:`block_recurrence` is the same recurrence for READ rows, one
@@ -78,6 +79,7 @@ __all__ = [
     "Link",
     "MediaConsts",
     "Resources",
+    "StepCols",
     "TransactionScheduler",
     "TxnLog",
     "TxnSlice",
@@ -145,9 +147,6 @@ _BOUND_COLS = (
     "ch_start", "ch_end", "h_start", "h_end",
 )
 
-Ints = Union[int, np.ndarray]
-
-
 @dataclass
 class TxnLog:
     """Columnar log of scheduled transactions."""
@@ -165,24 +164,22 @@ class TxnLog:
 
 @dataclass(frozen=True)
 class MediaConsts:
-    """Address-decode and cell-latency constants for :func:`prepass`.
+    """One device's address-decode and cell-latency constants for
+    :func:`prepass`.
 
-    For one device the geometry fields are Python ints; :meth:`stack`
-    broadcasts several devices' constants to per-row arrays.  Cell
-    latency is a lookup in ``lat``, the concatenated (read ladder,
+    Cell latency is a lookup in ``lat``, the concatenated (read ladder,
     program ladder, erase time) tables: a row with op code ``op`` reads
-    ``lat[lat_base[k] + pib % lat_len[k]]`` with ``k = op + key_base``.
+    ``lat[lat_base[op] + pib % lat_len[op]]``.
     """
 
-    U: Ints  # plane units
-    P: Ints  # planes per die
-    C: Ints  # channels
-    D: Ints  # dies per package
-    K: Ints  # packages per channel
+    U: int  # plane units
+    P: int  # planes per die
+    C: int  # channels
+    D: int  # dies per package
+    K: int  # packages per channel
     lat: np.ndarray
     lat_base: np.ndarray
     lat_len: np.ndarray
-    key_base: Ints = 0
 
     @classmethod
     def of(cls, geom: Geometry, kind: NVMKind) -> "MediaConsts":
@@ -203,81 +200,56 @@ class MediaConsts:
             lat_len=np.array([n_read, n_prog, 1], dtype=np.int64),
         )
 
-    @classmethod
-    def stack(cls, consts: Sequence["MediaConsts"], cell: np.ndarray) -> "MediaConsts":
-        """Per-row constants; ``cell`` maps each row to its ``consts`` entry.
-
-        One device's constants broadcast as they are.
-        """
-        if len(consts) == 1:
-            return consts[0]
-
-        def per_row(name: str) -> np.ndarray:
-            return np.array([getattr(c, name) for c in consts], dtype=np.int64)[cell]
-
-        sizes = np.array([len(c.lat) for c in consts], dtype=np.int64)
-        offsets = np.cumsum(sizes) - sizes
-        return cls(
-            **{name: per_row(name) for name in "UPCDK"},
-            lat=np.concatenate([c.lat for c in consts]),
-            lat_base=np.concatenate(
-                [c.lat_base + off for c, off in zip(consts, offsets)]
-            ),
-            lat_len=np.concatenate([c.lat_len for c in consts]),
-            key_base=cell * len(OpCode.NAMES),
-        )
-
 
 class Link(NamedTuple):
-    """Interface constants for :func:`prepass`: bus and host ns per byte
-    and the channel command/address cycles, per device or per row."""
+    """One interface's constants for :func:`prepass`: bus and host ns
+    per byte and the channel command/address cycles."""
 
-    bus_ns_per_byte: Union[float, np.ndarray]
-    host_ns_per_byte: Union[float, np.ndarray]
-    cmd_ns: Ints
+    bus_ns_per_byte: float
+    host_ns_per_byte: float
+    cmd_ns: int
 
     @classmethod
     def of(cls, bus: BusSpec, host: HostPath) -> "Link":
         return cls(1e9 / bus.bytes_per_sec, 1e9 / host.bytes_per_sec, bus.cmd_ns)
 
-    @classmethod
-    def stack(cls, links: Sequence["Link"], cell: np.ndarray) -> "Link":
-        """Per-row constants; ``cell`` maps each row to its ``links`` entry.
 
-        One device's constants broadcast as they are.
-        """
-        if len(links) == 1:
-            return links[0]
-        return cls(*(np.asarray(vals)[cell] for vals in zip(*links)))
+@dataclass
+class StepCols:
+    """The pre-passed per-row columns :func:`lockstep` reads (int64).
+
+    ``unit`` .. ``cell_ns`` depend only on the transactions and the
+    media, so every link's lane of one stream shares them;
+    ``fb``/``hb``/``cmd`` carry one link's bus, host and
+    command-overhead arithmetic.
+    """
+
+    unit: np.ndarray
+    die: np.ndarray
+    pkg: np.ndarray
+    chan: np.ndarray
+    cell_ns: np.ndarray
+    fb: np.ndarray
+    hb: np.ndarray
+    cmd: np.ndarray
+
+    def window(self, rows: slice):
+        """Views of ``rows`` of every column."""
+        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 @dataclass
-class LaneCols:
-    """Pre-passed per-row columns one scheduler lane consumes (int64).
-
-    ``op`` .. ``cell_ns`` depend only on the transactions and the
-    media; ``fb``/``hb``/``cmd`` carry the lane's bus, host and
-    command-overhead arithmetic.
-    """
+class LaneCols(StepCols):
+    """Every pre-passed per-row column of one scheduler lane (int64):
+    the :class:`StepCols` and the transactions' own row columns, which
+    the scalar :func:`recurrence` (``op``) and the log read."""
 
     op: np.ndarray
     flat: np.ndarray
     nbytes: np.ndarray
     group: np.ndarray
     pib: np.ndarray
-    unit: np.ndarray
     plane: np.ndarray
-    chan: np.ndarray
-    pkg: np.ndarray
-    die: np.ndarray
-    cell_ns: np.ndarray
-    fb: np.ndarray
-    hb: np.ndarray
-    cmd: np.ndarray
-
-    def window(self, rows: slice) -> "LaneCols":
-        """Views of ``rows`` of every column."""
-        return LaneCols(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
     def lists(self) -> tuple[list[int], ...]:
         """The :func:`recurrence` columns as Python lists."""
@@ -322,8 +294,7 @@ def prepass(
     rest = rest // media.C
     pkg = rest // media.D + media.K * chan
     die = rest % media.D + media.D * pkg
-    key = op + media.key_base
-    cell_ns = media.lat[media.lat_base[key] + pib % media.lat_len[key]]
+    cell_ns = media.lat[media.lat_base[op] + pib % media.lat_len[op]]
 
     shared = np.zeros(len(op), dtype=bool)
     if len(op) > 1:
@@ -700,13 +671,14 @@ def _next_window(commands: Commands, done: Optional[int]):
     return lo, hi, arrival
 
 
-def lockstep(bases: Sequence[LaneCols], lanes: Sequence[Lane]) -> None:
+def lockstep(bases: Sequence[StepCols], lanes: Sequence[Lane]) -> None:
     """Replay every lane to the end of its command source.
 
-    ``bases`` share every column but ``fb``/``hb``/``cmd`` (the
-    :func:`~repro.ssd.scheduler.prepass` lanes of one stream); lane
-    rows must be READs.  A recording lane's ``ends`` become its rows'
-    cell, flash-bus, channel and host ends in replay order.
+    ``bases`` share every column but ``fb``/``hb``/``cmd`` (one stream's
+    :func:`~repro.ssd.scheduler.prepass` lanes, or just the columns
+    this replay reads of them); lane rows must be READs.  A recording
+    lane's ``ends`` become its rows' cell, flash-bus, channel and host
+    ends in replay order.
     """
     static = bases[0]
     assert all(b.unit is static.unit and b.cell_ns is static.cell_ns for b in bases)
@@ -804,25 +776,29 @@ def lockstep(bases: Sequence[LaneCols], lanes: Sequence[Lane]) -> None:
 
 
 def _finish_scalar(
-    base: LaneCols, lane: Lane, res, lo: int, hi: int, arrival: int, comp: int, at: int
+    base: StepCols, lane: Lane, res, lo: int, hi: int, arrival: int, comp: int, at: int
 ) -> None:
     """Replay the rest of ``lane`` on the scalar recurrence.
 
-    The lane's current command runs from base row ``lo`` on, with its
-    completion so far ``comp``; ``at`` rows are recorded already.
+    The lane's current command runs from base row ``lo`` to ``hi``, with
+    its completion so far ``comp``; ``at`` rows are recorded already.
+    Each command's rows become Python lists only when it comes up, so
+    the rows the block kernel replayed are never converted (a
+    multi-client lane's later commands may lie below its current one).
     """
-    cols = base.window(slice(lane.lo, lane.lo + lane.n)).lists()
+    cols = [getattr(base, name) for name in _RECURRENCE_COLS[1:]]
     out = [[0] * (lane.n - at) for _ in range(8)] if lane.record else None
     k = 0
-    lo -= lane.lo
-    hi -= lane.lo
     while True:
-        comp = max(comp, recurrence(cols, lo, hi, arrival, res, out, k))
+        rows = ([OpCode.READ] * (hi - lo), *(col[lo:hi].tolist() for col in cols))
+        comp = max(comp, recurrence(rows, 0, hi - lo, arrival, res, out, k))
         k += hi - lo
         window = _next_window(lane.commands, comp)
         if window is None:
             break
         lo, hi, arrival = window
+        lo += lane.lo
+        hi += lane.lo
         comp = arrival
     if out is not None:
         for col, vals in zip(lane.ends, out[1::2]):

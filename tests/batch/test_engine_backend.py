@@ -209,7 +209,8 @@ class TestStreaming:
         mains, _ = replay_plans(plans, [False] * len(plans))
         for cell, main, p in zip(CELLS, mains, plans):
             want = compute_metrics(
-                assemble_log(*main), p.path.device.geom, p.path.device.kind,
+                assemble_log(p.lane("main"), main.meta, main.ends),
+                p.path.device.geom, p.path.device.kind,
                 pattern_peak=keep_metrics,
             )
             got = results[cell]

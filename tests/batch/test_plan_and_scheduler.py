@@ -25,7 +25,7 @@ def test_plan_cell_produces_lanes():
     stacked = stack_plans([plan])
     assert stacked == plan.n > 0
     for lane in ("main", "peak"):
-        cols = plan.lanes[lane]
+        cols = plan.lane(lane)
         assert len(cols.op) == plan.n
         assert bool((cols.op == OpCode.READ).all())
         # decode invariants: channel/package/die within geometry
@@ -34,8 +34,8 @@ def test_plan_cell_produces_lanes():
         assert int(cols.pkg.max()) < geom.packages
         assert int(cols.die.max()) < geom.dies
     # the peak lane sees an infinite bus: transfer times collapse to 0
-    assert int(plan.lanes["peak"].fb.max()) == 0
-    assert int(plan.lanes["peak"].hb.max()) == 0
+    assert int(plan.lane("peak").fb.max()) == 0
+    assert int(plan.lane("peak").hb.max()) == 0
 
 
 def test_impossible_workload_fails_exactly_like_scalar():
@@ -55,7 +55,7 @@ def test_impossible_workload_fails_exactly_like_scalar():
 
 def test_planned_ftl_is_stateless_passthrough():
     plan = _stacked_plan()
-    ftl = PlannedFTL(n_logical_pages=128, page_bytes=4096, lane=plan.lanes["main"])
+    ftl = PlannedFTL(n_logical_pages=128, page_bytes=4096, lane=plan.lane("main"))
     assert set(ftl.stats) == {
         "gc_runs", "gc_moved_pages", "host_writes_pages", "rmw_reads"
     }
@@ -65,7 +65,7 @@ def test_planned_ftl_is_stateless_passthrough():
 
 def _stacked_plan():
     plan = plan_cell("CNL-EXT4", "SLC", TINY, 1013)
-    stack_plans([plan])  # lanes are filled by stacking
+    stack_plans([plan])  # lanes read the stacked bases
     return plan
 
 
@@ -73,7 +73,7 @@ def _lane_scheduler():
     plan = _stacked_plan()
     dev = plan.path.device
     sched = TransactionScheduler(dev.geom, dev.bus, dev.host, kind=dev.kind)
-    return sched, plan.lanes["main"]
+    return sched, plan.lane("main")
 
 
 def test_lane_submit_rejects_negative_arrival():

@@ -8,6 +8,10 @@
 * :mod:`.planned_ftl` — an FTL that hands ``SSDevice.run`` the planned
   windows of a pre-passed lane; the batch backend's lockstep replay
   must match that per-lane replay bit for bit.
+* :mod:`.stacked_prepass` — the whole matrix's pre-pass as one call
+  with every device constant broadcast per row;
+  :func:`repro.batch.plan.stack_plans`, pre-passing cell by cell, must
+  give every cell the same lanes column for column.
 * :mod:`.metrics` — the paper's metrics resource by resource and
   request by request over interval sets (:mod:`.intervals`);
   :func:`repro.ssd.metrics.compute_metrics` must equal it field by

@@ -19,6 +19,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from unittest import mock
 
@@ -38,6 +39,7 @@ from repro.ssd.scheduler import (
     LOG_COLUMNS,
     FlatResources,
     Lane,
+    LaneCols,
     Link,
     MediaConsts,
     Resources,
@@ -221,28 +223,30 @@ def test_dropping_a_segment_boundary_fails_the_property():
 # ----------------------------------------------------------------------
 @st.composite
 def planned_devices(draw):
-    """1-3 devices of planned READ command groups, stacked like
-    :func:`repro.batch.plan.stack_plans` for two interfaces."""
-    devices, rows, cmd_key = [], [], []
+    """1-3 devices of planned READ command groups, pre-passed device by
+    device on two interfaces and stacked like
+    :func:`repro.batch.plan.stack_plans` (the interfaces share the
+    decode and latency columns)."""
+    devices = []
     for d in range(draw(st.integers(1, 3))):
         geom = draw(geometries())
-        groups, lane_rows = [], 0
+        groups, rows, cmd_ord = [], [], []
         for client in range(draw(st.integers(1, 2))):
             for g in range(draw(st.integers(1, 3))):
                 cmds = []
                 for _ in range(draw(st.integers(1, 3))):
                     n = draw(st.integers(0, geom.plane_units + 2))
+                    lo = len(cmd_ord)
                     if n:
                         rows.append(draw(read_rows(geom, n)))
-                        cmd_key += [len(cmd_key)] * n
+                        cmd_ord += [lo] * n  # one key per command
                     cmds.append(PlannedCommand(
                         op="read", lba=0,
                         nbytes=draw(st.integers(1, 8 * geom.page_bytes)),
                         kind=draw(st.sampled_from(sorted(KIND_CODES))),
                         barrier=draw(st.booleans()),
-                        lo=lane_rows, hi=lane_rows + n,
+                        lo=lo, hi=lo + n,
                     ))
-                    lane_rows += n
                 posix = PosixRequest(
                     "read", client, 0, 1, t_issue_ns=draw(st.integers(0, 500_000))
                 )
@@ -250,23 +254,36 @@ def planned_devices(draw):
         devices.append(dict(
             geom=geom,
             groups=groups,
-            n=lane_rows,
+            n=len(cmd_ord),
+            rows=np.concatenate(rows) if rows else np.zeros((0, 5), dtype=np.int64),
+            cmd_ord=np.asarray(cmd_ord, dtype=np.int64),
             links=[draw(links()), draw(links())],
             overhead=draw(st.sampled_from((0, 5_000))),
             readahead=draw(st.sampled_from((None, 4096, 65536))),
             window=draw(st.integers(1, 3)),
             record=[draw(st.booleans()), draw(st.booleans())],
         ))
-    ns = np.array([d["n"] for d in devices])
-    cell = np.repeat(np.arange(len(devices)), ns)
-    media = MediaConsts.stack([MediaConsts.of(d["geom"], d["geom"].kind) for d in devices], cell)
-    stacked = np.concatenate(rows) if rows else np.zeros((0, 5), dtype=np.int64)
-    bases = prepass(
-        media,
-        [Link.stack([Link.of(*d["links"][j]) for d in devices], cell) for j in (0, 1)],
-        *stacked.T,
-        same_cmd=np.asarray(cmd_key, dtype=np.int64),
-    )
+    lanes = [
+        prepass(
+            MediaConsts.of(d["geom"], d["geom"].kind),
+            [Link.of(*link) for link in d["links"]],
+            *d.pop("rows").T,
+            same_cmd=d.pop("cmd_ord"),
+        )
+        for d in devices
+    ]
+
+    def stacked(j, name):
+        return np.concatenate([getattr(dev[j], name) for dev in lanes])
+
+    shared = {name: stacked(0, name) for name in ("unit", "die", "pkg", "chan", "cell_ns")}
+    bases = [
+        LaneCols(**shared, **{
+            f.name: stacked(j, f.name) for f in dataclasses.fields(LaneCols)
+            if f.name not in shared
+        })
+        for j in (0, 1)
+    ]
     return devices, bases
 
 
