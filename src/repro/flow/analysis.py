@@ -1,23 +1,23 @@
 """The interprocedural taint engine behind ``python -m repro flow``.
 
-Two-phase whole-program analysis over the parsed file set:
+One-pass whole-program analysis over the parsed file set:
 
-1. **Summary fixpoint.**  Every project function is abstractly
-   interpreted with its parameters seeded as symbolic ``(@param, i)``
-   taints, producing a :class:`Summary`: the taint of its return
-   value, the taint its body *writes into* its parameters (attribute
-   stores — how a dataclass field acquires taint), and the parameters
-   that reach a sink inside it or transitively below it.  Summaries
-   are recomputed until stable, so a wall-clock read three calls away
-   from a ``sim_span`` still connects.  Each sweep re-evaluates only
-   the functions that read a summary which changed since their last
-   evaluation (DESIGN.md §17).
-2. **Emission.**  Each function is interpreted once more; wherever a
-   *concrete* label (not a parameter placeholder) meets a sink — a
-   direct sink call, or an argument position whose callee summary says
-   it reaches one — a :class:`~repro.lint.findings.Finding` is emitted
-   at that call site, carrying the origin of the taint and the
-   function chain it travelled through.
+- **Summary fixpoint.**  Every project function is abstractly
+  interpreted with its parameters seeded as symbolic ``(@param, i)``
+  taints, producing a :class:`Summary`: the taint of its return value,
+  the taint its body *writes into* its parameters (attribute stores —
+  how a dataclass field acquires taint), and the parameters that reach
+  a sink inside it or transitively below it.  Summaries are recomputed
+  until stable, so a wall-clock read three calls away from a
+  ``sim_span`` still connects.  Each sweep re-evaluates only the
+  functions that read a summary which changed since their last
+  evaluation (DESIGN.md §17).
+- **Emission.**  Wherever a *concrete* label (not a parameter
+  placeholder) meets a sink — a direct sink call, or an argument
+  position whose callee summary says it reaches one — the evaluation
+  emits a :class:`~repro.lint.findings.Finding` at that call site,
+  carrying the origin of the taint and the function chain it
+  travelled through.  Each function keeps its last evaluation's.
 
 The abstract domains, source tables and sink tables live in
 :mod:`repro.flow.model`; symbol/call resolution in
@@ -31,7 +31,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..lint.context import FileContext
+from ..lint.context import FileContext, walk
 from ..lint.findings import Finding, unique_sites
 from . import model
 from .model import EMPTY, Taint, join, kinds_of, label, param_ref, value_only
@@ -100,30 +100,31 @@ class FlowAnalyzer:
     def __init__(self, contexts: list[FileContext]):
         self.contexts = {ctx.relpath: ctx for ctx in contexts}
         self.index = ProjectIndex.build(
-            [(ctx.relpath, ctx.tree) for ctx in contexts],
-            nodes={ctx.relpath: ctx.nodes for ctx in contexts},
+            (ctx.relpath, ctx.tree, ctx.nodes) for ctx in contexts
         )
         self.summaries: dict[str, Summary] = {}
 
     # -- public -------------------------------------------------------
     def run(self) -> list[Finding]:
-        self._solve()
-        return self._findings()
+        return self._solve()[0]
 
-    # -- phases -------------------------------------------------------
-    def _solve(self) -> int:
-        """Phase 1: Gauss–Seidel sweeps over the functions in sorted
-        order until no summary changes; returns the sweeps run.
+    # -- fixpoint -----------------------------------------------------
+    def _solve(self) -> tuple[list[Finding], int]:
+        """Gauss–Seidel sweeps over the functions in sorted order until
+        no summary changes; returns the findings and the sweeps run.
 
         An evaluation is a pure function of the index and the summaries
         it reads, so a function none of whose reads changed since its
-        last evaluation would reproduce its summary: it is skipped.
-        Every sweep therefore ends with the summaries a full sweep would
-        produce, and the ``_MAX_ROUNDS`` cap bites at the same sweep.
+        last evaluation would reproduce its summary and findings: it is
+        skipped.  Every sweep therefore ends with the summaries a full
+        sweep would produce, and the ``_MAX_ROUNDS`` cap bites at the
+        same sweep; a function still dirty then is evaluated once more,
+        for its findings alone.
         """
         order = sorted(self.index.functions)
         reads: dict[str, set[str]] = {}
         readers: dict[str, set[str]] = {}
+        emitted: dict[str, list[Finding]] = {}
         dirty = set(order)
         sweeps = 0
         while dirty and sweeps < _MAX_ROUNDS:
@@ -132,8 +133,9 @@ class FlowAnalyzer:
                 if fqn not in dirty:
                     continue
                 dirty.discard(fqn)
+                emitted[fqn] = []
                 new, now_reads = self._evaluate(
-                    self.index.functions[fqn], emit=None
+                    self.index.functions[fqn], emitted[fqn]
                 )
                 for callee in reads.get(fqn, ()):
                     readers[callee].discard(fqn)
@@ -143,22 +145,20 @@ class FlowAnalyzer:
                 if self.summaries.get(fqn) != new:
                     self.summaries[fqn] = new
                     dirty.update(readers.get(fqn, ()))
-        return sweeps
-
-    def _findings(self) -> list[Finding]:
-        """Phase 2: interpret every function once more, emitting."""
-        findings: list[Finding] = []
-        for fqn in sorted(self.index.functions):
-            self._evaluate(self.index.functions[fqn], emit=findings)
+        for fqn in sorted(dirty):  # the cap bit: findings only
+            emitted[fqn] = []
+            self._evaluate(self.index.functions[fqn], emitted[fqn])
+        findings = [f for fqn in order for f in emitted[fqn]]
         # loop bodies are interpreted twice (loop-carried taints), so
         # keep the last finding per site: its taint set is the widest
-        return sorted(unique_sites(findings))
+        return sorted(unique_sites(findings)), sweeps
 
     # -- per-function interpretation ----------------------------------
     def _evaluate(
-        self, fn: FunctionInfo, emit: Optional[list[Finding]]
+        self, fn: FunctionInfo, emit: list[Finding]
     ) -> tuple[Summary, set[str]]:
-        """The function's summary and the fqns whose summaries it read."""
+        """The function's summary and the fqns whose summaries it read;
+        its findings are appended to ``emit``."""
         ev = _Evaluator(self, fn, emit)
         return ev.run(), ev.reads
 
@@ -170,7 +170,7 @@ class _Evaluator:
         self,
         analyzer: FlowAnalyzer,
         fn: FunctionInfo,
-        emit: Optional[list[Finding]],
+        emit: list[Finding],
     ):
         self.analyzer = analyzer
         self.index = analyzer.index
@@ -242,14 +242,7 @@ class _Evaluator:
             before.merge(a, b)
             self.scope = before
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            t = self.eval(stmt.iter)
-            if _is_set_like(stmt.iter):
-                t = join(
-                    t,
-                    frozenset(
-                        {label(model.UNSTABLE, self._at("set iteration order", stmt.iter))}
-                    ),
-                )
+            t = self._eval_iter(stmt.iter)
             for _ in range(2):  # propagate loop-carried taints once
                 self._assign(stmt.target, t, None)
                 self._exec_body(stmt.body)
@@ -375,7 +368,7 @@ class _Evaluator:
             own.add(args.kwarg.arg)
         captured: list[Taint] = []
         for sub in body:
-            for n in ast.walk(sub):
+            for n in walk(sub):
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                     if n.id in own:
                         continue
@@ -499,24 +492,20 @@ class _Evaluator:
             return join(*parts) if parts else EMPTY
         return EMPTY
 
+    def _eval_iter(self, node: ast.expr) -> Taint:
+        """The taint of the items of ``node``; a set's order is unstable."""
+        t = self.eval(node)
+        if not _is_set_like(node):
+            return t
+        where = self._at("set iteration order", node)
+        return join(t, frozenset({label(model.UNSTABLE, where)}))
+
     def _eval_comp(self, node: ast.expr) -> Taint:
         outer = self.scope
         self.scope = outer.copy()
         parts: list[Taint] = []
         for gen in node.generators:  # type: ignore[attr-defined]
-            t = self.eval(gen.iter)
-            if _is_set_like(gen.iter):
-                t = join(
-                    t,
-                    frozenset(
-                        {
-                            label(
-                                model.UNSTABLE,
-                                self._at("set iteration order", gen.iter),
-                            )
-                        }
-                    ),
-                )
+            t = self._eval_iter(gen.iter)
             self._assign(gen.target, t, None)
             parts.append(t)
             for cond in gen.ifs:
@@ -802,7 +791,7 @@ class _Evaluator:
         via: tuple,
     ) -> None:
         hit_kinds = kinds_of(taint) & forbidden
-        if hit_kinds and self.emit is not None:
+        if hit_kinds:
             self._emit(call, arg_node, taint, hit_kinds, rule, describe, where, via)
         if len(via) <= _MAX_VIA:
             for el in taint:
@@ -830,7 +819,6 @@ class _Evaluator:
         where: Optional[str],
         via: tuple,
     ) -> None:
-        assert self.emit is not None
         ctx = self.analyzer.contexts.get(self.fn.relpath)
         node = arg_node if getattr(arg_node, "lineno", None) else call
         origins = model.origins_for(taint, hit_kinds)[:3]

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+from ..lint.context import walk
 
 __all__ = [
     "FunctionInfo",
@@ -147,34 +149,26 @@ class ProjectIndex:
     # -- construction -------------------------------------------------
     @classmethod
     def build(
-        cls,
-        files: list[tuple[str, ast.Module]],
-        nodes: Optional[Mapping[str, Sequence[ast.AST]]] = None,
+        cls, files: Iterable[tuple[str, ast.Module, Sequence[ast.AST]]]
     ) -> "ProjectIndex":
-        """Index ``(relpath, tree)`` pairs.
-
-        ``nodes`` maps a relpath to its tree's ``ast.walk`` node list
-        when the caller already holds one (lint's per-file contexts).
-        """
+        """Index ``(relpath, tree, nodes)`` triples, ``nodes`` being the
+        tree's :func:`~repro.lint.context.walk` list (lint's per-file
+        contexts hold it already)."""
         index = cls()
-        for relpath, tree in files:
-            walked = nodes.get(relpath) if nodes is not None else None
-            index._index_module(relpath, tree, walked)
+        for relpath, tree, nodes in files:
+            index._index_module(relpath, tree, nodes)
         index._index_suffixes()
         for cinfo in index.classes.values():
             index._bind_init_attrs(cinfo)
         return index
 
     def _index_module(
-        self,
-        relpath: str,
-        tree: ast.Module,
-        nodes: Optional[Sequence[ast.AST]] = None,
+        self, relpath: str, tree: ast.Module, nodes: Sequence[ast.AST]
     ) -> None:
         name = module_name_for(relpath)
         mod = ModuleInfo(name=name, relpath=relpath, tree=tree)
         self.modules[name] = mod
-        self._collect_imports(mod, ast.walk(tree) if nodes is None else nodes)
+        self._collect_imports(mod, nodes)
         self._collect_defs(mod, tree)
 
     def _index_suffixes(self) -> None:
@@ -266,7 +260,7 @@ class ProjectIndex:
             return
         init = self.functions[init_fqn]
         mod = self.modules[cinfo.module]
-        for node in ast.walk(init.node):
+        for node in walk(init.node):
             if not isinstance(node, ast.Assign):
                 continue
             if not isinstance(node.value, ast.Call):

@@ -13,13 +13,30 @@ from .findings import Finding
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .fingerprint import WatchedFile
 
-__all__ = ["LintConfig", "FileContext", "DET_GATED_DIRS"]
+__all__ = ["LintConfig", "FileContext", "DET_GATED_DIRS", "walk"]
 
 #: directories (anywhere on a file's path) where nondeterminism is a bug:
 #: everything here feeds simulated numbers, cache keys or fault decisions
 DET_GATED_DIRS = frozenset(
     {"sim", "ssd", "nvm", "fs", "cluster", "faults", "lifetime"}
 )
+
+
+def walk(node: ast.AST) -> list[ast.AST]:
+    """``list(ast.walk(node))``, from a list that grows behind its own
+    iteration instead of a deque of child generators."""
+    nodes = [node]
+    append = nodes.append
+    for n in nodes:
+        for name in n._fields:
+            value = getattr(n, name, None)
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        append(item)
+            elif isinstance(value, ast.AST):
+                append(value)
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -64,9 +81,9 @@ class FileContext:
     # -- helpers --------------------------------------------------------
     @cached_property
     def nodes(self) -> list[ast.AST]:
-        """Every node of the tree in ``ast.walk`` (BFS) order, walked once
-        and shared by every rule that scans the whole file."""
-        return list(ast.walk(self.tree))
+        """Every node of the tree in breadth-first (:func:`walk`) order,
+        walked once and shared by every rule that scans the whole file."""
+        return walk(self.tree)
 
     @property
     def det_gated(self) -> bool:

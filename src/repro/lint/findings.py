@@ -57,7 +57,7 @@ def unique_sites(findings: Iterable[Finding]) -> list[Finding]:
 
     Checkers that scan a nested scope both on its own and as part of
     its enclosing scope reach the same site twice; the later visit is
-    the innermost (``ast.walk`` is breadth-first), whose message names
-    the tightest context.
+    the innermost (:func:`~repro.lint.context.walk` is breadth-first),
+    whose message names the tightest context.
     """
     return list({(f.rule, f.path, f.line, f.col): f for f in findings}.values())

@@ -30,7 +30,7 @@ import ast
 import re
 from typing import Iterator, Optional
 
-from ..context import FileContext
+from ..context import FileContext, walk
 from ..findings import Finding, unique_sites
 from ..registry import FileChecker, dotted_name, register
 
@@ -237,7 +237,7 @@ class DetChecker(FileChecker):
     def _check_function(
         self, ctx: FileContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterator[Finding]:
-        nodes = list(ast.walk(fn))
+        nodes = walk(fn)
         if not self._is_hash_context(fn, nodes):
             return
         for node in nodes:

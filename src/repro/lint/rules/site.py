@@ -38,7 +38,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..context import FileContext
+from ..context import FileContext, walk
 from ..findings import Finding
 from ..registry import FileChecker, dotted_name, register
 
@@ -85,7 +85,7 @@ class SiteChecker(FileChecker):
     def _check_component(
         self, ctx: FileContext, arg: ast.expr, family: str
     ) -> Iterator[Finding]:
-        for sub in ast.walk(arg):
+        for sub in walk(arg):
             if isinstance(sub, ast.Call):
                 name = dotted_name(sub.func)
                 if name in _UNSTABLE_CALLS or (

@@ -787,7 +787,13 @@ def _finish_scalar(
     multi-client lane's later commands may lie below its current one).
     """
     cols = [getattr(base, name) for name in _RECURRENCE_COLS[1:]]
-    out = [[0] * (lane.n - at) for _ in range(8)] if lane.record else None
+    ends: list[list[int]] = []
+    out = None
+    if lane.record:
+        # the four starts are never read back: one scratch list takes them
+        scratch = [0] * (lane.n - at)
+        ends = [[0] * (lane.n - at) for _ in range(4)]
+        out = [lst for end in ends for lst in (scratch, end)]
     k = 0
     while True:
         rows = ([OpCode.READ] * (hi - lo), *(col[lo:hi].tolist() for col in cols))
@@ -800,9 +806,8 @@ def _finish_scalar(
         lo += lane.lo
         hi += lane.lo
         comp = arrival
-    if out is not None:
-        for col, vals in zip(lane.ends, out[1::2]):
-            col[at : at + k] = vals[:k]
+    for col, vals in zip(lane.ends, ends):
+        col[at : at + k] = vals[:k]
 
 
 class TransactionScheduler:

@@ -3,11 +3,13 @@
 import ast
 
 from repro.flow.symbols import ProjectIndex, module_name_for
+from repro.lint.context import walk
 
 
 def build(files: dict[str, str]) -> ProjectIndex:
+    trees = {relpath: ast.parse(src) for relpath, src in files.items()}
     return ProjectIndex.build(
-        [(relpath, ast.parse(src)) for relpath, src in files.items()]
+        (relpath, tree, walk(tree)) for relpath, tree in trees.items()
     )
 
 

@@ -1,9 +1,11 @@
-"""The worklist summary fixpoint against the round-robin oracle.
+"""The one-pass worklist fixpoint against the two-phase oracle.
 
 :meth:`FlowAnalyzer._solve` re-evaluates a function only when a summary
-it read has changed; :mod:`tests.oracles.flow_fixpoint` re-evaluates
-every function every sweep.  Summaries and findings must be identical,
-including where the ``_MAX_ROUNDS`` cap cuts the solve short.
+it read has changed, and keeps the findings of each function's last
+evaluation; :mod:`tests.oracles.flow_fixpoint` re-evaluates every
+function every sweep, then interprets each once more to emit.
+Summaries and findings must be identical, including where the
+``_MAX_ROUNDS`` cap cuts the solve short.
 """
 
 from functools import lru_cache
@@ -42,8 +44,33 @@ def live_oracle():
 
 def solve(ctxs):
     analyzer = FlowAnalyzer(list(ctxs))
-    sweeps = analyzer._solve()
-    return analyzer.summaries, analyzer._findings(), sweeps
+    findings, sweeps = analyzer._solve()
+    return analyzer.summaries, findings, sweeps
+
+
+def spy_evaluations(monkeypatch) -> list[str]:
+    """The fqn of every evaluation, in call order."""
+    calls: list[str] = []
+    real = FlowAnalyzer._evaluate
+
+    def spy(self, fn, emit):
+        calls.append(fn.fqn)
+        return real(self, fn, emit)
+
+    monkeypatch.setattr(FlowAnalyzer, "_evaluate", spy)
+    return calls
+
+
+def ascending_runs(calls: list[str]) -> list[list[str]]:
+    """``calls`` cut wherever the fqn does not increase: a sweep
+    evaluates in sorted order, so no run spans two sweeps."""
+    runs: list[list[str]] = []
+    for fqn in calls:
+        if runs and runs[-1][-1] < fqn:
+            runs[-1].append(fqn)
+        else:
+            runs.append([fqn])
+    return runs
 
 
 def assert_matches(ctxs, want=None) -> None:
@@ -89,24 +116,42 @@ def test_sweep_cap_bites_identically():
     assert tainted == [f"step_{i:02d}" for i in range(15 - _MAX_ROUNDS, 15)]
 
 
+def test_sweep_cap_reemits_dirty_functions(monkeypatch):
+    """``seal`` reads the summary that changed in the last sweep the cap
+    allows: production evaluates it once more after the solve, emitting
+    the oracle's finding and discarding the summary."""
+    ctxs = contexts(FIXTURES / "capsink")
+    want_summaries, want_findings, want_sweeps = oracle.analyze(ctxs)
+    calls = spy_evaluations(monkeypatch)
+    summaries, findings, sweeps = solve(ctxs)
+    assert sweeps == want_sweeps == _MAX_ROUNDS
+    assert summaries == want_summaries
+    assert findings == want_findings
+    assert [(f.rule, f.line) for f in findings] == [("FLOW002", 16)]
+    # the last sweep evaluates step_01 alone; seal, dirty after it, is
+    # the only function evaluated after the cap
+    runs = [
+        [fqn.rsplit(".", 1)[-1] for fqn in run] for run in ascending_runs(calls)
+    ]
+    assert len(runs) == _MAX_ROUNDS + 1
+    assert runs[-2:] == [["step_01"], ["seal"]]
+
+
 def test_evaluation_counts(monkeypatch):
-    """Each function is evaluated at least once while solving and
-    exactly once while emitting; solving skips most of the evaluations
-    the round-robin oracle makes."""
+    """One pass: every function is evaluated at least once, all in the
+    solve's sweeps (the live tree converges before the cap, so no
+    function is evaluated after it), and the solve skips most of the
+    evaluations the round-robin oracle makes."""
     _, _, oracle_sweeps = live_oracle()
-    calls: list[tuple[str, bool]] = []
-    real = FlowAnalyzer._evaluate
-
-    def spy(self, fn, emit):
-        calls.append((fn.fqn, emit is None))
-        return real(self, fn, emit)
-
-    monkeypatch.setattr(FlowAnalyzer, "_evaluate", spy)
+    assert oracle_sweeps < _MAX_ROUNDS
+    calls = spy_evaluations(monkeypatch)
     analyzer = FlowAnalyzer(list(live_contexts()))
     analyzer.run()
     functions = sorted(analyzer.index.functions)
-    solving = [fqn for fqn, phase1 in calls if phase1]
-    emitting = [fqn for fqn, phase1 in calls if not phase1]
-    assert sorted(set(solving)) == functions
-    assert sorted(emitting) == functions
-    assert len(solving) < len(functions) * oracle_sweeps
+    runs = ascending_runs(calls)
+    # the first sweep evaluates everything; an emission pass would be
+    # one more full sweep after the last
+    assert runs[0] == functions
+    assert all(len(run) < len(functions) for run in runs[1:])
+    assert len(runs) <= oracle_sweeps
+    assert len(calls) < len(functions) * oracle_sweeps

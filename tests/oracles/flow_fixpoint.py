@@ -1,9 +1,14 @@
-"""The FLOW summary fixpoint as plain round-robin sweeps.
+"""The FLOW analysis as two plain phases.
 
-Every sweep re-evaluates every function in sorted order, until a sweep
-changes no summary or ``_MAX_ROUNDS`` sweeps have run.  The production
-:meth:`repro.flow.analysis.FlowAnalyzer._solve` skips the evaluations
-whose inputs did not change; its summaries and findings must equal
+1. **Round-robin solve.**  Every sweep re-evaluates every function in
+   sorted order, until a sweep changes no summary or ``_MAX_ROUNDS``
+   sweeps have run.
+2. **Emission.**  Every function is interpreted once more, on the
+   final summaries, and its findings are collected.
+
+The production :meth:`repro.flow.analysis.FlowAnalyzer._solve` skips the
+evaluations whose inputs did not change and keeps each function's
+findings from its last evaluation; its summaries and findings must equal
 these exactly.
 """
 
@@ -11,9 +16,9 @@ from __future__ import annotations
 
 from repro.flow.analysis import _MAX_ROUNDS, FlowAnalyzer, Summary
 from repro.lint.context import FileContext
-from repro.lint.findings import Finding
+from repro.lint.findings import Finding, unique_sites
 
-__all__ = ["round_robin", "analyze"]
+__all__ = ["round_robin", "findings", "analyze"]
 
 
 def round_robin(analyzer: FlowAnalyzer) -> int:
@@ -24,7 +29,7 @@ def round_robin(analyzer: FlowAnalyzer) -> int:
         sweeps += 1
         changed = False
         for fqn in order:
-            new, _ = analyzer._evaluate(analyzer.index.functions[fqn], emit=None)
+            new, _ = analyzer._evaluate(analyzer.index.functions[fqn], [])
             if analyzer.summaries.get(fqn) != new:
                 analyzer.summaries[fqn] = new
                 changed = True
@@ -33,10 +38,20 @@ def round_robin(analyzer: FlowAnalyzer) -> int:
     return sweeps
 
 
+def findings(analyzer: FlowAnalyzer) -> list[Finding]:
+    """Interpret every function once more on the solved summaries."""
+    out: list[Finding] = []
+    for fqn in sorted(analyzer.index.functions):
+        analyzer._evaluate(analyzer.index.functions[fqn], out)
+    # loop bodies are interpreted twice (loop-carried taints), so keep
+    # the last finding per site: its taint set is the widest
+    return sorted(unique_sites(out))
+
+
 def analyze(
     contexts: list[FileContext],
 ) -> tuple[dict[str, Summary], list[Finding], int]:
-    """Summaries, findings and sweep count of the round-robin solve."""
+    """Summaries, findings and sweep count of the two-phase analysis."""
     analyzer = FlowAnalyzer(list(contexts))
     sweeps = round_robin(analyzer)
-    return analyzer.summaries, analyzer._findings(), sweeps
+    return analyzer.summaries, findings(analyzer), sweeps
