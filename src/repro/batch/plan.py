@@ -22,6 +22,11 @@ group, page-in-block, plane) stay with the plan, and
 :meth:`CellPlan.lane` joins the two for one cell when its log is
 assembled.
 
+The plan's row columns and the stacked bases are int32
+(:data:`ROW_DTYPE`): ``plan_cell`` refuses a cell any of whose values
+could outgrow it, and the replay widens to int64 wherever it sums, so
+:meth:`CellPlan.lane` and the log it feeds stay int64.
+
 Two links are pre-passed per cell from the same transaction columns
 (:data:`LINKS`):
 
@@ -31,7 +36,9 @@ Two links are pre-passed per cell from the same transaction columns
   :data:`~repro.ssd.scheduler.INFINITE_HOST`, zero command overhead)
   of :func:`repro.experiments.runner._unconstrained_media_peak`,
   reusing the plan instead of re-translating the identical
-  deterministic stream.
+  deterministic stream.  Its bus, host and command columns are all
+  zero, so its base stores none of them: one zero-stride column stands
+  for all three.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ __all__ = [
     "LINKS",
     "LaneCols",
     "PlannedCommand",
+    "ROW_DTYPE",
     "plan_cell",
     "stack_plans",
 ]
@@ -91,6 +99,12 @@ LINKS = ("main", "peak")
 #: the stacked columns every link shares; the rest of
 #: :class:`~repro.ssd.scheduler.StepCols` is per link
 _SHARED_COLS = ("unit", "die", "pkg", "chan", "cell_ns")
+_LINK_COLS = ("fb", "hb", "cmd")
+#: dtype of a plan's row columns and of the stacked bases
+ROW_DTYPE = np.int32
+_ROW_MAX = int(np.iinfo(ROW_DTYPE).max)
+#: the ``peak`` link: no bus, host or command time on any row
+_PEAK_LINK = Link.of(INFINITE_BUS, INFINITE_HOST)
 
 
 @dataclass
@@ -105,6 +119,7 @@ class CellPlan:
     posix_window: int
     groups: list[CommandGroup]  # planned commands, clients interleaved
     n: int
+    #: the row columns, :data:`ROW_DTYPE`
     flat: np.ndarray
     nbytes: np.ndarray
     #: row -> command ordinal within the cell; only the pre-pass reads
@@ -122,11 +137,11 @@ class CellPlan:
         of every row (all reads, by plan construction)."""
         geom = self.path.device.geom
         pib = (self.flat // geom.plane_units) % geom.pages_per_block
-        op = np.full(self.n, OpCode.READ, dtype=np.int64)
+        op = np.full(self.n, OpCode.READ, dtype=ROW_DTYPE)
         return op, self.flat, self.nbytes, self.group_ids, pib
 
     def lane(self, link: str) -> LaneCols:
-        """Every pre-passed column of this cell on ``link``: views of its
+        """Every pre-passed column of this cell on ``link``, int64: its
         rows of the stacked base, and the row columns rebuilt from the
         plan."""
         base = self.bases[LINKS.index(link)].window(
@@ -134,10 +149,11 @@ class CellPlan:
         )
         op, flat, nbytes, group, pib = self.txns()
         plane = base.unit % self.path.device.geom.planes_per_die
-        return LaneCols(
-            **vars(base), op=op, flat=flat, nbytes=nbytes, group=group, pib=pib,
+        cols = dict(
+            vars(base), op=op, flat=flat, nbytes=nbytes, group=group, pib=pib,
             plane=plane,
         )
+        return LaneCols(**{name: col.astype(np.int64) for name, col in cols.items()})
 
 
 def plan_cell(
@@ -156,6 +172,18 @@ def plan_cell(
     if device.fault_model is not None:
         raise BatchUnsupported("device fault model attached")
     geom = device.geom
+    pb = geom.page_bytes
+    # the longest any row's cell, bus, host or command time can be: a
+    # row moves at most one page
+    link = Link.of(device.bus, device.host)
+    row_ns = max(
+        max(kind.read_ladder),
+        int(pb * link.bus_ns_per_byte),
+        int(pb * link.host_ns_per_byte),
+        link.cmd_ns,
+    )
+    if row_ns > _ROW_MAX:
+        raise BatchUnsupported(f"a row's {row_ns} ns exceed the int32 bases")
 
     traces = workload.traces(path.clients)
     file_sizes: dict[int, int] = {}
@@ -167,13 +195,14 @@ def plan_cell(
     # the mapping itself is the identity striping, so no FTL state is
     # materialized (this is where the scalar path spends its preload)
     layout = path.fs.format(file_sizes)
-    pb = geom.page_bytes
     need = max(layout.device_bytes, getattr(path.fs, "allocated_bytes", 0))
     if need > device.ftl.n_logical_pages * pb:
         raise BatchUnsupported("layout exceeds device logical space")
     npages = -(-need // pb)
     if npages > device.ftl.n_logical_pages:
         raise BatchUnsupported("preload exceeds logical space")
+    if npages > _ROW_MAX:
+        raise BatchUnsupported("page numbers exceed the int32 row columns")
 
     per_client_groups = [
         [path.fs.translate(req, client=t.client) for req in t] for t in traces
@@ -195,7 +224,9 @@ def plan_cell(
         last = (lba + nb - 1) // pb
         npp = last - first + 1
         total = int(npp.sum())
-        cmd_ord = np.repeat(np.arange(n_cmds, dtype=np.int64), npp)
+        if total > _ROW_MAX:
+            raise BatchUnsupported("row count exceeds the int32 row columns")
+        cmd_ord = np.repeat(np.arange(n_cmds, dtype=ROW_DTYPE), npp)
         starts = np.cumsum(npp) - npp
         lpage = first[cmd_ord] + (np.arange(total, dtype=np.int64) - starts[cmd_ord])
         if total and int(lpage.max()) >= npages:
@@ -205,19 +236,18 @@ def plan_cell(
         ends = lba + nb
         lo_b = np.maximum(lba[cmd_ord], lpage * pb)
         hi_b = np.minimum(ends[cmd_ord], (lpage + 1) * pb)
-        nbytes = hi_b - lo_b
-        flat = lpage  # identity striping: map[L] == L for preloaded pages
+        nbytes = (hi_b - lo_b).astype(ROW_DTYPE)
         # group-id values count in plan order rather than dispatch
         # order; only adjacency equality and sign are metric-visible
         group_ids, _ = plane_groups(
-            flat, geom.plane_units, geom.planes_per_die, cmd=cmd_ord
+            lpage, geom.plane_units, geom.planes_per_die, cmd=cmd_ord
         )
+        group_ids = group_ids.astype(ROW_DTYPE)
+        # identity striping: map[L] == L for preloaded pages
+        flat = lpage.astype(ROW_DTYPE)
         bounds = np.r_[starts, total]
     else:
-        cmd_ord = np.empty(0, dtype=np.int64)
-        flat = np.empty(0, dtype=np.int64)
-        nbytes = np.empty(0, dtype=np.int64)
-        group_ids = np.empty(0, dtype=np.int64)
+        cmd_ord = flat = nbytes = group_ids = np.empty(0, dtype=ROW_DTYPE)
         bounds = np.zeros(1, dtype=np.int64)
         total = 0
 
@@ -271,37 +301,38 @@ def stack_plans(plans: list[CellPlan]) -> int:
 
     Each plan is pre-passed on its own, with its device's constants as
     scalars, on every link of :data:`LINKS`; only the result's
-    :class:`~repro.ssd.scheduler.StepCols` are copied, into columns
-    preallocated for every plan's rows, so no whole-matrix temporary
-    exists beside the bases.  Each plan receives the bases and its
-    first row in them, and drops its ``cmd_ord``.  Returns the stacked
-    row count.
+    :class:`~repro.ssd.scheduler.StepCols` are copied, into
+    :data:`ROW_DTYPE` columns preallocated for every plan's rows, so no
+    whole-matrix temporary exists beside the bases.  The ``peak`` link's
+    bus, host and command columns are one shared zero-stride column;
+    each plan's pre-pass on it must be zero.  Each plan receives the
+    bases and its first row in them, and drops its ``cmd_ord``.  Returns
+    the stacked row count.
     """
     total = sum(p.n for p in plans)
-    shared = {name: np.empty(total, dtype=np.int64) for name in _SHARED_COLS}
-    per_link = [f.name for f in fields(StepCols) if f.name not in shared]
-    bases = [
-        StepCols(**shared, **{name: np.empty(total, dtype=np.int64) for name in per_link})
-        for _ in LINKS
-    ]
-    peak_link = Link.of(INFINITE_BUS, INFINITE_HOST)
+    shared = {name: np.empty(total, dtype=ROW_DTYPE) for name in _SHARED_COLS}
+    main = StepCols(
+        **shared, **{name: np.empty(total, dtype=ROW_DTYPE) for name in _LINK_COLS}
+    )
+    zero = np.broadcast_to(np.zeros(1, dtype=ROW_DTYPE), (total,))
+    peak = StepCols(**shared, **dict.fromkeys(_LINK_COLS, zero))
+    bases = [main, peak]
     row0 = 0
     for p in plans:
         device = p.path.device
-        lanes = prepass(
+        cols, peak_cols = prepass(
             MediaConsts.of(device.geom, p.kind),
-            (Link.of(device.bus, device.host), peak_link),
+            (Link.of(device.bus, device.host), _PEAK_LINK),
             *p.txns(),
             # a multi-plane pair shares command cycles only within one
             # command
             same_cmd=p.cmd_ord,
         )
+        if any(getattr(peak_cols, name).any() for name in _LINK_COLS):
+            raise ValueError(f"{p.label}|{p.kind_name}: peak link pre-pass not zero")
         rows = slice(row0, row0 + p.n)
-        for name, col in shared.items():
-            col[rows] = getattr(lanes[0], name)
-        for base, lane in zip(bases, lanes):
-            for name in per_link:
-                getattr(base, name)[rows] = getattr(lane, name)
+        for f in fields(StepCols):
+            getattr(main, f.name)[rows] = getattr(cols, f.name)
         p.bases, p.row0, p.cmd_ord = bases, row0, None
         row0 += p.n
     return total

@@ -49,7 +49,7 @@ class CommandTrace:
             return 0.0
         meta = np.asarray(self.meta, dtype=np.int64)
         data = meta[meta[:, 2] == KIND_CODES["data"]]
-        total = np.concatenate([[0], np.cumsum(nbytes)])
+        total = np.concatenate([[0], np.cumsum(nbytes, dtype=np.int64)])
         payload = int((total[data[:, 5]] - total[data[:, 4]]).sum())
         makespan = self.last_done - int(meta[:, 3].min())
         bw = payload * 1e9 / makespan if makespan > 0 else 0.0

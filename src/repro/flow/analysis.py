@@ -142,8 +142,10 @@ class FlowAnalyzer:
                 for callee in now_reads:
                     readers.setdefault(callee, set()).add(fqn)
                 reads[fqn] = now_reads
-                if self.summaries.get(fqn) != new:
-                    self.summaries[fqn] = new
+                # a reader of a summary not yet stored read the empty one
+                changed = self.summaries.get(fqn, Summary()) != new
+                self.summaries[fqn] = new
+                if changed:
                     dirty.update(readers.get(fqn, ()))
         for fqn in sorted(dirty):  # the cap bit: findings only
             emitted[fqn] = []

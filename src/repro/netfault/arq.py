@@ -27,6 +27,7 @@ drift at any MTU.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..faults.errors import LinkUnreachable
 from ..interconnect.links import LinkSpec
@@ -73,6 +74,18 @@ class TransferSchedule:
         )
 
 
+@lru_cache(maxsize=64)
+def _packets(
+    wire: LinkSpec, mtu: int, nbytes: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cumulative byte boundaries of a transfer's packets, and the
+    healthy wire time to each: computed once per wire, MTU and size,
+    since a fabric sends thousands of equal transfers."""
+    n_packets = (nbytes + mtu - 1) // mtu
+    cum = tuple(min(k * mtu, nbytes) for k in range(n_packets + 1))
+    return cum, tuple(wire.transfer_ns(c) for c in cum)
+
+
 def compute_schedule(
     wire: LinkSpec,
     nf: NetFaultSpec,
@@ -86,19 +99,16 @@ def compute_schedule(
     """Resolve one go-back-N transfer; raises LinkUnreachable on budget
     exhaustion (counters in the partial schedule are folded in by the
     caller before the raise propagates)."""
-    mtu = nf.mtu_bytes
-    n_packets = (nbytes + mtu - 1) // mtu
-    cum = [min(k * mtu, nbytes) for k in range(n_packets + 1)]
-    # healthy wire time to each packet boundary, once per transfer
-    wire_at = [wire.transfer_ns(c) for c in cum]
+    cum, wire_at = _packets(wire, nf.mtu_bytes, nbytes)
+    n_packets = len(cum) - 1
     sched = TransferSchedule(nbytes=nbytes, n_packets=n_packets, wire_ns=0)
     t = 0
 
+    # every call is guarded by ``record_events``
     def emit(dur: int, pkt: int, attempt: int, event: str, size: int) -> None:
-        if record_events:
-            sched.events.append(
-                PacketEvent(t, dur, pkt, attempt, event, size, rate.level_name)
-            )
+        sched.events.append(
+            PacketEvent(t, dur, pkt, attempt, event, size, rate.level_name)
+        )
 
     for k in range(1, n_packets + 1):
         pkt = k - 1
@@ -108,20 +118,23 @@ def compute_schedule(
         while True:
             dur = rate.stretch(base_dur)
             sched.packets_sent += 1
-            emit(dur, pkt, attempt, "sent", size)
+            if record_events:
+                emit(dur, pkt, attempt, "sent", size)
             dropped = oracle.lost(link, transfer_seq, pkt, attempt)
             t += dur
             move = rate.on_outcome(dropped)
             if not dropped:
-                emit(0, pkt, attempt, "delivered", size)
-                if move == "recovery":
-                    emit(0, pkt, attempt, "recovery", 0)
+                if record_events:
+                    emit(0, pkt, attempt, "delivered", size)
+                    if move == "recovery":
+                        emit(0, pkt, attempt, "recovery", 0)
                 break
             sched.packets_lost += 1
             sched.lost_frame_ns += dur
-            emit(0, pkt, attempt, "lost", size)
-            if move == "fallback":
-                emit(0, pkt, attempt, "fallback", 0)
+            if record_events:
+                emit(0, pkt, attempt, "lost", size)
+                if move == "fallback":
+                    emit(0, pkt, attempt, "fallback", 0)
             # go-back-N: the already-streamed window tail is discarded
             # and must be re-sent; charge its wire occupancy as waste
             inflight = min(nf.window_packets - 1, n_packets - k)
@@ -145,7 +158,8 @@ def compute_schedule(
                 nf.backoff_cap_ns, nf.backoff_base_ns << (attempt - 1)
             )
             if backoff:
-                emit(0, pkt, attempt, "backoff", 0)
+                if record_events:
+                    emit(0, pkt, attempt, "backoff", 0)
                 t += backoff
                 sched.backoff_ns += backoff
     sched.wire_ns = t

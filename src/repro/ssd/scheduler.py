@@ -216,12 +216,15 @@ class Link(NamedTuple):
 
 @dataclass
 class StepCols:
-    """The pre-passed per-row columns :func:`lockstep` reads (int64).
+    """The pre-passed per-row columns :func:`lockstep` reads.
 
     ``unit`` .. ``cell_ns`` depend only on the transactions and the
     media, so every link's lane of one stream shares them;
     ``fb``/``hb``/``cmd`` carry one link's bus, host and
-    command-overhead arithmetic.
+    command-overhead arithmetic.  Any integer dtype whose values fit
+    will do (a planner's stacked bases are int32, and a column may be a
+    zero-stride view): :func:`lockstep` sums and keeps its timelines in
+    int64.
     """
 
     unit: np.ndarray
@@ -240,9 +243,11 @@ class StepCols:
 
 @dataclass
 class LaneCols(StepCols):
-    """Every pre-passed per-row column of one scheduler lane (int64):
-    the :class:`StepCols` and the transactions' own row columns, which
-    the scalar :func:`recurrence` (``op``) and the log read."""
+    """Every pre-passed per-row column of one scheduler lane: the
+    :class:`StepCols` and the transactions' own row columns, which the
+    scalar :func:`recurrence` (``op``) and the log read.
+    :func:`assemble_log` gives the log its lane's row-column dtypes, so
+    the lanes it reads are int64."""
 
     op: np.ndarray
     flat: np.ndarray
@@ -470,15 +475,17 @@ def block_ends(unit: np.ndarray) -> np.ndarray:
     and may not pass its command's end ``hi`` is ``s:min(ends[s], hi)``:
     the suffix-min of every row's next same-unit row is the first
     repeat, and no row at or past it can lower the minimum, since a
-    row's next same-unit row lies after the row itself.
+    row's next same-unit row lies after the row itself.  Row indices
+    are int32 below 2**31 rows.
     """
     n = len(unit)
-    nxt = np.full(n, n, dtype=np.int64)
+    row = np.int32 if n < 2**31 else np.int64
+    nxt = np.full(n, n, dtype=row)
     if n > 1:
         # a stable sort lists each unit's rows in row order; small keys
         # sort by radix
         key = unit.astype(np.uint16) if int(unit.max()) < 1 << 16 else unit
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key, kind="stable").astype(row, copy=False)
         sorted_unit = key[order]
         nxt[order[:-1]] = np.where(sorted_unit[1:] == sorted_unit[:-1], order[1:], n)
     return np.minimum.accumulate(nxt[::-1])[::-1]
@@ -556,7 +563,7 @@ def _scan(x: np.ndarray, b: np.ndarray, k: np.ndarray, free: np.ndarray) -> np.n
     :func:`repro.ssd.segments.merge_sorted`.
     """
     n = len(k)
-    total = np.cumsum(b)
+    total = np.cumsum(b, dtype=np.int64)
     before = total - b
     v = x - before
     head = np.empty(n, dtype=bool)
@@ -598,18 +605,19 @@ def block_recurrence(
     consecutive rows of one command with no plane unit twice, so every
     row's register wait reads the state from before the step; the die,
     package, channel and host timelines are then four segmented
-    max-plus scans (:func:`_scan`), exact in int64.  ``lanes`` must be
-    distinct and ascending, ``unit`` .. ``chan`` are the lane-local ids
-    and ``arrival`` is per row.  Returns the rows' cell, flash-bus,
-    channel and host ends and advances ``res``; the starts are the
-    ends less the durations.
+    max-plus scans (:func:`_scan`), exact in int64 whatever the
+    columns' integer dtype.  ``lanes`` must be distinct and ascending,
+    ``unit`` .. ``chan`` are the lane-local ids and ``arrival`` is per
+    row.  Returns the rows' cell, flash-bus, channel and host ends and
+    advances ``res``; the starts are the ends less the durations.
     """
     lane = np.repeat(lanes, rows)
     unit_k = unit + res.unit0[lane]
     x = np.maximum(arrival, res.plane_free[unit_k])
     c_end = _chain(x, cell_ns, die + res.die0[lane], res.die_free)
     f_end = _chain(c_end, fb, pkg + res.pkg0[lane], res.pkg_free)
-    s_end = _chain(f_end, cmd + fb, chan + res.chan0[lane], res.chan_free)
+    busy = np.add(cmd, fb, dtype=np.int64)
+    s_end = _chain(f_end, busy, chan + res.chan0[lane], res.chan_free)
     res.plane_free[unit_k] = s_end  # registers drain with the bus
     h_end = _scan(s_end, hb, lane, res.host_free)
     return c_end, f_end, s_end, h_end

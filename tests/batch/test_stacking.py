@@ -1,12 +1,16 @@
 """``stack_plans``: per-cell pre-pass into the lockstep's stacked bases.
 
-* Every cell's lanes (:meth:`~repro.batch.plan.CellPlan.lane`) equal
-  its rows of the whole-matrix broadcast pre-pass
+* Every cell's lanes (:meth:`~repro.batch.plan.CellPlan.lane`) are
+  int64 and equal its rows of the whole-matrix broadcast pre-pass
   (:mod:`tests.oracles.stacked_prepass`) column for column, on every
   Table-2 cell — thirteen geometries and interfaces, four media.
-* The stacked bases hold only what the lockstep replay reads.
+* The stacked bases hold only what the lockstep replay reads, as
+  int32, and the ``peak`` link's all-zero bus, host and command columns
+  are one zero-stride column.
 * Stacking a many-cell matrix allocates little beyond the bases it
   returns: at most a small multiple of one cell's pre-pass.
+* A cell whose per-row nanoseconds could outgrow int32 is refused
+  before it is stacked.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ import dataclasses
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from repro.batch.plan import LINKS, plan_cell, stack_plans
+import repro.batch.plan as plan_mod
+from repro.batch.plan import LINKS, BatchUnsupported, plan_cell, stack_plans
 from repro.experiments.configs import TABLE2_CONFIGS
 from repro.experiments.runner import Workload
-from repro.nvm.kinds import KINDS
+from repro.nvm.kinds import KINDS, kind_by_name
 from repro.ssd.scheduler import (
     INFINITE_BUS,
     INFINITE_HOST,
@@ -72,6 +78,15 @@ def test_bases_hold_only_what_the_lockstep_reads():
     for name in ("unit", "die", "pkg", "chan", "cell_ns"):
         assert getattr(main, name) is getattr(peak, name)
     assert all(p.cmd_ord is None for p in plans)
+    for base in bases:
+        for f in dataclasses.fields(StepCols):
+            assert getattr(base, f.name).dtype == np.int32, f.name
+    # the unconstrained link stores no bus, host or command column
+    zero = peak.fb
+    assert peak.hb is zero and peak.cmd is zero
+    assert zero.strides == (0,) and len(zero) == len(main.fb)
+    assert not zero.any()
+    assert {main.fb.strides, main.hb.strides, main.cmd.strides} == {(4,)}
 
 
 def _prepass_bytes(plan) -> int:
@@ -87,12 +102,18 @@ def _prepass_bytes(plan) -> int:
     return sum(c.nbytes for c in cols.values())
 
 
+def _owned_bytes(col: np.ndarray) -> int:
+    """Memory behind a column: one element for a zero-stride one."""
+    return col.nbytes if col.strides[0] else col.itemsize
+
+
 def test_stacking_transient_is_one_cells_prepass():
     """Tracing ``stack_plans`` over the whole matrix: its peak exceeds
     the bases it keeps by at most twice the largest cell's pre-pass, so
     nothing of whole-matrix size is built beside the bases."""
     plans = _plans(Workload(panels=2, panel_bytes=2 * MiB))
     largest = max(_prepass_bytes(p) for p in plans)
+    rows = [p.n for p in plans]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -102,6 +123,36 @@ def test_stacking_transient_is_one_cells_prepass():
     finally:
         tracemalloc.stop()
     cols = {id(c): c for base in plans[0].bases for c in vars(base).values()}
-    kept = sum(c.nbytes for c in cols.values())
-    assert len(plans) == 52 and kept > 10 * largest
+    kept = sum(_owned_bytes(c) for c in cols.values())
+    # the matrix dwarfs its largest cell
+    assert len(plans) == 52 and sum(rows) > 10 * max(rows)
     assert peak - before <= kept + 2 * largest, (peak - before, kept, largest)
+
+
+def test_cell_whose_row_ns_outgrow_int32_is_refused(monkeypatch):
+    """A read sense of 2**31 ns fits no int32 base: ``plan_cell`` refuses
+    the cell, which the batch backend then runs on the scalar path; one
+    nanosecond less is planned and stacked."""
+    slc = kind_by_name("SLC")
+
+    def kind_sensing(ns):
+        kind = dataclasses.replace(slc, read_ladder=(ns,) * len(slc.read_ladder))
+        monkeypatch.setattr(plan_mod, "kind_by_name", lambda name: kind)
+
+    kind_sensing(2**31)
+    with pytest.raises(BatchUnsupported, match="int32"):
+        plan_cell("CNL-EXT4", "SLC", TINY, SEED)
+    kind_sensing(2**31 - 1)
+    plan = plan_cell("CNL-EXT4", "SLC", TINY, SEED)
+    stack_plans([plan])
+    assert int(plan.lane("main").cell_ns.max()) == 2**31 - 1
+
+
+def test_a_peak_link_with_bus_time_is_refused(monkeypatch):
+    """The peak base has no bus, host or command column to store into:
+    a plan whose peak pre-pass is not all zeros stops the stacking."""
+    plan = plan_cell("CNL-EXT4", "SLC", TINY, SEED)
+    device = plan.path.device
+    monkeypatch.setattr(plan_mod, "_PEAK_LINK", Link.of(device.bus, INFINITE_HOST))
+    with pytest.raises(ValueError, match="peak link"):
+        stack_plans([plan])

@@ -8,6 +8,7 @@ Summaries and findings must be identical, including where the
 ``_MAX_ROUNDS`` cap cuts the solve short.
 """
 
+import tarfile
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,6 +24,11 @@ from tests.oracles import flow_fixpoint as oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(repro.__file__).resolve().parent
+#: the lint benchmark's pinned source tree
+CORPUS = (
+    Path(__file__).resolve().parents[2]
+    / "perfbench" / "corpus" / "lint-corpus-969383c.tar.xz"
+)
 
 
 def contexts(path: Path) -> list[FileContext]:
@@ -155,3 +161,20 @@ def test_evaluation_counts(monkeypatch):
     assert all(len(run) < len(functions) for run in runs[1:])
     assert len(runs) <= oracle_sweeps
     assert len(calls) < len(functions) * oracle_sweeps
+
+
+def test_pinned_corpus_evaluation_count(tmp_path, monkeypatch):
+    """The pinned corpus solves in exactly 1,182 evaluations with the
+    oracle's summaries and findings.  Its first sweep stores 908
+    summaries, 130 of which are the empty default: storing one of those
+    changes nothing a reader saw, so it dirties no reader (comparing
+    against a missing summary instead took 1,206)."""
+    with tarfile.open(CORPUS) as tar:
+        tar.extractall(tmp_path, filter="data")
+    ctxs = contexts(tmp_path / "src" / "repro")
+    want = oracle.analyze(ctxs)
+    calls = spy_evaluations(monkeypatch)
+    summaries, findings, _ = solve(ctxs)
+    assert len(calls) == 1182
+    assert summaries == want[0]
+    assert findings == want[1]

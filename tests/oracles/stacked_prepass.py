@@ -9,7 +9,9 @@ in the concatenated tables and one command-sharing mask keyed by
 (cell, command).  Each plan's lanes (:meth:`CellPlan.lane`) must equal
 its rows of this pre-pass column for column.  It holds a dozen per-row
 constants and every column of the matrix at once, the transient the
-per-cell pre-pass exists to avoid.
+per-cell pre-pass exists to avoid.  It widens the plans' int32 row
+columns to int64 before any arithmetic, so its columns are int64
+throughout and owe nothing to the planner's narrowing.
 """
 
 from __future__ import annotations
@@ -43,12 +45,13 @@ def broadcast_prepass(plans: Sequence[CellPlan]) -> tuple[LaneCols, LaneCols]:
     K = per_row(d.geom.packages_per_channel for d in devices)
     ppb = per_row(d.geom.pages_per_block for d in devices)
 
-    flat = np.concatenate([p.flat for p in plans])
-    nbytes = np.concatenate([p.nbytes for p in plans])
-    group = np.concatenate([p.group_ids for p in plans])
-    cmd_key = np.concatenate(
-        [p.cmd_ord + i * (1 << 32) for i, p in enumerate(plans)]
-    )
+    def stacked(name: str) -> np.ndarray:
+        return np.concatenate([getattr(p, name) for p in plans]).astype(np.int64)
+
+    flat = stacked("flat")
+    nbytes = stacked("nbytes")
+    group = stacked("group_ids")
+    cmd_key = stacked("cmd_ord") + cell * (1 << 32)
     op = np.full(len(flat), OpCode.READ, dtype=np.int64)
     pib = (flat // U) % ppb
 

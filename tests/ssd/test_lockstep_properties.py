@@ -9,12 +9,13 @@
   the same completion — on random streams with repeated pages,
   multi-plane pairs, commands longer than the device has plane units
   and arbitrary arrivals.  Merging two of the kernel's key segments
-  must break that.
+  must break that.  Given int32 columns, it sums in int64.
 * :func:`~repro.ssd.scheduler.lockstep` over random multi-client
   command groups (posix windows, readahead limits, barriers, empty
   commands) on two interfaces at once must give each lane the log
   ``SSDevice.run`` gives it alone, wherever the narrow-step switch to
-  the scalar recurrence falls.
+  the scalar recurrence falls; over int32 copies of its bases, as the
+  batch planner stacks them, it must give what the int64 bases give.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.ssd.scheduler import (
     Link,
     MediaConsts,
     Resources,
+    StepCols,
     assemble_log,
     block_ends,
     block_recurrence,
@@ -201,6 +203,32 @@ def test_block_kernel_matches_recurrence(lanes):
     assert _kernel_matches_recurrence(lanes)
 
 
+def test_block_kernel_sums_int32_columns_in_int64():
+    """Every duration is 2**31 - 1: each end overflows an int32 sum, and
+    the command cycles plus data beats of one row already do."""
+    geom = Geometry(
+        kind=SLC, channels=1, packages_per_channel=1, dies_per_package=1,
+        planes_per_die=2, blocks_per_plane=1,
+    )
+    big = np.full(2, 2**31 - 1, dtype=np.int64)
+    ids = np.zeros(2, dtype=np.int64)
+    cols = dict(
+        unit=np.arange(2), die=ids, pkg=ids, chan=ids,
+        cell_ns=big, fb=big, hb=big, cmd=big,
+    )
+
+    def ends(dtype):
+        return block_recurrence(
+            FlatResources([geom]), np.zeros(2, dtype=np.int64), np.array([0]),
+            np.array([2]), **{name: col.astype(dtype) for name, col in cols.items()},
+        )
+
+    want = ends(np.int64)
+    assert int(want[3][-1]) > 2**33
+    for got, w in zip(ends(np.int32), want):
+        assert got.dtype == np.int64 and np.array_equal(got, w)
+
+
 def test_dropping_a_segment_boundary_fails_the_property():
     """Planted mutation: the kernel's scan merges its last two keys."""
     scan = kernel_mod._scan
@@ -317,6 +345,24 @@ class SwitchAt:
         return self._switch()
 
 
+def _planned_lanes(devices, offsets):
+    """A fresh command trace and lockstep lane per device and link."""
+    traces, lanes = {}, {}
+    for (i, d), lo in zip(enumerate(devices), offsets):
+        for link in (0, 1):
+            bus, host = d["links"][link]
+            trace = traces[i, link] = CommandTrace()
+            lanes[i, link] = Lane(
+                d["geom"], link, lo, d["n"],
+                planned_commands(
+                    d["groups"], d["window"], host.per_request_ns + d["overhead"],
+                    d["readahead"], trace,
+                ),
+                record=d["record"][link],
+            )
+    return traces, lanes
+
+
 @given(run=planned_devices())
 @settings(max_examples=40, deadline=None)
 def test_lockstep_matches_per_lane_device_runs(run):
@@ -329,19 +375,7 @@ def test_lockstep_matches_per_lane_device_runs(run):
     }
     for j in itertools.count():
         switch = SwitchAt(j)
-        traces, lanes = {}, {}
-        for (i, d), lo in zip(enumerate(devices), offsets):
-            for link in (0, 1):
-                bus, host = d["links"][link]
-                trace = traces[i, link] = CommandTrace()
-                lanes[i, link] = Lane(
-                    d["geom"], link, lo, d["n"],
-                    planned_commands(
-                        d["groups"], d["window"], host.per_request_ns + d["overhead"],
-                        d["readahead"], trace,
-                    ),
-                    record=d["record"][link],
-                )
+        traces, lanes = _planned_lanes(devices, offsets)
         with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", switch):
             lockstep(bases, list(lanes.values()))
         for (i, link), log in want.items():
@@ -356,3 +390,40 @@ def test_lockstep_matches_per_lane_device_runs(run):
                     assert np.array_equal(got[col], log[col]), col
         if switch.checks <= j:  # this run never reached switch point j
             break
+
+
+@given(run=planned_devices())
+@settings(max_examples=40, deadline=None)
+def test_lockstep_over_int32_bases_equals_int64_bases(run):
+    """The batch planner stacks int32 bases: stepped by the block kernel
+    throughout, or by the scalar recurrence throughout, every lane
+    sees the commands, completions and int64 interval ends the int64
+    bases give it."""
+    devices, bases = run
+    offsets = np.cumsum([0] + [d["n"] for d in devices]).tolist()
+    shared = {
+        name: getattr(bases[0], name).astype(np.int32)
+        for name in ("unit", "die", "pkg", "chan", "cell_ns")
+    }
+    narrow = [
+        StepCols(**shared, **{
+            name: getattr(base, name).astype(np.int32) for name in ("fb", "hb", "cmd")
+        })
+        for base in bases
+    ]
+    for break_even in (1, 1 << 40):
+        runs = []
+        for cols in (bases, narrow):
+            traces, lanes = _planned_lanes(devices, offsets)
+            with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", break_even):
+                lockstep(cols, list(lanes.values()))
+            runs.append({
+                key: (traces[key].meta, traces[key].last_done, lane.ends)
+                for key, lane in lanes.items()
+            })
+        wide, got = runs
+        for key, (meta, last_done, ends) in got.items():
+            assert (meta, last_done) == wide[key][:2], key
+            assert len(ends) == len(wide[key][2])
+            for g, w in zip(ends, wide[key][2]):
+                assert g.dtype == np.int64 and np.array_equal(g, w), key
