@@ -24,8 +24,10 @@ assembled.
 
 The plan's row columns and the stacked bases are int32
 (:data:`ROW_DTYPE`): ``plan_cell`` refuses a cell any of whose values
-could outgrow it, and the replay widens to int64 wherever it sums, so
-:meth:`CellPlan.lane` and the log it feeds stay int64.
+could outgrow it, and the replay widens to int64 wherever it sums.
+:meth:`CellPlan.lane` hands out the int32 columns as they are, and
+:func:`~repro.ssd.scheduler.assemble_log` widens the rows it gathers,
+so the log stays int64.
 
 Two links are pre-passed per cell from the same transaction columns
 (:data:`LINKS`):
@@ -141,19 +143,19 @@ class CellPlan:
         return op, self.flat, self.nbytes, self.group_ids, pib
 
     def lane(self, link: str) -> LaneCols:
-        """Every pre-passed column of this cell on ``link``, int64: its
+        """Every pre-passed column of this cell on ``link``: views of its
         rows of the stacked base, and the row columns rebuilt from the
-        plan."""
+        plan, all :data:`ROW_DTYPE` (:func:`~repro.ssd.scheduler.assemble_log`
+        widens what it gathers)."""
         base = self.bases[LINKS.index(link)].window(
             slice(self.row0, self.row0 + self.n)
         )
         op, flat, nbytes, group, pib = self.txns()
         plane = base.unit % self.path.device.geom.planes_per_die
-        cols = dict(
-            vars(base), op=op, flat=flat, nbytes=nbytes, group=group, pib=pib,
+        return LaneCols(
+            **vars(base), op=op, flat=flat, nbytes=nbytes, group=group, pib=pib,
             plane=plane,
         )
-        return LaneCols(**{name: col.astype(np.int64) for name, col in cols.items()})
 
 
 def plan_cell(

@@ -27,7 +27,6 @@ from ..context import FileContext, LintConfig
 from ..findings import Finding
 from ..fingerprint import (
     DEFAULT_WATCH,
-    FingerprintState,
     compute_fingerprints,
     default_fingerprint_path,
 )
@@ -149,8 +148,3 @@ class SchemaChecker(ProjectChecker):
         except (OSError, ValueError):
             return None
         return payload if isinstance(payload, dict) else None
-
-
-def state_for_debug(root: Path) -> FingerprintState:  # pragma: no cover
-    """Convenience for interactive use: the live fingerprint state."""
-    return compute_fingerprints(root)

@@ -1,24 +1,18 @@
-"""NVM media models: kinds (Table 1), buses, dies, packages."""
+"""NVM media models: kinds (Table 1), buses, endurance."""
 
 from .bus import DDR800, ONFI3_SDR400, BusSpec, bus_by_name
-from .die import Die, MediaError, OpKind
 from .endurance import LifetimeEstimate, estimate_lifetime, gst_tracking_bytes, wear_report
 from .kinds import KINDS, MLC, PCM, SLC, TLC, NVMKind, kind_by_name
-from .package import Package
 
 __all__ = [
     "BusSpec",
     "ONFI3_SDR400",
     "DDR800",
     "bus_by_name",
-    "Die",
     "LifetimeEstimate",
     "estimate_lifetime",
     "gst_tracking_bytes",
     "wear_report",
-    "MediaError",
-    "OpKind",
-    "Package",
     "NVMKind",
     "SLC",
     "MLC",

@@ -46,14 +46,13 @@ The timing kernel has two halves, shared by every replay:
 
 :class:`TransactionScheduler` pre-passes each submitted command's
 transaction block (the FTL's int64 ``(n, 5)`` columns,
-:data:`~repro.ssd.ftl.TXN_COLUMNS`) as is, or takes a :class:`TxnSlice`
-window of rows a planner already pre-passed; either way it runs the same
-recurrence.  :meth:`TransactionScheduler.finish` builds the 23-column
-log from the submitted blocks' pre-passed columns, concatenated, or
-from one gather of the planner's lane (:func:`assemble_log`, which the
-lockstep replay shares).  The media pattern peak of a log with writes
-(:func:`repro.ssd.metrics.media_pattern_peak`) calls the two halves
-directly.
+:data:`~repro.ssd.ftl.TXN_COLUMNS`) as is and runs it through the
+scalar recurrence; :meth:`TransactionScheduler.finish` builds the
+23-column log from the submitted blocks' pre-passed columns,
+concatenated.  The lockstep replay builds its log from one gather of
+the planner's lane (:func:`assemble_log`).  The media pattern peak of
+a log with writes (:func:`repro.ssd.metrics.media_pattern_peak`) calls
+the two halves directly.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ __all__ = [
     "StepCols",
     "TransactionScheduler",
     "TxnLog",
-    "TxnSlice",
     "FlatResources",
     "assemble_log",
     "block_ends",
@@ -245,9 +243,9 @@ class StepCols:
 class LaneCols(StepCols):
     """Every pre-passed per-row column of one scheduler lane: the
     :class:`StepCols` and the transactions' own row columns, which the
-    scalar :func:`recurrence` (``op``) and the log read.
-    :func:`assemble_log` gives the log its lane's row-column dtypes, so
-    the lanes it reads are int64."""
+    scalar :func:`recurrence` (``op``) and the log read.  Like
+    :class:`StepCols`, any integer dtype will do: :func:`assemble_log`
+    widens the rows it gathers to the log's int64."""
 
     op: np.ndarray
     flat: np.ndarray
@@ -259,20 +257,6 @@ class LaneCols(StepCols):
     def lists(self) -> tuple[list[int], ...]:
         """The :func:`recurrence` columns as Python lists."""
         return tuple(getattr(self, name).tolist() for name in _RECURRENCE_COLS)
-
-
-class TxnSlice:
-    """Rows ``lo:hi`` of a pre-passed lane: one command's transactions."""
-
-    __slots__ = ("lane", "lo", "hi")
-
-    def __init__(self, lane: LaneCols, lo: int, hi: int):
-        self.lane = lane
-        self.lo = lo
-        self.hi = hi
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
 
 
 def prepass(
@@ -835,27 +819,15 @@ class TransactionScheduler:
         self.res = Resources(geometry)
         self._media = MediaConsts.of(geometry, self.kind)
         self._links = (Link.of(bus, host),)
-        #: the planner's lane that submitted slices index (None for
-        #: transaction-block submits) and its recurrence lists
-        self._lane: Optional[LaneCols] = None
-        self._lane_lists: tuple[list[int], ...] = ()
         #: the log's row columns (:data:`_ROW_COLS`) of each submitted
         #: transaction block's pre-pass, stacked: one array per block
         self._chunks: list[np.ndarray] = []
         #: (req, client, kind code, arrival, lo, hi) per submitted
-        #: command; lo:hi index the lane, or the concatenated chunks
+        #: command; lo:hi index the concatenated chunks
         self._meta: list[tuple[int, int, int, int, int, int]] = []
         #: the recurrence's eight interval-bound columns, preallocated
         self._out: list[list[int]] = [[] for _ in range(8)]
         self._n = 0
-
-    def _bind(self, lane: LaneCols) -> tuple[list[int], ...]:
-        if lane is not self._lane:
-            if self._lane is not None or self._chunks:
-                raise ValueError("one scheduler replays rows of one lane only")
-            self._lane = lane
-            self._lane_lists = lane.lists()
-        return self._lane_lists
 
     def _reserve(self, extra: int) -> None:
         """Grow the interval-bound lists to hold ``extra`` more rows."""
@@ -869,7 +841,7 @@ class TransactionScheduler:
     # ------------------------------------------------------------------
     def submit(
         self,
-        txns: Union[np.ndarray, TxnSlice],
+        txns: np.ndarray,
         arrival: int,
         req_id: int,
         client: int = 0,
@@ -878,53 +850,39 @@ class TransactionScheduler:
         """Schedule the transactions of one block request.
 
         ``txns`` is the request's int64 ``(n, 5)`` transaction block
-        (:data:`~repro.ssd.ftl.TXN_COLUMNS`), or a :class:`TxnSlice` of
-        a lane pre-passed by a planner.  Returns the request's
+        (:data:`~repro.ssd.ftl.TXN_COLUMNS`).  Returns the request's
         completion time: for reads, when the last byte has crossed the
         host path; for writes/erases, when the media operation is
         durable.
         """
         if arrival < 0:
             raise ValueError("negative arrival")
-        if isinstance(txns, TxnSlice):
-            lo, hi = txns.lo, txns.hi
-            if hi <= lo:
-                return arrival
-            cols = self._bind(txns.lane)
-            rows = (lo, hi)
-        else:
-            if self._lane is not None:
-                raise ValueError("one scheduler replays rows of one lane only")
-            n = len(txns)
-            if n == 0:
-                return arrival
-            (chunk,) = prepass(self._media, self._links, *txns.T)
-            self._chunks.append(
-                np.stack([getattr(chunk, col) for col in _ROW_COLS.values()])
-            )
-            cols = chunk.lists()
-            lo, hi = 0, n
-            rows = (self._n, self._n + n)
-
-        self._reserve(hi - lo)
-        completion = recurrence(cols, lo, hi, arrival, self.res, self._out, self._n)
-        self._meta.append(
-            (req_id, client, KIND_CODES.get(kind_label, 0), arrival, *rows)
+        n = len(txns)
+        if n == 0:
+            return arrival
+        (chunk,) = prepass(self._media, self._links, *txns.T)
+        self._chunks.append(
+            np.stack([getattr(chunk, col) for col in _ROW_COLS.values()])
         )
-        self._n += hi - lo
+        self._reserve(n)
+        lo = self._n
+        completion = recurrence(chunk.lists(), 0, n, arrival, self.res, self._out, lo)
+        self._meta.append(
+            (req_id, client, KIND_CODES.get(kind_label, 0), arrival, lo, lo + n)
+        )
+        self._n += n
         return completion
 
     # ------------------------------------------------------------------
     def finish(self) -> TxnLog:
         """The columnar log of every replayed row, in replay order."""
         n = self._n
-        bounds = [out[:n] for out in self._out]
-        if self._lane is not None or n == 0:
-            return assemble_log(self._lane, self._meta, bounds)
+        if n == 0:
+            return _empty_log()
         # transaction blocks replay in submission order, so the log's
         # row columns are the pre-passed chunks' columns, concatenated
         rows = dict(zip(_ROW_COLS, np.concatenate(self._chunks, axis=1)))
-        return _log_of(rows, *_meta_runs(self._meta), bounds)
+        return _log_of(rows, *_meta_runs(self._meta), [out[:n] for out in self._out])
 
     @property
     def n_txns(self) -> int:
@@ -932,37 +890,43 @@ class TransactionScheduler:
 
 
 def assemble_log(
-    lane: Optional[LaneCols],
+    lane: LaneCols,
     meta: Sequence[tuple[int, int, int, int, int, int]],
-    bounds: Sequence[Sequence[int]],
+    ends: Sequence[np.ndarray],
 ) -> TxnLog:
-    """The 23-column log of replayed commands, in replay order.
+    """The 23-column log of an all-READ lane's replayed commands, in
+    replay order.
 
     ``meta`` holds one (req, client, kind code, arrival, lo, hi) tuple
     per replayed command, whose rows are ``lo:hi`` of ``lane``.
-    ``bounds`` are the replayed rows' interval bounds in log order:
-    all eight of :func:`recurrence`'s ``out``, or for an all-READ log
-    just the four ends (cell, flash bus, channel, host), whose starts
-    follow from the rows' durations.
+    ``ends`` are the replayed rows' cell, flash-bus, channel and host
+    ends in log order (a :class:`Lane`'s recorded ``ends``); the starts
+    follow from the rows' durations.  The gathered rows are widened to
+    int64, whatever the lane's dtypes.
     """
-    n = len(bounds[0])
+    n = len(ends[0])
     if n == 0:
-        return TxnLog({name: np.empty(0, dtype=np.int64) for name in LOG_COLUMNS})
-    assert lane is not None, "replayed rows need their lane"
+        return _empty_log()
     meta_a, lens = _meta_runs(meta)
     starts = np.cumsum(lens) - lens
     # lane row of each log row, in replay order
     idx = np.repeat(meta_a[:, 4] - starts, lens) + np.arange(n, dtype=np.int64)
-    cols = {name: getattr(lane, col)[idx] for name, col in _ROW_COLS.items()}
-    vals = [np.asarray(b, dtype=np.int64) for b in bounds]
-    if len(vals) == 4:
-        fb = lane.fb[idx]
-        c_end, f_end, s_end, h_end = vals
-        vals = [
-            c_end - lane.cell_ns[idx], c_end, f_end - fb, f_end,
-            s_end - lane.cmd[idx] - fb, s_end, h_end - lane.hb[idx], h_end,
-        ]
-    return _log_of(cols, meta_a, lens, vals)
+
+    def gather(col: np.ndarray) -> np.ndarray:
+        return col[idx].astype(np.int64, copy=False)
+
+    cols = {name: gather(getattr(lane, col)) for name, col in _ROW_COLS.items()}
+    fb = gather(lane.fb)
+    c_end, f_end, s_end, h_end = (np.asarray(e, dtype=np.int64) for e in ends)
+    bounds = [
+        c_end - gather(lane.cell_ns), c_end, f_end - fb, f_end,
+        s_end - gather(lane.cmd) - fb, s_end, h_end - gather(lane.hb), h_end,
+    ]
+    return _log_of(cols, meta_a, lens, bounds)
+
+
+def _empty_log() -> TxnLog:
+    return TxnLog({name: np.empty(0, dtype=np.int64) for name in LOG_COLUMNS})
 
 
 def _meta_runs(

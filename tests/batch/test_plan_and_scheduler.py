@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch.plan import BatchUnsupported, plan_cell, stack_plans
+from repro.batch.plan import BatchUnsupported, PlannedCommand, plan_cell, stack_plans
 from repro.experiments.runner import Workload
 from repro.ssd.request import OpCode
-from repro.ssd.scheduler import TransactionScheduler, TxnSlice
+from repro.ssd.scheduler import TransactionScheduler
 from tests.oracles.planned_ftl import PlannedFTL
 
 KiB = 1024
@@ -70,21 +70,30 @@ def _stacked_plan():
 
 
 def _lane_scheduler():
+    """A scheduler for the plan's device, and a planned FTL over its
+    main lane."""
     plan = _stacked_plan()
     dev = plan.path.device
     sched = TransactionScheduler(dev.geom, dev.bus, dev.host, kind=dev.kind)
-    return sched, plan.lane("main")
+    ftl = PlannedFTL(n_logical_pages=128, page_bytes=4096, lane=plan.lane("main"))
+    return sched, ftl
+
+
+def _window(lo: int, hi: int) -> PlannedCommand:
+    return PlannedCommand(op="read", lba=0, nbytes=4096, lo=lo, hi=hi)
 
 
 def test_lane_submit_rejects_negative_arrival():
-    sched, lane = _lane_scheduler()
+    sched, ftl = _lane_scheduler()
     with pytest.raises(ValueError, match="negative arrival"):
-        sched.submit(TxnSlice(lane, 0, 1), arrival=-1, req_id=0)
+        sched.submit(ftl.translate(_window(0, 1)), arrival=-1, req_id=0)
 
 
 def test_lane_submit_empty_slice_is_noop():
-    sched, lane = _lane_scheduler()
-    assert sched.submit(TxnSlice(lane, 3, 3), arrival=42, req_id=0) == 42
+    sched, ftl = _lane_scheduler()
+    txns = ftl.translate(_window(3, 3))
+    assert txns.shape == (0, 5) and txns.dtype == np.int64
+    assert sched.submit(txns, arrival=42, req_id=0) == 42
     log = sched.finish()
     assert len(log) == 0
     assert set(log.columns) and all(

@@ -1,9 +1,11 @@
 """``stack_plans``: per-cell pre-pass into the lockstep's stacked bases.
 
 * Every cell's lanes (:meth:`~repro.batch.plan.CellPlan.lane`) are
-  int64 and equal its rows of the whole-matrix broadcast pre-pass
-  (:mod:`tests.oracles.stacked_prepass`) column for column, on every
-  Table-2 cell — thirteen geometries and interfaces, four media.
+  int32 views of its stacked rows and equal its rows of the
+  whole-matrix broadcast pre-pass (:mod:`tests.oracles.stacked_prepass`)
+  column for column, on every Table-2 cell — thirteen geometries and
+  interfaces, four media; the log assembled from a lane is int64 and
+  equals the one assembled from the lane widened to int64.
 * The stacked bases hold only what the lockstep replay reads, as
   int32, and the ``peak`` link's all-zero bus, host and command columns
   are one zero-stride column.
@@ -22,17 +24,20 @@ import numpy as np
 import pytest
 
 import repro.batch.plan as plan_mod
-from repro.batch.plan import LINKS, BatchUnsupported, plan_cell, stack_plans
+from repro.batch.plan import LINKS, ROW_DTYPE, BatchUnsupported, plan_cell, stack_plans
 from repro.experiments.configs import TABLE2_CONFIGS
 from repro.experiments.runner import Workload
 from repro.nvm.kinds import KINDS, kind_by_name
+from repro.batch.scheduler import replay_plans
 from repro.ssd.scheduler import (
     INFINITE_BUS,
     INFINITE_HOST,
+    LOG_COLUMNS,
     LaneCols,
     Link,
     MediaConsts,
     StepCols,
+    assemble_log,
     prepass,
 )
 from tests.oracles.stacked_prepass import broadcast_prepass
@@ -54,14 +59,34 @@ def test_cell_lanes_equal_the_broadcast_prepass():
     assert stack_plans(plans) == len(want[0].op) == sum(p.n for p in plans)
     for p in plans:
         rows = slice(p.row0, p.row0 + p.n)
-        for link, lane in zip(LINKS, want):
+        for link, lane, base in zip(LINKS, want, p.bases):
             got = p.lane(link)
+            # the stacked columns are handed out as views, not copies
+            for f in dataclasses.fields(StepCols):
+                assert np.shares_memory(getattr(got, f.name), getattr(base, f.name))
             for f in dataclasses.fields(LaneCols):
                 col = getattr(got, f.name)
-                assert col.dtype == np.int64, (p.label, link, f.name)
+                assert col.dtype == ROW_DTYPE, (p.label, link, f.name)
                 assert np.array_equal(col, getattr(lane, f.name)[rows]), (
                     p.label, p.kind_name, link, f.name,
                 )
+
+
+def test_log_of_an_int32_lane_equals_the_widened_lanes():
+    plans = _plans(TINY)
+    stack_plans(plans)
+    mains, _ = replay_plans(plans, [False] * len(plans))
+    for p, main in zip(plans, mains):
+        lane = p.lane("main")
+        wide = LaneCols(**{
+            f.name: getattr(lane, f.name).astype(np.int64)
+            for f in dataclasses.fields(LaneCols)
+        })
+        got = assemble_log(lane, main.meta, main.ends)
+        want = assemble_log(wide, main.meta, main.ends)
+        for name in LOG_COLUMNS:
+            assert got[name].dtype == np.int64, (p.label, name)
+            assert np.array_equal(got[name], want[name]), (p.label, p.kind_name, name)
 
 
 def test_bases_hold_only_what_the_lockstep_reads():

@@ -16,8 +16,8 @@ from repro.faults import (
     TransientMediaFault,
     is_transient,
 )
-from repro.nvm.die import Die
 from repro.nvm.kinds import SLC, TLC
+from tests.oracles.media import Die
 
 KiB = 1024
 # enough panels/bytes to issue a meaningful command stream (tiny
@@ -161,6 +161,9 @@ class TestDieFailures:
 
 
 class TestPlaneFailures:
+    """Plane failure is modelled only by the die oracle: no program path
+    injects it (:class:`DeviceFaultModel` fails whole dies)."""
+
     def test_failed_plane_raises_typed_error(self):
         die = Die(kind=SLC, planes=2, blocks_per_plane=4)
         die.fail_plane(1)

@@ -1,4 +1,4 @@
-"""Die state machine: erase-before-write discipline, wear, timing."""
+"""The die oracle: erase-before-write discipline, wear, timing."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nvm import MLC, SLC, TLC, Die, MediaError, OpKind
+from repro.nvm import MLC, SLC, TLC
+from tests.oracles.media import Die, MediaError, OpKind
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
-"""Package model: dies behind a shared flash bus."""
+"""The package oracle: dies behind a shared flash bus."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.nvm import DDR800, ONFI3_SDR400, MLC, Package
+from repro.nvm import DDR800, ONFI3_SDR400, MLC
+from tests.oracles.media import Package
 
 
 class TestPackage:

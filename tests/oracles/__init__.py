@@ -16,6 +16,10 @@
   request by request over interval sets (:mod:`.intervals`);
   :func:`repro.ssd.metrics.compute_metrics` must equal it field by
   field on any log.
+* :mod:`.media` — the die and package media models, and a per-page
+  ledger of the NAND discipline; every transaction row the array FTL
+  emits must program at its block's frontier, erase whole blocks and
+  stay off retired blocks.
 * :mod:`.flow_fixpoint` — the FLOW summary fixpoint as round-robin
   sweeps over every function; the worklist solve in
   :mod:`repro.flow.analysis` must reach the same summaries and findings.

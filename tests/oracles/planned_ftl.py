@@ -4,15 +4,19 @@ The batch backend never translates a planned command: the lockstep
 replay reads the command's ``lo:hi`` window of a pre-passed lane
 directly.  Installing :class:`PlannedFTL` on a device makes the stock
 controller and :class:`~repro.ssd.scheduler.TransactionScheduler`
-replay the same windows, which is the per-lane oracle the lockstep
-replay is tested against.
+replay the same rows, which is the per-lane oracle the lockstep replay
+is tested against.  The scheduler pre-passes each window on its own;
+that equals the planner's whole-lane pre-pass, because multi-plane
+command-cycle sharing never crosses a command.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.batch.plan import PlannedCommand
 from repro.ssd.request import DeviceCommand
-from repro.ssd.scheduler import LaneCols, TxnSlice
+from repro.ssd.scheduler import LaneCols
 
 
 class PlannedFTL:
@@ -34,6 +38,10 @@ class PlannedFTL:
     def preload(self, nbytes: int) -> None:
         pass
 
-    def translate(self, cmd: DeviceCommand) -> TxnSlice:
+    def translate(self, cmd: DeviceCommand) -> np.ndarray:
+        """Rows ``lo:hi`` of the lane's transaction columns, as the
+        int64 ``(n, 5)`` block of :data:`~repro.ssd.ftl.TXN_COLUMNS`."""
         assert isinstance(cmd, PlannedCommand), "planned FTL needs planned commands"
-        return TxnSlice(self.lane, cmd.lo, cmd.hi)
+        lane, rows = self.lane, slice(cmd.lo, cmd.hi)
+        cols = (lane.op, lane.flat, lane.nbytes, lane.group, lane.pib)
+        return np.stack([col[rows] for col in cols], axis=1).astype(np.int64)

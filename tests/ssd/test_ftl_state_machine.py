@@ -7,6 +7,12 @@ forced GC on a tiny geometry whose high ``gc_low_water`` keeps GC and
 static swaps firing, fresh or aged (retired blocks).  After every
 command the transaction rows, the maps, the per-block grids, the free
 pools, the erase ledger and the stats must be identical.
+
+The dict oracle shares the array FTL's frontier and allocation logic,
+so the same run also replays every emitted row block into a
+:class:`tests.oracles.media.MediaLedger`, seeded from the FTL once
+after aging and preload: the NAND discipline is checked by a model
+that shares no state with the FTL.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from hypothesis import find, given, settings
+import pytest
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
@@ -24,6 +31,7 @@ from repro.ssd import Geometry
 from repro.ssd.ftl import FTLError, plane_groups
 from repro.ssd.request import DeviceCommand, OpCode
 from tests.oracles.ftl import DictWearFTL, group_planes
+from tests.oracles.media import MediaError, MediaLedger
 
 #: SLC with 4-page blocks: a few dozen page writes cycle GC
 TINY = dataclasses.replace(SLC, name="SLC-tiny", pages_per_block=4)
@@ -88,28 +96,29 @@ def assert_same_state(ftl, ref) -> None:
     assert ftl._group_counter == ref._group_counter
 
 
-def step(ftl, ref, action: tuple) -> bool:
-    """Apply one action to both FTLs and compare; False once they stop.
+def apply(ftl, action: tuple):
+    """One action on one FTL: (rows, error message)."""
+    kind, *args = action
+    pb = ftl.page_bytes
+    if kind == "gc":
+        return _outcome(ftl._collect, args[0] % ftl.geom.plane_units)
+    if kind == "subwrite":
+        page, offset, nbytes = args
+        op, lba = "write", page * pb + offset
+    else:
+        op, page, npages = kind, *args
+        lba, nbytes = page * pb, npages * pb
+    return _outcome(ftl.translate, DeviceCommand(op, lba, nbytes))
+
+
+def compare(ftl, ref, action: tuple, got, err) -> bool:
+    """Apply ``action`` to the oracle and compare it with the FTL's
+    outcome ``got``/``err``; False once they stop.
 
     A run ends when both FTLs run out of free space: that error may
     strike mid-relocation, where the two leave different partial state.
     """
-    kind, *args = action
-    pb = ftl.page_bytes
-    if kind == "gc":
-        unit = args[0] % ftl.geom.plane_units
-        got, err = _outcome(ftl._collect, unit)
-        want, ref_err = _outcome(ref._collect, unit)
-    else:
-        if kind == "subwrite":
-            page, offset, nbytes = args
-            op, lba = "write", page * pb + offset
-        else:
-            op, page, npages = kind, *args
-            lba, nbytes = page * pb, npages * pb
-        cmd = DeviceCommand(op, lba, nbytes)
-        got, err = _outcome(ftl.translate, cmd)
-        want, ref_err = _outcome(ref.translate, cmd)
+    want, ref_err = apply(ref, action)
     assert err == ref_err
     if err is not None and "free space" in err:
         return False
@@ -117,6 +126,11 @@ def step(ftl, ref, action: tuple) -> bool:
         assert np.array_equal(got, _rows(want))
     assert_same_state(ftl, ref)
     return True
+
+
+def ledger_of(ftl) -> MediaLedger:
+    """A media ledger seeded from ``ftl`` as it stands."""
+    return MediaLedger(ftl.geom, ftl.frontier, ftl.retired)
 
 
 #: page indices reach a little past the 24-page logical space
@@ -142,13 +156,20 @@ class FTLMachine(RuleBasedStateMachine):
     )
     def setup(self, policy, planes, aged, preload):
         self.ftl, self.ref = build(policy, planes, aged, preload)
+        self.ledger = ledger_of(self.ftl)
         self.live = True
 
     @precondition(lambda self: self.live)
     @rule(action=ACTIONS)
     def act(self, action):
         """A read, full-page write, sub-page write, trim or forced GC."""
-        self.live = step(self.ftl, self.ref, action)
+        got, err = apply(self.ftl, action)
+        if err is not None:
+            # the failed translation changed state but returned no rows
+            self.ledger = None
+        elif self.ledger is not None:
+            self.ledger.replay(got)
+        self.live = compare(self.ftl, self.ref, action, got, err)
 
 
 TestFTLMachine = FTLMachine.TestCase
@@ -174,7 +195,7 @@ def _agrees(program, ftl_cls) -> bool:
     try:
         ftl, ref = build(*setup, ftl_cls=ftl_cls)
         for action in actions:
-            if not step(ftl, ref, action):
+            if not compare(ftl, ref, action, *apply(ftl, action)):
                 break
     except AssertionError:
         return False
@@ -195,6 +216,43 @@ def test_keeping_stale_reverse_entries_fails_the_comparison():
         PROGRAMS,
         lambda program: not _agrees(program, _StaleReverseFTL),
         settings=settings(max_examples=500, database=None),
+    )
+
+
+# ----------------------------------------------------------------------
+# planted mutation: the ledger alone, with no dict oracle, must catch a
+# relocation that programs past its destination block's frontier
+class _SkippingRelocationFTL(WearFTL):
+    def _allocate_in_unit(self, u, n):
+        b = int(self.active_block[u])
+        if b >= 0 and self.frontier[u, b] < self._ppb - 1:
+            self.frontier[u, b] += 1  # leave one page unprogrammed
+        return super()._allocate_in_unit(u, n)
+
+
+def _obeys_ledger(program, ftl_cls) -> bool:
+    """Whether every row the FTL emits obeys a ledger seeded after set-up;
+    the run ends at the first failed translation."""
+    setup, actions = program
+    ftl, _ = build(*setup, ftl_cls=ftl_cls)
+    ledger = ledger_of(ftl)
+    for action in actions:
+        got, err = apply(ftl, action)
+        if err is not None:
+            break
+        try:
+            ledger.replay(got)
+        except MediaError:
+            return False
+    return True
+
+
+def test_programming_past_the_frontier_fails_the_ledger():
+    # any failing program shows the ledger caught it: no shrinking
+    find(
+        PROGRAMS,
+        lambda program: not _obeys_ledger(program, _SkippingRelocationFTL),
+        settings=settings(max_examples=500, database=None, phases=(Phase.generate,)),
     )
 
 
@@ -235,3 +293,31 @@ def test_plane_groups_match_the_sequential_loop(stream):
     got, n_groups = plane_groups(flat, units, planes, op=op, cmd=cmd)
     assert got.tolist() == want
     assert n_groups == gid
+
+
+def test_ledger_rules_on_hand_made_rows():
+    """Adoption moves the frontier, programs must land on it, an erase
+    resets it, and a retired block refuses every row."""
+    geom = tiny_geom(2)
+    U = geom.plane_units
+    retired = np.zeros((U, BLOCKS), dtype=bool)
+    retired[1, 5] = True
+    ledger = MediaLedger(geom, np.zeros((U, BLOCKS), dtype=np.int32), retired)
+
+    def row(op, unit, block, page):
+        flat = (block * TINY.pages_per_block + page) * U + unit
+        return np.array([(op, flat, PB, -1, page)], dtype=np.int64)
+
+    ledger.replay(row(OpCode.READ, 0, 2, 1))  # cold read adopts page 1
+    assert ledger.adopting_reads == 1
+    ledger.replay(row(OpCode.READ, 0, 2, 0))  # below the frontier
+    for page in (1, 3):  # behind, then past the frontier
+        with pytest.raises(MediaError):
+            ledger.replay(row(OpCode.WRITE, 0, 2, page))
+    ledger.replay(row(OpCode.WRITE, 0, 2, 2))
+    ledger.replay(row(OpCode.ERASE, 0, 2, 0))
+    ledger.replay(row(OpCode.WRITE, 0, 2, 0))
+    assert (ledger.programs, ledger.erases, ledger.adopting_reads) == (2, 1, 1)
+    for op in (OpCode.READ, OpCode.WRITE, OpCode.ERASE):
+        with pytest.raises(MediaError, match="retired"):
+            ledger.replay(row(op, 1, 5, 0))

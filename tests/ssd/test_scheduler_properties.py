@@ -2,18 +2,21 @@
 
 Random small geometries and mixed READ/WRITE/ERASE streams with
 multi-plane groups, arbitrary arrivals and arbitrary submit
-boundaries, through both entries of
-:class:`~repro.ssd.scheduler.TransactionScheduler`:
+boundaries:
 
-* raw transaction tuples must give a log and completions bit-identical
-  to the frozen :class:`~tests.oracles.reference_scheduler.ReferenceScheduler`;
-* the same rows pre-passed once for the whole stream and submitted as
-  :class:`~repro.ssd.scheduler.TxnSlice` windows — in any order, as
-  interleaved clients dispatch a planned lane — must give the same log
-  as the raw-tuple entry.
+* :class:`~repro.ssd.scheduler.TransactionScheduler` must give a log
+  and completions bit-identical to the frozen
+  :class:`~tests.oracles.reference_scheduler.ReferenceScheduler`;
+* the same rows pre-passed once for the whole stream, keyed by command
+  as a planner pre-passes its lane, must equal each command's own
+  pre-pass window by window — so a planned lane replayed command by
+  command (:class:`~tests.oracles.planned_ftl.PlannedFTL`) sees the
+  planner's columns.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,8 +31,8 @@ from repro.ssd.scheduler import (
     LOG_COLUMNS,
     Link,
     MediaConsts,
+    LaneCols,
     TransactionScheduler,
-    TxnSlice,
     prepass,
 )
 from tests.oracles.reference_scheduler import ReferenceScheduler
@@ -109,24 +112,19 @@ def test_raw_submits_match_reference_oracle(run):
     _assert_same_log(log, ref_log)
 
 
-@given(run=streams(), data=st.data())
+@given(run=streams())
 @settings(max_examples=150, deadline=None)
-def test_prepassed_windows_match_raw_submits(run, data):
+def test_prepassed_windows_match_raw_submits(run):
     geom, bus, host, commands = run
-    order = data.draw(st.permutations(range(len(commands))))
+    media, links = MediaConsts.of(geom, geom.kind), (Link.of(bus, host),)
     cols = np.concatenate([txns for txns, *_ in commands]).T
     cmd_of_row = np.repeat(np.arange(len(commands)), [len(c[0]) for c in commands])
-    (lane,) = prepass(
-        MediaConsts.of(geom, geom.kind), (Link.of(bus, host),), *cols,
-        same_cmd=cmd_of_row,
-    )
+    (lane,) = prepass(media, links, *cols, same_cmd=cmd_of_row)
     starts = np.cumsum([0] + [len(c[0]) for c in commands]).tolist()
-    windows = [
-        (TxnSlice(lane, starts[c], starts[c + 1]), *commands[c][1:])
-        for c in range(len(commands))
-    ]
-
-    log, done = _run_raw(TransactionScheduler(geom, bus, host), commands, order)
-    win_log, win_done = _run_raw(TransactionScheduler(geom, bus, host), windows, order)
-    assert win_done == done
-    _assert_same_log(win_log, log)
+    for c, (txns, *_) in enumerate(commands):
+        if not len(txns):
+            continue
+        (own,) = prepass(media, links, *txns.T)
+        window = lane.window(slice(starts[c], starts[c + 1]))
+        for f in dataclasses.fields(LaneCols):
+            assert np.array_equal(getattr(window, f.name), getattr(own, f.name)), f.name
