@@ -3,13 +3,14 @@
 Per cell the scalar path pays two full replays (main + unconstrained
 peak), two FTL preloads, two command-stream translations, a metrics
 call per replay and a tuple round-trip per command.  The batch backend
-pays one vectorized plan and pre-pass per cell, stacked into the
-columns the replay reads, and one lockstep replay of every cell's main
-and peak lane (:mod:`repro.batch.scheduler`); the peak lane yields its aggregate
-bandwidth without a log.  The main lanes are then streamed cell by
-cell: each cell's log is assembled, measured by the metrics pass and
-dropped before the next cell's, so the matrix never holds more than
-one log.  The metrics pass replays the media pattern peak only when
+pays one vectorized plan per cell, three narrow stacked input columns
+per row (:func:`~repro.batch.plan.stack_plans`), and one lockstep
+replay of every cell's main and peak lane (:mod:`repro.batch.scheduler`)
+that derives each step's resource ids and link times; the peak lane
+yields its aggregate bandwidth without a log.  The main lanes are then
+streamed cell by cell: each cell's rows are pre-passed, its log
+assembled, measured by the metrics pass and dropped before the next
+cell's, so the matrix never holds more than one log.  The metrics pass replays the media pattern peak only when
 the caller keeps :class:`~repro.ssd.metrics.RunMetrics`
 (``keep_metrics=True``): no :class:`ConfigResult` field reads it.
 

@@ -11,26 +11,25 @@ command-sharing discount).
 ``plan_cell`` builds one cell's plan — or raises
 :class:`BatchUnsupported` if the cell needs anything the static
 translation cannot express (writes, trims, cold reads, fault models,
-non-FIFO queueing).  ``stack_plans`` then runs the scheduler's own
-:func:`~repro.ssd.scheduler.prepass` over each plan in turn, with that
-cell's device constants as scalars, and copies only the columns the
-lockstep replay reads (:class:`~repro.ssd.scheduler.StepCols`) into
-stacked bases preallocated for every plan's rows.
+non-FIFO queueing).  ``stack_plans`` then runs the scheduler's
+:func:`~repro.ssd.scheduler.step_cols` over each plan in turn, with
+that cell's device constants as scalars, and copies the three columns
+the lockstep cannot derive — plane unit, cell time and the
+command-sharing byte — into stacked inputs
+(:class:`~repro.ssd.scheduler.StepCols`) preallocated for every plan's
+rows, beside one stacked ``nbytes`` column the plans view.
 :mod:`repro.batch.scheduler` replays every planned cell in lockstep
-over those bases; the row columns the log also needs (op, flat, bytes,
-group, page-in-block, plane) stay with the plan, and
-:meth:`CellPlan.lane` joins the two for one cell when its log is
-assembled.
+over them, and :meth:`CellPlan.lane` pre-passes one plan's rows when
+its log is assembled.
 
-The plan's row columns and the stacked bases are int32
-(:data:`ROW_DTYPE`): ``plan_cell`` refuses a cell any of whose values
-could outgrow it, and the replay widens to int64 wherever it sums.
-:meth:`CellPlan.lane` hands out the int32 columns as they are, and
-:func:`~repro.ssd.scheduler.assemble_log` widens the rows it gathers,
-so the log stays int64.
+The plan's row columns and the stacked ``cell_ns`` are int32
+(:data:`ROW_DTYPE`), the stacked plane unit uint16 where it fits:
+``plan_cell`` refuses a cell any of whose values could outgrow int32,
+and the replay and :func:`~repro.ssd.scheduler.assemble_log` widen to
+int64 wherever they sum or gather.
 
-Two links are pre-passed per cell from the same transaction columns
-(:data:`LINKS`):
+Each cell replays on two links (:data:`LINKS`), each three constants
+per lane (:class:`~repro.ssd.scheduler.Link`) rather than a column:
 
 * ``main`` — the configured bus/host/command-overhead constants,
 * ``peak`` — the unconstrained interface
@@ -38,14 +37,12 @@ Two links are pre-passed per cell from the same transaction columns
   :data:`~repro.ssd.scheduler.INFINITE_HOST`, zero command overhead)
   of :func:`repro.experiments.runner._unconstrained_media_peak`,
   reusing the plan instead of re-translating the identical
-  deterministic stream.  Its bus, host and command columns are all
-  zero, so its base stores none of them: one zero-stride column stands
-  for all three.
+  deterministic stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -63,6 +60,7 @@ from ..ssd.scheduler import (
     MediaConsts,
     StepCols,
     prepass,
+    step_cols,
 )
 from ..trace.replay import _interleave
 
@@ -95,14 +93,9 @@ class PlannedCommand(DeviceCommand):
     hi: int = 0
 
 
-#: the links :func:`stack_plans` pre-passes, in the order of its bases
-#: (a lockstep :class:`~repro.ssd.scheduler.Lane`'s ``link``)
+#: the links a cell replays on (:meth:`CellPlan.link`)
 LINKS = ("main", "peak")
-#: the stacked columns every link shares; the rest of
-#: :class:`~repro.ssd.scheduler.StepCols` is per link
-_SHARED_COLS = ("unit", "die", "pkg", "chan", "cell_ns")
-_LINK_COLS = ("fb", "hb", "cmd")
-#: dtype of a plan's row columns and of the stacked bases
+#: dtype of a plan's row columns and of the stacked ``cell_ns``
 ROW_DTYPE = np.int32
 _ROW_MAX = int(np.iinfo(ROW_DTYPE).max)
 #: the ``peak`` link: no bus, host or command time on any row
@@ -111,7 +104,10 @@ _PEAK_LINK = Link.of(INFINITE_BUS, INFINITE_HOST)
 
 @dataclass
 class CellPlan:
-    """One cell's static replay plan, and its rows of the stacked bases."""
+    """One cell's static replay plan, and its rows of the stacked inputs.
+
+    No multi-plane group spans two commands, so the rows' command-cycle
+    sharing needs no command key."""
 
     label: str
     kind_name: str
@@ -121,17 +117,14 @@ class CellPlan:
     posix_window: int
     groups: list[CommandGroup]  # planned commands, clients interleaved
     n: int
-    #: the row columns, :data:`ROW_DTYPE`
+    #: the row columns, :data:`ROW_DTYPE`; :func:`stack_plans` makes
+    #: ``nbytes`` a view of the stacked inputs
     flat: np.ndarray
     nbytes: np.ndarray
-    #: row -> command ordinal within the cell; only the pre-pass reads
-    #: it, so :func:`stack_plans` drops it
-    cmd_ord: Optional[np.ndarray]
     group_ids: np.ndarray
-    #: filled by :func:`stack_plans`: one base per link of :data:`LINKS`,
-    #: shared by every plan of the call, this plan's rows
-    #: ``row0:row0 + n`` of them
-    bases: list[StepCols] = field(default_factory=list)
+    #: filled by :func:`stack_plans`: the stacked inputs, shared by every
+    #: plan of the call, this plan's rows ``row0:row0 + n`` of them
+    inputs: Optional[StepCols] = None
     row0: int = 0
 
     def txns(self) -> tuple[np.ndarray, ...]:
@@ -142,20 +135,19 @@ class CellPlan:
         op = np.full(self.n, OpCode.READ, dtype=ROW_DTYPE)
         return op, self.flat, self.nbytes, self.group_ids, pib
 
+    def link(self, name: str) -> Link:
+        """The interface constants of link ``name`` (:data:`LINKS`)."""
+        device = self.path.device
+        return _PEAK_LINK if name == "peak" else Link.of(device.bus, device.host)
+
     def lane(self, link: str) -> LaneCols:
-        """Every pre-passed column of this cell on ``link``: views of its
-        rows of the stacked base, and the row columns rebuilt from the
-        plan, all :data:`ROW_DTYPE` (:func:`~repro.ssd.scheduler.assemble_log`
-        widens what it gathers)."""
-        base = self.bases[LINKS.index(link)].window(
-            slice(self.row0, self.row0 + self.n)
+        """Every pre-passed column of this cell's rows on ``link``: one
+        :func:`~repro.ssd.scheduler.prepass` of the plan's rows."""
+        device = self.path.device
+        (cols,) = prepass(
+            MediaConsts.of(device.geom, self.kind), (self.link(link),), *self.txns()
         )
-        op, flat, nbytes, group, pib = self.txns()
-        plane = base.unit % self.path.device.geom.planes_per_die
-        return LaneCols(
-            **vars(base), op=op, flat=flat, nbytes=nbytes, group=group, pib=pib,
-            plane=plane,
-        )
+        return cols
 
 
 def plan_cell(
@@ -249,7 +241,7 @@ def plan_cell(
         flat = lpage.astype(ROW_DTYPE)
         bounds = np.r_[starts, total]
     else:
-        cmd_ord = flat = nbytes = group_ids = np.empty(0, dtype=ROW_DTYPE)
+        flat = nbytes = group_ids = np.empty(0, dtype=ROW_DTYPE)
         bounds = np.zeros(1, dtype=np.int64)
         total = 0
 
@@ -293,48 +285,34 @@ def plan_cell(
         n=total,
         flat=flat,
         nbytes=nbytes,
-        cmd_ord=cmd_ord,
         group_ids=group_ids,
     )
 
 
 def stack_plans(plans: list[CellPlan]) -> int:
-    """Pre-pass every plan into the stacked bases the lockstep reads.
+    """Stack every plan's lockstep inputs.
 
-    Each plan is pre-passed on its own, with its device's constants as
-    scalars, on every link of :data:`LINKS`; only the result's
-    :class:`~repro.ssd.scheduler.StepCols` are copied, into
-    :data:`ROW_DTYPE` columns preallocated for every plan's rows, so no
-    whole-matrix temporary exists beside the bases.  The ``peak`` link's
-    bus, host and command columns are one shared zero-stride column;
-    each plan's pre-pass on it must be zero.  Each plan receives the
-    bases and its first row in them, and drops its ``cmd_ord``.  Returns
-    the stacked row count.
+    Each plan's :func:`~repro.ssd.scheduler.step_cols`, computed on
+    their own with its device's constants as scalars, are copied into
+    columns preallocated for every plan's rows, so no whole-matrix
+    temporary exists beside them.  Each plan receives the inputs and
+    its first row in them, and its ``nbytes`` becomes a view of them.
+    Returns the stacked row count.
     """
     total = sum(p.n for p in plans)
-    shared = {name: np.empty(total, dtype=ROW_DTYPE) for name in _SHARED_COLS}
-    main = StepCols(
-        **shared, **{name: np.empty(total, dtype=ROW_DTYPE) for name in _LINK_COLS}
+    units = max((p.path.device.geom.plane_units for p in plans), default=0)
+    inputs = StepCols(
+        unit=np.empty(total, dtype=np.uint16 if units <= 1 << 16 else ROW_DTYPE),
+        cell_ns=np.empty(total, dtype=ROW_DTYPE),
+        shared=np.empty(total, dtype=bool),
+        nbytes=np.empty(total, dtype=ROW_DTYPE),
     )
-    zero = np.broadcast_to(np.zeros(1, dtype=ROW_DTYPE), (total,))
-    peak = StepCols(**shared, **dict.fromkeys(_LINK_COLS, zero))
-    bases = [main, peak]
     row0 = 0
     for p in plans:
-        device = p.path.device
-        cols, peak_cols = prepass(
-            MediaConsts.of(device.geom, p.kind),
-            (Link.of(device.bus, device.host), _PEAK_LINK),
-            *p.txns(),
-            # a multi-plane pair shares command cycles only within one
-            # command
-            same_cmd=p.cmd_ord,
-        )
-        if any(getattr(peak_cols, name).any() for name in _LINK_COLS):
-            raise ValueError(f"{p.label}|{p.kind_name}: peak link pre-pass not zero")
+        cols = step_cols(MediaConsts.of(p.path.device.geom, p.kind), *p.txns())
         rows = slice(row0, row0 + p.n)
         for f in fields(StepCols):
-            getattr(main, f.name)[rows] = getattr(cols, f.name)
-        p.bases, p.row0, p.cmd_ord = bases, row0, None
+            getattr(inputs, f.name)[rows] = getattr(cols, f.name)
+        p.inputs, p.row0, p.nbytes = inputs, row0, inputs.nbytes[rows]
         row0 += p.n
     return total

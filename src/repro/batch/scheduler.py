@@ -2,8 +2,9 @@
 
 Each planned cell's ``main`` lane, and its ``peak`` lane where asked,
 becomes one :class:`~repro.ssd.scheduler.Lane` of a single
-:func:`~repro.ssd.scheduler.lockstep` replay over the stacked bases of
-:func:`~repro.batch.plan.stack_plans`.  A lane's commands come from the
+:func:`~repro.ssd.scheduler.lockstep` replay over the stacked inputs
+of :func:`~repro.batch.plan.stack_plans`; a cell's two lanes read the
+same rows on their own links.  A lane's commands come from the
 controller's :func:`~repro.ssd.controller.dispatch` of the planned
 command groups (:func:`planned_commands`), which records what it saw
 in a :class:`CommandTrace`: the caller assembles the main lane's log
@@ -110,28 +111,29 @@ def replay_plans(
     """
     if not plans:
         return [], []
-    bases = plans[0].bases
-    assert all(p.bases is bases for p in plans), "plans of one stack_plans call"
+    inputs = plans[0].inputs  # every plan's: they come from one stack_plans call
+    assert inputs is not None and all(p.inputs is inputs for p in plans)
 
-    def lane(plan: CellPlan, link: int, per_req_ns: int, trace: CommandTrace) -> Lane:
+    def lane(plan: CellPlan, name: str, per_req_ns: int, trace: CommandTrace) -> Lane:
         device = plan.path.device
         commands = planned_commands(
             plan.groups, plan.posix_window, per_req_ns, device.readahead_bytes, trace
         )
-        return Lane(device.geom, link, plan.row0, plan.n, commands, record=link == 0)
+        link = plan.link(name)
+        return Lane(device.geom, link, plan.row0, plan.n, commands, name == "main")
 
     mains: list[tuple[Lane, CommandTrace]] = []
     peaks: list[Optional[tuple[Lane, CommandTrace]]] = []
     for plan, peak in zip(plans, with_peak):
         host, trace = plan.path.device.host, CommandTrace()
         overhead = plan.path.device.command_overhead_ns
-        mains.append((lane(plan, 0, host.per_request_ns + overhead, trace), trace))
+        mains.append((lane(plan, "main", host.per_request_ns + overhead, trace), trace))
         # the unconstrained interface has no per-request or command overhead
         trace = CommandTrace()
         peaks.append(
-            (lane(plan, 1, INFINITE_HOST.per_request_ns, trace), trace) if peak else None
+            (lane(plan, "peak", INFINITE_HOST.per_request_ns, trace), trace) if peak else None
         )
-    lockstep(bases, [m for m, _ in mains] + [p for p, _ in filter(None, peaks)])
+    lockstep(inputs, [m for m, _ in mains] + [p for p, _ in filter(None, peaks)])
     replays = [
         MainReplay(plan, trace.meta, main.ends)
         for plan, (main, trace) in zip(plans, mains)

@@ -74,6 +74,7 @@ from .scheduler import (
     lockstep,
     prepass,
     recurrence,
+    step_cols,
 )
 from .segments import (
     coalesce,
@@ -179,30 +180,26 @@ def media_pattern_peak(log: TxnLog, geom: Geometry, kind: NVMKind) -> float:
     cell-level media resources constrain it.  This is the NVM-media
     headroom the paper's "bandwidth remaining" (Figs 7b/8b) measures
     against: media that "completes its requests faster and ends up
-    idling" shows a large remainder.  The log's own columns are
-    pre-passed once; an all-READ log runs as one open-loop lane of
-    :func:`~repro.ssd.scheduler.lockstep`, whose block kernel computes
+    idling" shows a large remainder.  An all-READ log runs as one
+    open-loop lane of :func:`~repro.ssd.scheduler.lockstep` over its
+    :func:`~repro.ssd.scheduler.step_cols`, whose block kernel computes
     the same timeline as the scalar :func:`~repro.ssd.scheduler.recurrence`
-    every other log takes.  Only the completion time is kept.
+    every other log takes over its pre-pass.  Only the completion time
+    is kept.
     """
     n = len(log)
     if n == 0:
         return 0.0
-    (lane,) = prepass(
-        MediaConsts.of(geom, kind),
-        (Link.of(INFINITE_BUS, INFINITE_HOST),),
-        log["op"],
-        log["flat"],
-        log["nbytes"],
-        log["group"],
-        log["pib"],
-    )
+    media, link = MediaConsts.of(geom, kind), Link.of(INFINITE_BUS, INFINITE_HOST)
+    rows = (log["op"], log["flat"], log["nbytes"], log["group"], log["pib"])
     if bool((log["op"] == OpCode.READ).all()):
         done: list[int] = []
-        lockstep([lane], [Lane(geom, 0, 0, n, _open_loop(n, done))])
+        lane = Lane(geom, link, 0, n, _open_loop(n, done))
+        lockstep(step_cols(media, *rows), [lane])
         (end,) = done
     else:
-        end = recurrence(lane.lists(), 0, n, 0, Resources(geom))
+        (cols,) = prepass(media, (link,), *rows)
+        end = recurrence(cols.lists(), 0, n, 0, Resources(geom))
     payload = int(log["nbytes"][log["kind_code"] == 0].sum())
     return payload * 1e9 / end if end > 0 else 0.0
 

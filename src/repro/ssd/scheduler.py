@@ -33,9 +33,9 @@ The timing kernel has two halves, shared by every replay:
   transfer times and the multi-plane command-sharing discount — with
   numpy over any number of one device's rows, with that device's
   constants as Python scalars (:meth:`MediaConsts.of`, :meth:`Link.of`).
-  A planner that replays many devices pre-passes each device's rows on
-  its own and copies the columns :func:`lockstep` reads
-  (:class:`StepCols`) into its stacked bases.
+  A planner that replays many devices stacks only each device's
+  :func:`step_cols` (:class:`StepCols`); :func:`lockstep` derives the
+  rest per step.
 * :func:`recurrence` is the irreducibly sequential resource-timeline
   recurrence, a scalar loop over plain ints for READ/WRITE/ERASE rows.
   :func:`block_recurrence` is the same recurrence for READ rows, one
@@ -50,14 +50,14 @@ transaction block (the FTL's int64 ``(n, 5)`` columns,
 scalar recurrence; :meth:`TransactionScheduler.finish` builds the
 23-column log from the submitted blocks' pre-passed columns,
 concatenated.  The lockstep replay builds its log from one gather of
-the planner's lane (:func:`assemble_log`).  The media pattern peak of
+the lane's pre-pass (:func:`assemble_log`).  The media pattern peak of
 a log with writes (:func:`repro.ssd.metrics.media_pattern_peak`) calls
 the two halves directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Generator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -85,9 +85,12 @@ __all__ = [
     "assemble_log",
     "block_ends",
     "block_recurrence",
+    "link_times",
     "lockstep",
     "prepass",
     "recurrence",
+    "step_cols",
+    "unit_ids",
 ]
 
 #: Column names of the transaction log (all int64 ns except noted).
@@ -198,6 +201,14 @@ class MediaConsts:
             lat_len=np.array([n_read, n_prog, 1], dtype=np.int64),
         )
 
+    def decode(self, u):
+        """Plane, channel, global package and global die of plane units ``u``."""
+        rest = u // self.P
+        chan = rest % self.C
+        rest = rest // self.C
+        pkg = rest // self.D + self.K * chan
+        return u % self.P, chan, pkg, rest % self.D + self.D * pkg
+
 
 class Link(NamedTuple):
     """One interface's constants for :func:`prepass`: bus and host ns
@@ -214,49 +225,93 @@ class Link(NamedTuple):
 
 @dataclass
 class StepCols:
-    """The pre-passed per-row columns :func:`lockstep` reads.
-
-    ``unit`` .. ``cell_ns`` depend only on the transactions and the
-    media, so every link's lane of one stream shares them;
-    ``fb``/``hb``/``cmd`` carry one link's bus, host and
-    command-overhead arithmetic.  Any integer dtype whose values fit
-    will do (a planner's stacked bases are int32, and a column may be a
-    zero-stride view): :func:`lockstep` sums and keeps its timelines in
-    int64.
+    """The per-row inputs :func:`lockstep` reads, on any link
+    (:func:`step_cols`): the row's plane unit in its own device, cell
+    time, whether it rides the command cycles of the row before, and
+    payload.  A step derives the die, package and channel from the unit
+    (:func:`unit_ids`) and the bus, host and command times from the
+    lane's :class:`Link` (:func:`link_times`).  Any integer dtype whose
+    values fit will do: :func:`lockstep` sums in int64.
     """
 
     unit: np.ndarray
-    die: np.ndarray
-    pkg: np.ndarray
-    chan: np.ndarray
     cell_ns: np.ndarray
-    fb: np.ndarray
-    hb: np.ndarray
-    cmd: np.ndarray
-
-    def window(self, rows: slice):
-        """Views of ``rows`` of every column."""
-        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+    shared: np.ndarray
+    nbytes: np.ndarray
 
 
 @dataclass
 class LaneCols(StepCols):
-    """Every pre-passed per-row column of one scheduler lane: the
-    :class:`StepCols` and the transactions' own row columns, which the
-    scalar :func:`recurrence` (``op``) and the log read.  Like
-    :class:`StepCols`, any integer dtype will do: :func:`assemble_log`
-    widens the rows it gathers to the log's int64."""
+    """Every pre-passed per-row column of one scheduler lane on one
+    link: the :class:`StepCols`, their decode and link times, and the
+    transactions' own row columns, which the scalar :func:`recurrence`
+    (``op``) and the log read.  Like :class:`StepCols`, any integer
+    dtype will do: :func:`assemble_log` widens the rows it gathers to
+    the log's int64."""
 
+    plane: np.ndarray
+    chan: np.ndarray
+    pkg: np.ndarray
+    die: np.ndarray
+    fb: np.ndarray
+    hb: np.ndarray
+    cmd: np.ndarray
     op: np.ndarray
     flat: np.ndarray
-    nbytes: np.ndarray
     group: np.ndarray
     pib: np.ndarray
-    plane: np.ndarray
 
     def lists(self) -> tuple[list[int], ...]:
         """The :func:`recurrence` columns as Python lists."""
         return tuple(getattr(self, name).tolist() for name in _RECURRENCE_COLS)
+
+
+def unit_ids(geom: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The die, package and channel of each of ``geom``'s plane units,
+    int64, as :func:`prepass` decodes them."""
+    units = np.arange(geom.plane_units, dtype=np.int64)
+    _, chan, pkg, die = MediaConsts.of(geom, geom.kind).decode(units)
+    return die, pkg, chan
+
+
+def link_times(nbytes, shared, bus_ns_per_byte, host_ns_per_byte, cmd_ns):
+    """Flash-bus, host and command ns of rows moving ``nbytes``, those
+    ``shared`` marks paying no command cycles.  Scalar link constants
+    (one :class:`Link`) or one per row give each row the same float
+    product and truncation."""
+    return (
+        (nbytes * bus_ns_per_byte).astype(np.int64),
+        (nbytes * host_ns_per_byte).astype(np.int64),
+        np.where(shared, 0, cmd_ns),
+    )
+
+
+def step_cols(
+    media: MediaConsts,
+    op: np.ndarray,
+    flat: np.ndarray,
+    nbytes: np.ndarray,
+    group: np.ndarray,
+    pib: np.ndarray,
+    same_cmd: Optional[np.ndarray] = None,
+) -> StepCols:
+    """The link-independent per-row inputs of a transaction stream.
+
+    A row rides the command/address cycles of the row before it
+    (``shared``) when both belong to one multi-plane group — and, if
+    ``same_cmd`` is given, to one command (equal keys).
+    """
+    shared = np.zeros(len(op), dtype=bool)
+    if len(op) > 1:
+        shared[1:] = (group[1:] >= 0) & (group[1:] == group[:-1])
+        if same_cmd is not None:
+            shared[1:] &= same_cmd[1:] == same_cmd[:-1]
+    return StepCols(
+        unit=flat % media.U,
+        cell_ns=media.lat[media.lat_base[op] + pib % media.lat_len[op]],
+        shared=shared,
+        nbytes=nbytes,
+    )
 
 
 def prepass(
@@ -269,47 +324,18 @@ def prepass(
     pib: np.ndarray,
     same_cmd: Optional[np.ndarray] = None,
 ) -> list[LaneCols]:
-    """Every per-row timing input of a transaction stream, one lane per link.
-
-    The lanes share the decode and latency columns.  A row rides the
-    command/address cycles of the row before it (``cmd`` 0) when both
-    belong to one multi-plane group — and, if ``same_cmd`` is given, to
-    one command (equal keys).
-    """
-    u = flat % media.U
-    plane = u % media.P
-    rest = u // media.P
-    chan = rest % media.C
-    rest = rest // media.C
-    pkg = rest // media.D + media.K * chan
-    die = rest % media.D + media.D * pkg
-    cell_ns = media.lat[media.lat_base[op] + pib % media.lat_len[op]]
-
-    shared = np.zeros(len(op), dtype=bool)
-    if len(op) > 1:
-        shared[1:] = (group[1:] >= 0) & (group[1:] == group[:-1])
-        if same_cmd is not None:
-            shared[1:] &= same_cmd[1:] == same_cmd[:-1]
-
-    return [
-        LaneCols(
-            op=op,
-            flat=flat,
-            nbytes=nbytes,
-            group=group,
-            pib=pib,
-            unit=u,
-            plane=plane,
-            chan=chan,
-            pkg=pkg,
-            die=die,
-            cell_ns=cell_ns,
-            fb=(nbytes * link.bus_ns_per_byte).astype(np.int64),
-            hb=(nbytes * link.host_ns_per_byte).astype(np.int64),
-            cmd=np.where(shared, 0, link.cmd_ns),
-        )
-        for link in links
-    ]
+    """Every per-row timing input of a transaction stream, one lane per
+    link: :func:`step_cols`, the unit's decode and the link's times."""
+    step = step_cols(media, op, flat, nbytes, group, pib, same_cmd)
+    plane, chan, pkg, die = media.decode(step.unit)
+    lanes = []
+    for link in links:
+        fb, hb, cmd = link_times(nbytes, step.shared, *link)
+        lanes.append(LaneCols(
+            **vars(step), plane=plane, chan=chan, pkg=pkg, die=die,
+            fb=fb, hb=hb, cmd=cmd, op=op, flat=flat, group=group, pib=pib,
+        ))
+    return lanes
 
 
 class Resources:
@@ -468,7 +494,7 @@ def block_ends(unit: np.ndarray) -> np.ndarray:
     if n > 1:
         # a stable sort lists each unit's rows in row order; small keys
         # sort by radix
-        key = unit.astype(np.uint16) if int(unit.max()) < 1 << 16 else unit
+        key = unit.astype(np.uint16, copy=False) if int(unit.max()) < 1 << 16 else unit
         order = np.argsort(key, kind="stable").astype(row, copy=False)
         sorted_unit = key[order]
         nxt[order[:-1]] = np.where(sorted_unit[1:] == sorted_unit[:-1], order[1:], n)
@@ -482,7 +508,8 @@ class FlatResources:
     slice each, starting at the offsets ``die0[k]`` .. ``unit0[k]``; its
     host path is entry ``k`` of ``host_free``.  Keys offset this way
     never collide across lanes, so one :func:`block_recurrence` step
-    advances every lane at once.
+    advances every lane at once.  ``die_of``, ``pkg_of`` and ``chan_of``
+    map each offset plane unit to its offset die, package and channel.
     """
 
     def __init__(self, geoms: Sequence[Geometry]):
@@ -498,6 +525,11 @@ class FlatResources:
         self.chan0, self.chan_free = offsets("channels")
         self.unit0, self.plane_free = offsets("plane_units")
         self.host_free = np.zeros(len(geoms), dtype=np.int64)
+        ids = [unit_ids(g) for g in self.geoms]
+        self.die_of, self.pkg_of, self.chan_of = (
+            np.concatenate([t[j] + first[k] for k, t in enumerate(ids)] or [first])
+            for j, first in enumerate((self.die0, self.pkg0, self.chan0))
+        )
 
     def lane(self, k: int) -> Resources:
         """Lane ``k``'s state, copied into a scalar :class:`Resources`."""
@@ -571,12 +603,8 @@ def _scan(x: np.ndarray, b: np.ndarray, k: np.ndarray, free: np.ndarray) -> np.n
 def block_recurrence(
     res: FlatResources,
     arrival: np.ndarray,
-    lanes: np.ndarray,
-    rows: np.ndarray,
+    lane: np.ndarray,
     unit: np.ndarray,
-    die: np.ndarray,
-    pkg: np.ndarray,
-    chan: np.ndarray,
     cell_ns: np.ndarray,
     fb: np.ndarray,
     hb: np.ndarray,
@@ -584,24 +612,23 @@ def block_recurrence(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`recurrence` over one READ block of each of many lanes.
 
-    The rows are the blocks concatenated, lane by lane: block ``j``
-    belongs to lane ``lanes[j]`` and has ``rows[j]`` rows.  A block is
-    consecutive rows of one command with no plane unit twice, so every
-    row's register wait reads the state from before the step; the die,
-    package, channel and host timelines are then four segmented
+    The rows are the blocks concatenated, lanes ascending: row ``i``
+    belongs to lane ``lane[i]`` and arrives at ``arrival[i]``.  A block
+    is consecutive rows of one command with no plane unit twice, so
+    every row's register wait reads the state from before the step; the
+    die, package, channel and host timelines are then four segmented
     max-plus scans (:func:`_scan`), exact in int64 whatever the
-    columns' integer dtype.  ``lanes`` must be distinct and ascending,
-    ``unit`` .. ``chan`` are the lane-local ids and ``arrival`` is per
-    row.  Returns the rows' cell, flash-bus, channel and host ends and
-    advances ``res``; the starts are the ends less the durations.
+    columns' integer dtype.  ``unit`` is lane-local; ``res``'s tables
+    give its die, package and channel.  Returns the rows' cell,
+    flash-bus, channel and host ends and advances ``res``; the starts
+    are the ends less the durations.
     """
-    lane = np.repeat(lanes, rows)
     unit_k = unit + res.unit0[lane]
     x = np.maximum(arrival, res.plane_free[unit_k])
-    c_end = _chain(x, cell_ns, die + res.die0[lane], res.die_free)
-    f_end = _chain(c_end, fb, pkg + res.pkg0[lane], res.pkg_free)
+    c_end = _chain(x, cell_ns, res.die_of[unit_k], res.die_free)
+    f_end = _chain(c_end, fb, res.pkg_of[unit_k], res.pkg_free)
     busy = np.add(cmd, fb, dtype=np.int64)
-    s_end = _chain(f_end, busy, chan + res.chan0[lane], res.chan_free)
+    s_end = _chain(f_end, busy, res.chan_of[unit_k], res.chan_free)
     res.plane_free[unit_k] = s_end  # registers drain with the bus
     h_end = _scan(s_end, hb, lane, res.host_free)
     return c_end, f_end, s_end, h_end
@@ -610,7 +637,8 @@ def block_recurrence(
 # ----------------------------------------------------------------------
 # lockstep replay: many lanes through the block kernel
 #
-# A *lane* is one replay of pre-passed READ rows: a planned cell's
+# A *lane* is one replay of READ rows of the step inputs
+# (:class:`StepCols`) on one link: a planned cell's
 # ``main`` or ``peak`` lane, whose commands come from the controller's
 # :func:`~repro.ssd.controller.dispatch`, or a pattern-peak lane, one
 # command of all its rows arriving at 0.  :func:`lockstep` advances
@@ -639,9 +667,9 @@ class Lane:
     """One replay that :func:`lockstep` steps."""
 
     geom: Geometry
-    #: the base whose bus, host and command columns the lane reads
-    link: int
-    #: the lane's rows are ``lo:lo + n`` of the bases
+    #: the interface whose bus, host and command times the rows pay
+    link: Link
+    #: the lane's rows are ``lo:lo + n`` of the inputs
     lo: int
     n: int
     commands: Commands
@@ -663,22 +691,19 @@ def _next_window(commands: Commands, done: Optional[int]):
     return lo, hi, arrival
 
 
-def lockstep(bases: Sequence[StepCols], lanes: Sequence[Lane]) -> None:
+def lockstep(inputs: StepCols, lanes: Sequence[Lane]) -> None:
     """Replay every lane to the end of its command source.
 
-    ``bases`` share every column but ``fb``/``hb``/``cmd`` (one stream's
-    :func:`~repro.ssd.scheduler.prepass` lanes, or just the columns
-    this replay reads of them); lane rows must be READs.  A recording
-    lane's ``ends`` become its rows' cell, flash-bus, channel and host
-    ends in replay order.
+    ``inputs`` hold every lane's rows; lane rows must be READs.  A
+    recording lane's ``ends`` become its rows' cell, flash-bus, channel
+    and host ends in replay order.
     """
-    static = bases[0]
-    assert all(b.unit is static.unit and b.cell_ns is static.cell_ns for b in bases)
-    lanes = sorted(lanes, key=lambda lane: lane.link)  # one base's rows together
     n_lanes = len(lanes)
     res = FlatResources([lane.geom for lane in lanes])
-    link = np.array([lane.link for lane in lanes], dtype=np.int64)
-    pos = np.zeros(n_lanes, dtype=np.int64)  # next row, in base rows
+    # each lane's link constants, as float64, float64 and int64 columns
+    bus, host, cmd_ns = np.array([lane.link for lane in lanes]).reshape(-1, 3).T
+    cmd_ns = cmd_ns.astype(np.int64)
+    pos = np.zeros(n_lanes, dtype=np.int64)  # next row of the inputs
     hi = np.zeros(n_lanes, dtype=np.int64)  # current command's end
     arrival = np.zeros(n_lanes, dtype=np.int64)
     comp = np.zeros(n_lanes, dtype=np.int64)  # current command's completion
@@ -709,7 +734,7 @@ def lockstep(bases: Sequence[StepCols], lanes: Sequence[Lane]) -> None:
     # before building any block structure, so narrow batches pay nothing
     units = np.array([lane.geom.plane_units for lane in lanes], dtype=np.int64)
     if live.size and int(np.minimum(hi - pos, units)[live].sum()) >= BREAK_EVEN_ROWS:
-        ends = block_ends(static.unit)
+        ends = block_ends(inputs.unit)
         while live.size:
             s = pos[live]
             e = np.minimum(ends[s], hi[live])
@@ -720,33 +745,18 @@ def lockstep(bases: Sequence[StepCols], lanes: Sequence[Lane]) -> None:
             first = np.cumsum(rows) - rows
             steps = np.arange(width, dtype=np.int64)
             idx = np.repeat(s - first, rows) + steps
-            if len(bases) == 1:
-                fb, hb, cmd = static.fb[idx], static.hb[idx], static.cmd[idx]
-            else:  # the bus, host and command columns, base by base
-                bounds = np.append(first, width)
-                cuts = bounds[np.searchsorted(link[live], np.arange(1, len(bases)))]
-                parts = np.split(idx, cuts)
-                fb, hb, cmd = (
-                    np.concatenate([getattr(b, name)[p] for b, p in zip(bases, parts)])
-                    for name in ("fb", "hb", "cmd")
-                )
+            row_lane = np.repeat(live, rows)
+            fb, hb, cmd = link_times(
+                inputs.nbytes[idx], inputs.shared[idx],
+                bus[row_lane], host[row_lane], cmd_ns[row_lane],
+            )
             c_end, f_end, s_end, h_end = block_recurrence(
-                res,
-                np.repeat(arrival[live], rows),
-                live,
-                rows,
-                static.unit[idx],
-                static.die[idx],
-                static.pkg[idx],
-                static.chan[idx],
-                static.cell_ns[idx],
-                fb,
-                hb,
-                cmd,
+                res, arrival[row_lane], row_lane, inputs.unit[idx], inputs.cell_ns[idx],
+                fb, hb, cmd,
             )
             r = rec[live]
             if r.any():
-                keep = np.repeat(r, rows)
+                keep = rec[row_lane]
                 dest = (np.repeat(log0[live] + at[live] - first, rows) + steps)[keep]
                 for col, val in zip(rec_cols, (c_end, f_end, s_end, h_end)):
                     col[dest] = val[keep]
@@ -762,23 +772,30 @@ def lockstep(bases: Sequence[StepCols], lanes: Sequence[Lane]) -> None:
                 live = live[alive]
 
     for k in live.tolist():
-        _finish_scalar(bases[lanes[k].link], lanes[k], res.lane(k),
+        _finish_scalar(inputs, lanes[k], res.lane(k),
                        int(pos[k]), int(hi[k]), int(arrival[k]), int(comp[k]),
                        int(at[k]))
 
 
 def _finish_scalar(
-    base: StepCols, lane: Lane, res, lo: int, hi: int, arrival: int, comp: int, at: int
+    inputs: StepCols, lane: Lane, res, lo: int, hi: int, arrival: int, comp: int, at: int
 ) -> None:
     """Replay the rest of ``lane`` on the scalar recurrence.
 
-    The lane's current command runs from base row ``lo`` to ``hi``, with
-    its completion so far ``comp``; ``at`` rows are recorded already.
-    Each command's rows become Python lists only when it comes up, so
-    the rows the block kernel replayed are never converted (a
+    The lane's current command runs from input row ``lo`` to ``hi``,
+    with its completion so far ``comp``; ``at`` rows are recorded
+    already.  The lane's rows are derived once, as a block step derives
+    them; each command's rows become Python lists only when it comes
+    up, so the rows the block kernel replayed are never converted (a
     multi-client lane's later commands may lie below its current one).
     """
-    cols = [getattr(base, name) for name in _RECURRENCE_COLS[1:]]
+    die_of, pkg_of, chan_of = unit_ids(lane.geom)
+    rows = slice(lane.lo, lane.lo + lane.n)
+    unit = inputs.unit[rows]
+    cols = (
+        unit, die_of[unit], pkg_of[unit], chan_of[unit], inputs.cell_ns[rows],
+        *link_times(inputs.nbytes[rows], inputs.shared[rows], *lane.link),
+    )
     ends: list[list[int]] = []
     out = None
     if lane.record:
@@ -786,17 +803,17 @@ def _finish_scalar(
         scratch = [0] * (lane.n - at)
         ends = [[0] * (lane.n - at) for _ in range(4)]
         out = [lst for end in ends for lst in (scratch, end)]
+    lo -= lane.lo
+    hi -= lane.lo
     k = 0
     while True:
-        rows = ([OpCode.READ] * (hi - lo), *(col[lo:hi].tolist() for col in cols))
-        comp = max(comp, recurrence(rows, 0, hi - lo, arrival, res, out, k))
+        window = ([OpCode.READ] * (hi - lo), *(col[lo:hi].tolist() for col in cols))
+        comp = max(comp, recurrence(window, 0, hi - lo, arrival, res, out, k))
         k += hi - lo
-        window = _next_window(lane.commands, comp)
-        if window is None:
+        nxt = _next_window(lane.commands, comp)
+        if nxt is None:
             break
-        lo, hi, arrival = window
-        lo += lane.lo
-        hi += lane.lo
+        lo, hi, arrival = nxt
         comp = arrival
     for col, vals in zip(lane.ends, ends):
         col[at : at + k] = vals[:k]

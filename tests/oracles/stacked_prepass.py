@@ -6,8 +6,10 @@ same columns the direct way over the whole matrix at once: every
 cell's rows concatenated, each cell's geometry, latency ladders, bus
 and host broadcast to one value per row, one decode, one ladder lookup
 in the concatenated tables and one command-sharing mask keyed by
-(cell, command).  Each plan's lanes (:meth:`CellPlan.lane`) must equal
-its rows of this pre-pass column for column.  It holds a dozen per-row
+(cell, command), the commands read off the plan's planned command
+windows.  Each plan's lanes (:meth:`CellPlan.lane`) and its rows of
+the stacked lockstep inputs must equal its rows of this pre-pass
+column for column.  It holds a dozen per-row
 constants and every column of the matrix at once, the transient the
 per-cell pre-pass exists to avoid.  It widens the plans' int32 row
 columns to int64 before any arithmetic, so its columns are int64
@@ -29,8 +31,7 @@ __all__ = ["broadcast_prepass"]
 
 def broadcast_prepass(plans: Sequence[CellPlan]) -> tuple[LaneCols, LaneCols]:
     """The ``main`` and ``peak`` lanes of every row of ``plans``, in plan
-    order.  Reads the plans' ``cmd_ord``, so it runs before
-    :func:`~repro.batch.plan.stack_plans` drops it."""
+    order."""
     ns = np.array([p.n for p in plans], dtype=np.int64)
     cell = np.repeat(np.arange(len(plans), dtype=np.int64), ns)
     devices = [p.path.device for p in plans]
@@ -51,7 +52,7 @@ def broadcast_prepass(plans: Sequence[CellPlan]) -> tuple[LaneCols, LaneCols]:
     flat = stacked("flat")
     nbytes = stacked("nbytes")
     group = stacked("group_ids")
-    cmd_key = stacked("cmd_ord") + cell * (1 << 32)
+    cmd_key = np.concatenate([_command_of_row(p) for p in plans]) + cell * (1 << 32)
     op = np.full(len(flat), OpCode.READ, dtype=np.int64)
     pib = (flat // U) % ppb
 
@@ -95,7 +96,7 @@ def broadcast_prepass(plans: Sequence[CellPlan]) -> tuple[LaneCols, LaneCols]:
     main, peak = (
         LaneCols(
             op=op, flat=flat, nbytes=nbytes, group=group, pib=pib, unit=u,
-            plane=plane, chan=chan, pkg=pkg, die=die, cell_ns=cell_ns,
+            plane=plane, chan=chan, pkg=pkg, die=die, cell_ns=cell_ns, shared=shared,
             fb=(nbytes * bus).astype(np.int64),
             hb=(nbytes * host).astype(np.int64),
             cmd=np.where(shared, 0, cmd_ns),
@@ -103,3 +104,12 @@ def broadcast_prepass(plans: Sequence[CellPlan]) -> tuple[LaneCols, LaneCols]:
         for bus, host, cmd_ns in links
     )
     return main, peak
+
+
+def _command_of_row(plan: CellPlan) -> np.ndarray:
+    """Each row's command ordinal, from the planned commands' row windows."""
+    key = np.full(plan.n, -1, dtype=np.int64)
+    for k, cmd in enumerate(c for g in plan.groups for c in g.commands):
+        key[cmd.lo : cmd.hi] = k
+    assert (key >= 0).all(), "every row belongs to a command"
+    return key

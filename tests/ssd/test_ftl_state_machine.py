@@ -212,10 +212,11 @@ PROGRAMS = st.tuples(
 
 
 def test_keeping_stale_reverse_entries_fails_the_comparison():
+    # any failing program shows the comparison caught it: no shrinking
     find(
         PROGRAMS,
         lambda program: not _agrees(program, _StaleReverseFTL),
-        settings=settings(max_examples=500, database=None),
+        settings=settings(max_examples=500, database=None, phases=(Phase.generate,)),
     )
 
 

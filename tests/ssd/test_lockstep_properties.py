@@ -2,6 +2,10 @@
 
 * :func:`~repro.ssd.scheduler.block_ends` finds each row's longest
   run of distinct plane units.
+* The die, package and channel tables a lockstep step gathers from
+  (:class:`~repro.ssd.scheduler.FlatResources`) equal
+  :func:`~repro.ssd.scheduler.prepass`'s decode of every row, lane by
+  lane, on random geometries.
 * :func:`~repro.ssd.scheduler.block_recurrence`, stepping several
   lanes of different geometries one block each, must give every READ
   row the interval ends the scalar
@@ -14,8 +18,10 @@
   command groups (posix windows, readahead limits, barriers, empty
   commands) on two interfaces at once must give each lane the log
   ``SSDevice.run`` gives it alone, wherever the narrow-step switch to
-  the scalar recurrence falls; over int32 copies of its bases, as the
-  batch planner stacks them, it must give what the int64 bases give.
+  the scalar recurrence falls; over narrow copies of its inputs, as
+  the batch planner stacks them (uint16 plane units, int32 cell times
+  and payloads, a one-byte sharing flag), it must give what the int64
+  inputs give.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import itertools
 from unittest import mock
 
 import numpy as np
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import repro.ssd.scheduler as kernel_mod
@@ -51,6 +57,7 @@ from repro.ssd.scheduler import (
     lockstep,
     prepass,
     recurrence,
+    unit_ids,
 )
 from tests.oracles.planned_ftl import PlannedFTL
 
@@ -155,10 +162,8 @@ def _stepped(lanes):
         out = block_recurrence(
             res,
             np.concatenate([np.full(e - s, lanes[k][3][cursor[k][0]]) for k, s, e in step]),
-            np.array([k for k, _, _ in step]),
-            np.array([e - s for _, s, e in step]),
-            *(col(name) for name in
-              ("unit", "die", "pkg", "chan", "cell_ns", "fb", "hb", "cmd")),
+            np.concatenate([np.full(e - s, k) for k, s, e in step]),
+            *(col(name) for name in ("unit", "cell_ns", "fb", "hb", "cmd")),
         )
         at = 0
         for k, s, e in step:
@@ -183,6 +188,36 @@ def _kernel_matches_recurrence(lanes) -> bool:
         ):
             return False
     return True
+
+
+@given(geoms=st.lists(geometries(), min_size=1, max_size=4), data=st.data())
+def test_unit_tables_equal_the_prepass_decode(geoms, data):
+    """Each lane's plane unit, offset by the lane's first unit, gathers
+    the die, package and channel ``prepass`` decodes for it, offset by
+    the lane's first die, package and channel."""
+    res = FlatResources(geoms)
+    sizes = [g.plane_units for g in geoms]
+    assert len(res.die_of) == len(res.pkg_of) == len(res.chan_of) == sum(sizes)
+    for k, geom in enumerate(geoms):
+        flat = np.asarray(data.draw(
+            st.lists(st.integers(0, geom.total_pages - 1), min_size=1, max_size=20)
+        ))
+        zeros = np.zeros_like(flat)
+        (lane,) = prepass(
+            MediaConsts.of(geom, geom.kind), (Link(0.0, 0.0, 0),),
+            zeros, flat, zeros, zeros - 1, zeros,
+        )
+        unit = lane.unit + res.unit0[k]
+        for table, col, first in (
+            (res.die_of, lane.die, res.die0[k]),
+            (res.pkg_of, lane.pkg, res.pkg0[k]),
+            (res.chan_of, lane.chan, res.chan0[k]),
+        ):
+            assert np.array_equal(table[unit], col + first)
+        # the lane-local tables the scalar tail reads
+        die, pkg, chan = unit_ids(geom)
+        for table, col in ((die, lane.die), (pkg, lane.pkg), (chan, lane.chan)):
+            assert table.dtype == np.int64 and np.array_equal(table[lane.unit], col)
 
 
 @given(units=st.lists(st.integers(0, 6), max_size=40))
@@ -211,16 +246,12 @@ def test_block_kernel_sums_int32_columns_in_int64():
         planes_per_die=2, blocks_per_plane=1,
     )
     big = np.full(2, 2**31 - 1, dtype=np.int64)
-    ids = np.zeros(2, dtype=np.int64)
-    cols = dict(
-        unit=np.arange(2), die=ids, pkg=ids, chan=ids,
-        cell_ns=big, fb=big, hb=big, cmd=big,
-    )
+    cols = dict(unit=np.arange(2), cell_ns=big, fb=big, hb=big, cmd=big)
 
     def ends(dtype):
         return block_recurrence(
-            FlatResources([geom]), np.zeros(2, dtype=np.int64), np.array([0]),
-            np.array([2]), **{name: col.astype(dtype) for name, col in cols.items()},
+            FlatResources([geom]), np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64),
+            **{name: col.astype(dtype) for name, col in cols.items()},
         )
 
     want = ends(np.int64)
@@ -240,11 +271,12 @@ def test_dropping_a_segment_boundary_fails_the_property():
             k[change[-1] + 1 :] = k[change[-1]]
         return scan(x, b, k, free)
 
+    # any failing example will do: generate only, no shrinking
     with mock.patch.object(kernel_mod, "_scan", merged):
         find(
             read_lanes(),
             lambda lanes: not _kernel_matches_recurrence(lanes),
-            settings=settings(max_examples=300, database=None),
+            settings=settings(max_examples=300, database=None, phases=(Phase.generate,)),
         )
 
 
@@ -252,9 +284,9 @@ def test_dropping_a_segment_boundary_fails_the_property():
 @st.composite
 def planned_devices(draw):
     """1-3 devices of planned READ command groups, pre-passed device by
-    device on two interfaces and stacked like
-    :func:`repro.batch.plan.stack_plans` (the interfaces share the
-    decode and latency columns)."""
+    device on two interfaces, each interface's lanes stacked device
+    after device (the interfaces share all but the link times, which is
+    what :class:`~repro.ssd.scheduler.StepCols` holds)."""
     devices = []
     for d in range(draw(st.integers(1, 3))):
         geom = draw(geometries())
@@ -301,18 +333,24 @@ def planned_devices(draw):
         for d in devices
     ]
 
-    def stacked(j, name):
-        return np.concatenate([getattr(dev[j], name) for dev in lanes])
-
-    shared = {name: stacked(0, name) for name in ("unit", "die", "pkg", "chan", "cell_ns")}
     bases = [
-        LaneCols(**shared, **{
-            f.name: stacked(j, f.name) for f in dataclasses.fields(LaneCols)
-            if f.name not in shared
+        LaneCols(**{
+            f.name: np.concatenate([getattr(dev[j], f.name) for dev in lanes])
+            for f in dataclasses.fields(LaneCols)
         })
         for j in (0, 1)
     ]
     return devices, bases
+
+
+def _window(cols: LaneCols, rows: slice) -> LaneCols:
+    """Views of ``rows`` of every column of ``cols``."""
+    return LaneCols(**{f.name: getattr(cols, f.name)[rows] for f in dataclasses.fields(cols)})
+
+
+def _inputs(base: LaneCols) -> StepCols:
+    """The lockstep's inputs of a stacked lane: what every link shares."""
+    return StepCols(**{f.name: getattr(base, f.name) for f in dataclasses.fields(StepCols)})
 
 
 def _device_run(d, link, lane_cols):
@@ -353,7 +391,7 @@ def _planned_lanes(devices, offsets):
             bus, host = d["links"][link]
             trace = traces[i, link] = CommandTrace()
             lanes[i, link] = Lane(
-                d["geom"], link, lo, d["n"],
+                d["geom"], Link.of(bus, host), lo, d["n"],
                 planned_commands(
                     d["groups"], d["window"], host.per_request_ns + d["overhead"],
                     d["readahead"], trace,
@@ -369,7 +407,7 @@ def test_lockstep_matches_per_lane_device_runs(run):
     devices, bases = run
     offsets = np.cumsum([0] + [d["n"] for d in devices]).tolist()
     want = {
-        (i, link): _device_run(d, link, bases[link].window(slice(lo, lo + d["n"])))
+        (i, link): _device_run(d, link, _window(bases[link], slice(lo, lo + d["n"])))
         for (i, d), lo in zip(enumerate(devices), offsets)
         for link in (0, 1)
     }
@@ -377,13 +415,13 @@ def test_lockstep_matches_per_lane_device_runs(run):
         switch = SwitchAt(j)
         traces, lanes = _planned_lanes(devices, offsets)
         with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", switch):
-            lockstep(bases, list(lanes.values()))
+            lockstep(_inputs(bases[0]), list(lanes.values()))
         for (i, link), log in want.items():
             d, trace, lane = devices[i], traces[i, link], lanes[i, link]
             assert trace.last_done == (int(log["done"].max()) if len(log) else 0)
             if lane.record:
                 got = assemble_log(
-                    bases[link].window(slice(offsets[i], offsets[i] + d["n"])),
+                    _window(bases[link], slice(offsets[i], offsets[i] + d["n"])),
                     trace.meta, lane.ends,
                 )
                 for col in LOG_COLUMNS:
@@ -394,26 +432,23 @@ def test_lockstep_matches_per_lane_device_runs(run):
 
 @given(run=planned_devices())
 @settings(max_examples=40, deadline=None)
-def test_lockstep_over_int32_bases_equals_int64_bases(run):
-    """The batch planner stacks int32 bases: stepped by the block kernel
-    throughout, or by the scalar recurrence throughout, every lane
-    sees the commands, completions and int64 interval ends the int64
-    bases give it."""
+def test_lockstep_over_narrow_inputs_equals_int64_inputs(run):
+    """The batch planner stacks narrow inputs (uint16 plane units, int32
+    cell times and payloads, a bool sharing flag): stepped by the block
+    kernel throughout, or by the scalar recurrence throughout, every
+    lane sees the commands, completions and int64 interval ends the
+    int64 inputs give it."""
     devices, bases = run
     offsets = np.cumsum([0] + [d["n"] for d in devices]).tolist()
-    shared = {
-        name: getattr(bases[0], name).astype(np.int32)
-        for name in ("unit", "die", "pkg", "chan", "cell_ns")
-    }
-    narrow = [
-        StepCols(**shared, **{
-            name: getattr(base, name).astype(np.int32) for name in ("fb", "hb", "cmd")
-        })
-        for base in bases
-    ]
+    wide = _inputs(bases[0])
+    assert wide.unit.dtype == np.int64
+    narrow = StepCols(
+        unit=wide.unit.astype(np.uint16), cell_ns=wide.cell_ns.astype(np.int32),
+        shared=wide.shared.astype(bool), nbytes=wide.nbytes.astype(np.int32),
+    )
     for break_even in (1, 1 << 40):
         runs = []
-        for cols in (bases, narrow):
+        for cols in (wide, narrow):
             traces, lanes = _planned_lanes(devices, offsets)
             with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", break_even):
                 lockstep(cols, list(lanes.values()))
@@ -421,9 +456,9 @@ def test_lockstep_over_int32_bases_equals_int64_bases(run):
                 key: (traces[key].meta, traces[key].last_done, lane.ends)
                 for key, lane in lanes.items()
             })
-        wide, got = runs
+        want, got = runs
         for key, (meta, last_done, ends) in got.items():
-            assert (meta, last_done) == wide[key][:2], key
-            assert len(ends) == len(wide[key][2])
-            for g, w in zip(ends, wide[key][2]):
+            assert (meta, last_done) == want[key][:2], key
+            assert len(ends) == len(want[key][2])
+            for g, w in zip(ends, want[key][2]):
                 assert g.dtype == np.int64 and np.array_equal(g, w), key

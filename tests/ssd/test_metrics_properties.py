@@ -210,8 +210,9 @@ def _lockstep_log(geom, host, batches):
     lens = [len(txns) for txns, _, _ in cmds]
     bounds = np.cumsum([0, *lens]).tolist()
     rows = np.concatenate([txns for txns, _, _ in cmds])
+    link = Link.of(ONFI3_SDR400, host)
     (base,) = prepass(
-        MediaConsts.of(geom, geom.kind), (Link.of(ONFI3_SDR400, host),), *rows.T,
+        MediaConsts.of(geom, geom.kind), (link,), *rows.T,
         same_cmd=np.repeat(np.arange(len(cmds)), lens),
     )
 
@@ -219,9 +220,9 @@ def _lockstep_log(geom, host, batches):
         for lo, hi, (_, arrival, _) in zip(bounds, bounds[1:], cmds):
             yield lo, hi, arrival
 
-    lane = Lane(geom, 0, 0, len(rows), commands(), record=True)
+    lane = Lane(geom, link, 0, len(rows), commands(), record=True)
     with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", 1):  # every row on the kernel
-        lockstep([base], [lane])
+        lockstep(base, [lane])
     meta = [
         (req, client, 0, arrival, lo, hi)
         for req, ((_, arrival, client), lo, hi) in enumerate(zip(cmds, bounds, bounds[1:]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.ssd.segments import (
@@ -144,11 +144,12 @@ def _coalesce_keeping_last_end(key, start, end, n_keys, split=None):
 
 
 def test_keeping_the_last_end_fails_the_property():
+    # any failing family will do: generate only, no shrinking
     with mock.patch(f"{__name__}.coalesce", _coalesce_keeping_last_end):
         find(
             keyed_families(),
             lambda family: not _coalescing_is_exact(family),
-            settings=settings(max_examples=500, database=None),
+            settings=settings(max_examples=500, database=None, phases=(Phase.generate,)),
         )
 
 
