@@ -15,10 +15,10 @@ arithmetic and command-sharing discounts with numpy one cell at a
 time, stacks the columns the replay reads into one (cell x txn) int64
 block, and replays every cell's flow control through the controller's
 own ``dispatch`` generator and the scheduler's block recurrence in
-lockstep.  It then streams the cells one at a time: each cell's log is
+lockstep.  As each cell's main lane finishes, mid-lockstep, its log is
 assembled, measured by the metrics pass that also measures every scalar
-replay (:func:`repro.ssd.metrics.compute_metrics`) and dropped before
-the next cell's is built.
+replay (:func:`repro.ssd.metrics.compute_metrics`) and dropped with
+the lane's recorded ends, while the other cells step on.
 
 Golden tests assert :class:`~repro.ssd.metrics.RunMetrics` equality
 between the batch and the scalar backend for all 52 Table-2 cells.

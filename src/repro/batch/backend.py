@@ -7,12 +7,14 @@ pays one vectorized plan per cell, three narrow stacked input columns
 per row (:func:`~repro.batch.plan.stack_plans`), and one lockstep
 replay of every cell's main and peak lane (:mod:`repro.batch.scheduler`)
 that derives each step's resource ids and link times; the peak lane
-yields its aggregate bandwidth without a log.  The main lanes are then
-streamed cell by cell: each cell's rows are pre-passed, its log
-assembled, measured by the metrics pass and dropped before the next
-cell's, so the matrix never holds more than one log.  The metrics pass replays the media pattern peak only when
-the caller keeps :class:`~repro.ssd.metrics.RunMetrics`
-(``keep_metrics=True``): no :class:`ConfigResult` field reads it.
+yields its aggregate bandwidth without a log.  Each main lane is
+measured the moment its commands run out, inside the lockstep: its
+rows are pre-passed, its log assembled from its recorded ends,
+measured by the metrics pass and dropped with the ends, so the matrix
+holds one log at a time and only the unfinished cells' ends.  The
+metrics pass replays the media pattern peak only when the caller
+keeps :class:`~repro.ssd.metrics.RunMetrics` (``keep_metrics=True``):
+no :class:`ConfigResult` field reads it.
 
 Caching matches :func:`repro.experiments.runner.run_cell`: the peak
 replay is served from / recorded into ``ResultCache`` per cell, and the
@@ -22,6 +24,7 @@ cell cache records provenance.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -30,12 +33,13 @@ import numpy as np
 
 from ..experiments.runner import Cell, ConfigResult, Workload, emit_replay_spans
 from ..obs import trace as obs
+from ..ssd.metrics import RunMetrics
 # the benchmark's ``batch.metrics`` wrap site (perfbench/layers.py SITES)
 # patches this name
 from ..ssd.metrics import compute_metrics as compute_metrics_batch
 from ..ssd.scheduler import assemble_log
 from .plan import BatchUnsupported, CellPlan, plan_cell, stack_plans
-from .scheduler import replay_plans
+from .scheduler import MainReplay, replay_plans
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..experiments.cache import ResultCache
@@ -54,8 +58,9 @@ class BatchReport:
     fallback: dict[Pair, str] = field(default_factory=dict)
     #: per-cell wall seconds: the cell's own plan time, its share of the
     #: stacked pre-pass (by planned rows) and of the lockstep replay (by
-    #: rows stepped), its own log assembly (counted as replay) and its
-    #: own metrics call; they sum to the four phase totals below
+    #: rows stepped, the lockstep's wall time less the assembly and
+    #: metrics run inside it), its own log assembly (counted as replay)
+    #: and its own metrics call; they sum to the four phase totals below
     seconds: dict[Pair, float] = field(default_factory=dict)
     stacked_rows: int = 0
     plan_seconds: float = 0.0
@@ -84,8 +89,12 @@ def run_cells_batch(
 
     Returns the results for every cell the plan could express, plus a
     report naming the cells that must fall back to the scalar engine
-    (and why).  Results are bit-identical to ``run_config`` — golden
-    tests enforce :class:`~repro.ssd.metrics.RunMetrics` equality.
+    (and why).  Each cell's log is assembled and measured as its main
+    lane finishes, mid-lockstep, and only its
+    :class:`~repro.ssd.metrics.RunMetrics` outlive the hook; the
+    :class:`ConfigResult` objects are built once the peak lanes are
+    done.  Results are bit-identical to ``run_config`` — golden tests
+    enforce :class:`~repro.ssd.metrics.RunMetrics` equality.
     """
     results: dict[Pair, ConfigResult] = {}
     report = BatchReport()
@@ -149,12 +158,37 @@ def run_cells_batch(
     if not replayed:
         return results, report
 
-    t0 = time.perf_counter()
     with_peak = [
         with_remaining and (p.label, p.kind_name) not in peaks for p in replayed
     ]
-    mains, replay_peaks = replay_plans(replayed, with_peak)
-    lockstep_seconds = time.perf_counter() - t0
+    # each main lane is measured as it finishes: its log exists only
+    # while it is measured, and its recorded ends are freed before the
+    # next cell's lane finishes; (assembly, metrics) seconds per cell
+    hook_seconds: dict[Pair, tuple[float, float]] = {}
+
+    def measure(main: MainReplay) -> RunMetrics:
+        plan = main.plan
+        begun = time.perf_counter()
+        log = assemble_log(plan.lane("main"), main.meta, main.ends)
+        built = time.perf_counter()
+        # the pattern peak only feeds RunMetrics, so it is replayed
+        # only when the caller keeps them
+        m = compute_metrics_batch(
+            log, plan.path.device.geom, plan.path.device.kind,
+            pattern_peak=keep_metrics,
+        )
+        hook_seconds[(plan.label, plan.kind_name)] = (
+            built - begun, time.perf_counter() - built,
+        )
+        return m
+
+    t0 = time.perf_counter()
+    measured, replay_peaks = replay_plans(replayed, with_peak, measure)
+    # the in-hook assembly and metrics are each cell's own, not the
+    # lockstep's
+    lockstep_seconds = (
+        time.perf_counter() - t0 - math.fsum(map(sum, hook_seconds.values()))
+    )
     for plan, peak in zip(replayed, replay_peaks):
         if peak is not None:
             peaks[(plan.label, plan.kind_name)] = peak
@@ -166,24 +200,11 @@ def run_cells_batch(
         lockstep_seconds, [p.n * (1 + peak) for p, peak in zip(replayed, with_peak)]
     )
 
-    # one cell at a time: its log exists only while it is measured,
-    # and popping its replay releases the lane's recorded ends and trace
-    mains.reverse()
     for i, plan in enumerate(replayed):
         cell = (plan.label, plan.kind_name)
-        t0 = time.perf_counter()
-        main = mains.pop()
-        log = assemble_log(main.plan.lane("main"), main.meta, main.ends)
-        t1 = time.perf_counter()
-        # the pattern peak only feeds RunMetrics, so it is replayed
-        # only when the caller keeps them
-        m = compute_metrics_batch(
-            log, plan.path.device.geom, plan.path.device.kind,
-            pattern_peak=keep_metrics,
-        )
-        del log
-        measure_seconds = time.perf_counter() - t1
-        replay_share = lockstep_shares[i] + (t1 - t0)
+        m = measured[i]
+        assemble_seconds, measure_seconds = hook_seconds[cell]
+        replay_share = lockstep_shares[i] + assemble_seconds
         report.replay_seconds += replay_share
         report.metrics_seconds += measure_seconds
 

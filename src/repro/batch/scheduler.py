@@ -7,16 +7,17 @@ of :func:`~repro.batch.plan.stack_plans`; a cell's two lanes read the
 same rows on their own links.  A lane's commands come from the
 controller's :func:`~repro.ssd.controller.dispatch` of the planned
 command groups (:func:`planned_commands`), which records what it saw
-in a :class:`CommandTrace`: the caller assembles the main lane's log
-from it (:class:`MainReplay`), and the peak lane reports its aggregate
-bandwidth from it without a log.
+in a :class:`CommandTrace`.  As a main lane finishes, the caller gets
+what it needs to assemble the lane's log (:class:`MainReplay`) and may
+measure and drop it on the spot; the peak lane reports its aggregate
+bandwidth from its trace without a log.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, cast
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, cast
 
 import numpy as np
 
@@ -65,8 +66,16 @@ class MainReplay(NamedTuple):
     plan: CellPlan
     #: the lane's :attr:`CommandTrace.meta`
     meta: list[tuple[int, int, int, int, int, int]]
-    #: the lane's recorded cell, flash-bus, channel and host ends
-    ends: list[np.ndarray]
+    #: the lane's recorded cell, flash-bus, channel and host ends, the
+    #: rows of its int64 ``(4, n)`` buffer
+    ends: np.ndarray
+
+
+T = TypeVar("T")
+
+
+def _keep(main: MainReplay) -> MainReplay:
+    return main
 
 
 def planned_commands(
@@ -96,16 +105,22 @@ def planned_commands(
 
 
 def replay_plans(
-    plans: Sequence[CellPlan], with_peak: Sequence[bool]
-) -> tuple[list[MainReplay], list[Optional[float]]]:
+    plans: Sequence[CellPlan],
+    with_peak: Sequence[bool],
+    on_main: Callable[[MainReplay], T] = _keep,  # type: ignore[assignment]
+) -> tuple[list[T], list[Optional[float]]]:
     """Replay every plan's ``main`` lane, and its ``peak`` lane where
     ``with_peak`` says, all in lockstep.
 
-    Returns, per plan, what :func:`~repro.ssd.scheduler.assemble_log`
-    needs to build the main lane's log, and the peak lanes' aggregate
-    bandwidth in MB/s (``None`` where not replayed).  No log is built
-    here: the caller assembles and measures one cell at a time.  The
-    peak lane replays on the unconstrained interface
+    As each main lane's commands run out, mid-lockstep, ``on_main`` is
+    called with what :func:`~repro.ssd.scheduler.assemble_log` needs to
+    build its log (:class:`MainReplay`); the replay then drops its own
+    references to the lane's recorded ends and command trace, so a
+    caller that assembles, measures and keeps only a summary frees each
+    cell's ends while the other cells step on.  Returns ``on_main``'s
+    results in plan order (the :class:`MainReplay` itself by default)
+    and the peak lanes' aggregate bandwidth in MB/s (``None`` where not
+    replayed).  The peak lane replays on the unconstrained interface
     (:meth:`~repro.ssd.controller.SSDevice.unconstrain`) without
     touching the device.
     """
@@ -122,24 +137,31 @@ def replay_plans(
         link = plan.link(name)
         return Lane(device.geom, link, plan.row0, plan.n, commands, name == "main")
 
-    mains: list[tuple[Lane, CommandTrace]] = []
+    results: list[T] = [cast(T, None)] * len(plans)
+
+    def finish(i: int, plan: CellPlan, trace: CommandTrace) -> Callable[[np.ndarray], None]:
+        def done(ends: np.ndarray) -> None:
+            results[i] = on_main(MainReplay(plan, trace.meta, ends))
+            trace.meta = []
+
+        return done
+
+    mains: list[Lane] = []
     peaks: list[Optional[tuple[Lane, CommandTrace]]] = []
-    for plan, peak in zip(plans, with_peak):
+    for i, (plan, peak) in enumerate(zip(plans, with_peak)):
         host, trace = plan.path.device.host, CommandTrace()
         overhead = plan.path.device.command_overhead_ns
-        mains.append((lane(plan, "main", host.per_request_ns + overhead, trace), trace))
+        main = lane(plan, "main", host.per_request_ns + overhead, trace)
+        main.done = finish(i, plan, trace)
+        mains.append(main)
         # the unconstrained interface has no per-request or command overhead
         trace = CommandTrace()
         peaks.append(
             (lane(plan, "peak", INFINITE_HOST.per_request_ns, trace), trace) if peak else None
         )
-    lockstep(inputs, [m for m, _ in mains] + [p for p, _ in filter(None, peaks)])
-    replays = [
-        MainReplay(plan, trace.meta, main.ends)
-        for plan, (main, trace) in zip(plans, mains)
-    ]
+    lockstep(inputs, mains + [p for p, _ in filter(None, peaks)])
     peak_mb = [
         None if p is None else p[1].aggregate_mb(plan.nbytes)
         for plan, p in zip(plans, peaks)
     ]
-    return replays, peak_mb
+    return results, peak_mb

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from ..cluster.ion import IonServiceConfig, simulate_ion_service
@@ -116,6 +117,13 @@ def simulate_packet_ion(
     return report, port
 
 
+@lru_cache(maxsize=16)
+def _healthy_mb(cfg: IonServiceConfig) -> float:
+    """Per-client MB/s of the loss-free bulk-wire co-sim: the same for
+    every loss rate and seed, so run once per (frozen) configuration."""
+    return simulate_ion_service(cfg).per_client_mb
+
+
 def calibrate_fabric(
     loss_rate: float,
     net_seed: int = 0,
@@ -127,11 +135,11 @@ def calibrate_fabric(
 
     The healthy baseline comes from the stock bulk-wire co-sim (which
     the loss-0 packet path matches bit-for-bit); the degraded number
-    from the packetized run.  Budget exhaustion is caught and reported
-    as ``unreachable`` with factor 0.0 — typed, never a hang.
+    from the packetized run; the baseline runs once per ``cfg``.  Budget
+    exhaustion is caught and reported as ``unreachable`` with factor
+    0.0 — typed, never a hang.
     """
-    healthy = simulate_ion_service(cfg)
-    healthy_mb = healthy.per_client_mb
+    healthy_mb = _healthy_mb(cfg)
     spec = NetFaultSpec(seed=net_seed, loss_rate=loss_rate,
                         mtu_bytes=mtu_bytes)
     try:

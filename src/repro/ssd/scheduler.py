@@ -58,7 +58,7 @@ the two halves directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Generator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -547,23 +547,23 @@ class FlatResources:
         return res
 
 
-def _chain(x: np.ndarray, b: np.ndarray, key: np.ndarray, free: np.ndarray) -> np.ndarray:
+def _chain(
+    x: np.ndarray, b: np.ndarray, key: np.ndarray, free: np.ndarray, out: np.ndarray
+) -> None:
     """One resource of the READ recurrence over rows in submission order.
 
     Row ``i`` starts at ``max(x_i, end of the previous row on key_i)``
     and holds the resource ``b_i`` ns; the first row on a key waits for
-    ``free[key]``.  Returns every row's end and advances ``free``.  A
-    stable sort groups the rows by key, keeping each key's rows in
-    submission order, and :func:`_scan` runs the groups.
+    ``free[key]``.  Writes every row's end into ``out`` and advances
+    ``free``.  A stable sort groups the rows by key, keeping
+    each key's rows in submission order, and :func:`_scan` runs the
+    groups.
     """
     # small keys sort by radix
     order = np.argsort(
         key.astype(np.uint16) if len(free) <= 1 << 16 else key, kind="stable"
     )
-    y = _scan(x[order], b[order], key[order], free)
-    out = np.empty_like(y)
-    out[order] = y
-    return out
+    out[order] = _scan(x[order], b[order], key[order], free)
 
 
 def _scan(x: np.ndarray, b: np.ndarray, k: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -609,7 +609,7 @@ def block_recurrence(
     fb: np.ndarray,
     hb: np.ndarray,
     cmd: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """:func:`recurrence` over one READ block of each of many lanes.
 
     The rows are the blocks concatenated, lanes ascending: row ``i``
@@ -620,18 +620,21 @@ def block_recurrence(
     max-plus scans (:func:`_scan`), exact in int64 whatever the
     columns' integer dtype.  ``unit`` is lane-local; ``res``'s tables
     give its die, package and channel.  Returns the rows' cell,
-    flash-bus, channel and host ends and advances ``res``; the starts
-    are the ends less the durations.
+    flash-bus, channel and host ends as the rows of one int64
+    ``(4, rows)`` array and advances ``res``; the starts are the ends
+    less the durations.
     """
+    ends = np.empty((4, len(unit)), dtype=np.int64)
+    c_end, f_end, s_end, h_end = ends
     unit_k = unit + res.unit0[lane]
     x = np.maximum(arrival, res.plane_free[unit_k])
-    c_end = _chain(x, cell_ns, res.die_of[unit_k], res.die_free)
-    f_end = _chain(c_end, fb, res.pkg_of[unit_k], res.pkg_free)
+    _chain(x, cell_ns, res.die_of[unit_k], res.die_free, c_end)
+    _chain(c_end, fb, res.pkg_of[unit_k], res.pkg_free, f_end)
     busy = np.add(cmd, fb, dtype=np.int64)
-    s_end = _chain(f_end, busy, res.chan_of[unit_k], res.chan_free)
+    _chain(f_end, busy, res.chan_of[unit_k], res.chan_free, s_end)
     res.plane_free[unit_k] = s_end  # registers drain with the bus
-    h_end = _scan(s_end, hb, lane, res.host_free)
-    return c_end, f_end, s_end, h_end
+    h_end[:] = _scan(s_end, hb, lane, res.host_free)
+    return ends
 
 
 # ----------------------------------------------------------------------
@@ -646,10 +649,12 @@ def block_recurrence(
 # lanes' resource state side by side in one :class:`FlatResources`.
 # When a lane's command ends, its completion goes back to the lane's
 # command source, which answers with the next command's rows and
-# arrival.  Vectorizing pays only with width: once a step has fewer
-# than :data:`BREAK_EVEN_ROWS` rows, every remaining lane finishes on
-# the scalar :func:`recurrence`.  Both kernels compute the same int64
-# timeline, so the switch point never shows in a result.
+# arrival; when the source runs out, the lane leaves the lockstep and
+# hands its recorded ends to its ``done`` hook.  Vectorizing pays only
+# with width: once a step has fewer than :data:`BREAK_EVEN_ROWS` rows,
+# every remaining lane finishes on the scalar :func:`recurrence`.  Both
+# kernels compute the same int64 timeline, so the switch point never
+# shows in a result.
 
 #: a step narrower than this many rows sends every remaining lane to
 #: the scalar recurrence: below it the per-step numpy overhead costs
@@ -660,6 +665,10 @@ BREAK_EVEN_ROWS = 512
 #: a lane's command source: yields ``(lo, hi, arrival)`` windows of the
 #: lane's rows and is sent each window's completion
 Commands = Generator[tuple[int, int, int], int, None]
+
+
+def _no_ends() -> np.ndarray:
+    return np.empty((4, 0), dtype=np.int64)
 
 
 @dataclass
@@ -673,10 +682,16 @@ class Lane:
     lo: int
     n: int
     commands: Commands
-    #: keep the rows' interval ends (in replay order) in ``ends``; the
-    #: commands of a recording lane must cover each of its rows once
+    #: keep the rows' cell, flash-bus, channel and host ends (in replay
+    #: order) in the rows of ``ends``, an int64 ``(4, n)`` buffer of the
+    #: lane's own; the commands of a recording lane must cover each of
+    #: its rows once
     record: bool = False
-    ends: list[np.ndarray] = field(default_factory=list)
+    ends: np.ndarray = field(default_factory=_no_ends)
+    #: called with ``ends`` as soon as the command source is exhausted,
+    #: while the other lanes go on; the lane then drops them, so a hook
+    #: that keeps nothing frees them before :func:`lockstep` returns
+    done: Optional[Callable[[np.ndarray], None]] = None
 
 
 def _next_window(commands: Commands, done: Optional[int]):
@@ -691,12 +706,40 @@ def _next_window(commands: Commands, done: Optional[int]):
     return lo, hi, arrival
 
 
+def _retire(lane: Lane) -> None:
+    """Hand a finished lane's ends to its hook, keeping no reference."""
+    if lane.done is not None:
+        ends, lane.ends = lane.ends, _no_ends()
+        lane.done(ends)
+
+
+def _lane_block_ends(unit: np.ndarray, lanes: Sequence[Lane]) -> np.ndarray:
+    """:func:`block_ends` over each lane's rows, in input row numbers.
+
+    Each distinct lane row range gets its own call, so no transient
+    spans all of ``unit``.  A row's end depends only on the rows from it
+    on, and a block also stops at its command's end, which never passes
+    the lane's last row: so the blocks are the ones the whole input
+    gives.  (Partly overlapping ranges, which no caller makes, would
+    only cut some blocks short.)  Rows no lane covers stay unset.
+    """
+    stop = np.empty(len(unit), dtype=np.int32 if len(unit) < 2**31 else np.int64)
+    for lo, hi in sorted({(lane.lo, lane.lo + lane.n) for lane in lanes}):
+        stop[lo:hi] = block_ends(unit[lo:hi])
+        stop[lo:hi] += lo
+    return stop
+
+
 def lockstep(inputs: StepCols, lanes: Sequence[Lane]) -> None:
     """Replay every lane to the end of its command source.
 
     ``inputs`` hold every lane's rows; lane rows must be READs.  A
     recording lane's ``ends`` become its rows' cell, flash-bus, channel
-    and host ends in replay order.
+    and host ends in replay order, one slice copy per block step.  A
+    lane's ``done`` hook runs the moment its commands run out, in the
+    block loop or after its scalar tail, and the lane drops its ends
+    then.  Blocks are found over each lane's row range, never over all
+    of ``inputs`` at once.
     """
     n_lanes = len(lanes)
     res = FlatResources([lane.geom for lane in lanes])
@@ -709,16 +752,14 @@ def lockstep(inputs: StepCols, lanes: Sequence[Lane]) -> None:
     comp = np.zeros(n_lanes, dtype=np.int64)  # current command's completion
 
     rec = np.array([lane.record for lane in lanes], dtype=bool)
-    sizes = np.array([lane.n if lane.record else 0 for lane in lanes], dtype=np.int64)
-    log0 = np.cumsum(sizes) - sizes
     at = np.zeros(n_lanes, dtype=np.int64)  # rows recorded so far
-    rec_cols = [np.empty(int(sizes.sum()), dtype=np.int64) for _ in range(4)]
-    for k, lane in enumerate(lanes):
+    for lane in lanes:
         if lane.record:
-            lane.ends = [col[log0[k] : log0[k] + lane.n] for col in rec_cols]
+            lane.ends = np.empty((4, lane.n), dtype=np.int64)
 
     def start(k: int, window) -> bool:
         if window is None:
+            _retire(lanes[k])
             return False
         lo, end, arr = window
         pos[k] = lanes[k].lo + lo
@@ -734,34 +775,35 @@ def lockstep(inputs: StepCols, lanes: Sequence[Lane]) -> None:
     # before building any block structure, so narrow batches pay nothing
     units = np.array([lane.geom.plane_units for lane in lanes], dtype=np.int64)
     if live.size and int(np.minimum(hi - pos, units)[live].sum()) >= BREAK_EVEN_ROWS:
-        ends = block_ends(inputs.unit)
+        stop = _lane_block_ends(inputs.unit, lanes)
         while live.size:
             s = pos[live]
-            e = np.minimum(ends[s], hi[live])
+            e = np.minimum(stop[s], hi[live])
             rows = e - s
             width = int(rows.sum())
             if width < BREAK_EVEN_ROWS:
                 break
             first = np.cumsum(rows) - rows
-            steps = np.arange(width, dtype=np.int64)
-            idx = np.repeat(s - first, rows) + steps
+            idx = np.repeat(s - first, rows) + np.arange(width, dtype=np.int64)
             row_lane = np.repeat(live, rows)
             fb, hb, cmd = link_times(
                 inputs.nbytes[idx], inputs.shared[idx],
                 bus[row_lane], host[row_lane], cmd_ns[row_lane],
             )
-            c_end, f_end, s_end, h_end = block_recurrence(
+            out = block_recurrence(
                 res, arrival[row_lane], row_lane, inputs.unit[idx], inputs.cell_ns[idx],
                 fb, hb, cmd,
             )
             r = rec[live]
             if r.any():
-                keep = rec[row_lane]
-                dest = (np.repeat(log0[live] + at[live] - first, rows) + steps)[keep]
-                for col, val in zip(rec_cols, (c_end, f_end, s_end, h_end)):
-                    col[dest] = val[keep]
-                at[live] += rows
-            comp[live] = np.maximum(comp[live], h_end[first + rows - 1])
+                kept, kept_rows = live[r], rows[r]
+                for k, f, n, a in zip(
+                    kept.tolist(), first[r].tolist(), kept_rows.tolist(),
+                    at[kept].tolist(),
+                ):
+                    lanes[k].ends[:, a : a + n] = out[:, f : f + n]
+                at[kept] += kept_rows
+            comp[live] = np.maximum(comp[live], out[3, first + rows - 1])
             pos[live] = e
             ended = e == hi[live]
             if ended.any():
@@ -775,6 +817,7 @@ def lockstep(inputs: StepCols, lanes: Sequence[Lane]) -> None:
         _finish_scalar(inputs, lanes[k], res.lane(k),
                        int(pos[k]), int(hi[k]), int(arrival[k]), int(comp[k]),
                        int(at[k]))
+        _retire(lanes[k])
 
 
 def _finish_scalar(
@@ -815,8 +858,8 @@ def _finish_scalar(
             break
         lo, hi, arrival = nxt
         comp = arrival
-    for col, vals in zip(lane.ends, ends):
-        col[at : at + k] = vals[:k]
+    if ends:
+        lane.ends[:, at : at + k] = [vals[:k] for vals in ends]
 
 
 class TransactionScheduler:

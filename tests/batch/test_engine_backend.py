@@ -232,6 +232,101 @@ class TestStreaming:
                 assert got.metrics is None
 
 
+class TestEndsRelease:
+    """A finished cell's recorded ends are measured and freed while the
+    lockstep steps the other cells on."""
+
+    @pytest.mark.parametrize("break_even", [1, None])
+    def test_finished_cells_ends_die_before_the_next_cell_finishes(
+        self, monkeypatch, break_even
+    ):
+        import weakref
+
+        import repro.batch.backend as backend_mod
+        import repro.batch.scheduler as replay_mod
+        import repro.ssd.scheduler as kernel_mod
+        from repro.batch import run_cells_batch
+
+        if break_even is not None:  # every lane on the block kernel
+            monkeypatch.setattr(kernel_mod, "BREAK_EVEN_ROWS", break_even)
+        steps = 0
+        real_block = kernel_mod.block_recurrence
+
+        def block(*args):
+            nonlocal steps
+            steps += 1
+            return real_block(*args)
+
+        inside = False
+        real_lockstep = replay_mod.lockstep
+
+        def lockstep(*args):
+            nonlocal inside
+            inside = True
+            try:
+                real_lockstep(*args)
+            finally:
+                inside = False
+
+        refs: list = []
+        finished_at: list[int] = []
+        real_assemble = backend_mod.assemble_log
+
+        def assemble(lane, meta, ends):
+            assert inside, "a cell was measured after the lockstep returned"
+            assert all(ref() is None for ref in refs), "an earlier cell's ends live on"
+            refs.append(weakref.ref(ends))
+            finished_at.append(steps)
+            return real_assemble(lane, meta, ends)
+
+        monkeypatch.setattr(kernel_mod, "block_recurrence", block)
+        monkeypatch.setattr(replay_mod, "lockstep", lockstep)
+        monkeypatch.setattr(backend_mod, "assemble_log", assemble)
+        results, _ = run_cells_batch(CELLS, TINY, 1013)
+        assert set(results) == set(CELLS) and len(refs) == len(CELLS)
+        assert all(ref() is None for ref in refs)
+        if break_even is not None:
+            # the lanes leave the block loop at different steps
+            assert steps > 0 and len(set(finished_at)) > 1
+
+
+def test_batch_metrics_seconds_are_the_in_hook_metrics_calls(monkeypatch):
+    """Under streaming, each cell's metrics call runs inside the
+    lockstep; the report counts it as metrics time, once, and takes it
+    out of the lockstep's share."""
+    import math
+    import time
+
+    import repro.batch.backend as backend_mod
+    from repro.batch import run_cells_batch
+
+    spent: list[float] = []
+    real = backend_mod.compute_metrics_batch
+
+    def measure(*args, **kwargs):
+        t0 = time.perf_counter()
+        time.sleep(0.02)  # big enough to show if counted twice
+        m = real(*args, **kwargs)
+        spent.append(time.perf_counter() - t0)
+        return m
+
+    monkeypatch.setattr(backend_mod, "compute_metrics_batch", measure)
+    t0 = time.perf_counter()
+    _, report = run_cells_batch(CELLS, TINY, 1013)
+    wall = time.perf_counter() - t0
+    assert len(spent) == len(CELLS)
+    phases = (
+        report.plan_seconds + report.stack_seconds
+        + report.replay_seconds + report.metrics_seconds
+    )
+    assert math.fsum(report.seconds.values()) == pytest.approx(phases, rel=1e-9)
+    assert report.metrics_seconds >= math.fsum(spent)
+    assert report.metrics_seconds == pytest.approx(math.fsum(spent), abs=1e-3 * len(CELLS))
+    # not also folded into the lockstep share
+    assert phases <= wall
+    assert report.replay_seconds > 0
+
+
 @pytest.mark.chaos
 class TestChaosBypassesBatch:
     def test_fault_injected_run_skips_batch_and_matches(self):

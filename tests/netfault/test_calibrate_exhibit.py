@@ -64,6 +64,27 @@ class TestCalibration:
         assert a.degraded_mb == b.degraded_mb
         assert a.link == b.link
 
+    def test_healthy_cosim_runs_once_per_config(self, monkeypatch):
+        """The loss-free baseline depends on the configuration alone: a
+        calibration at another seed reuses it and equals a cold one."""
+        import repro.netfault.calibrate as calibrate_mod
+
+        calls = []
+
+        def spy(cfg):
+            calls.append(cfg)
+            return simulate_ion_service(cfg)
+
+        monkeypatch.setattr(calibrate_mod, "simulate_ion_service", spy)
+        calibrate_mod._healthy_mb.cache_clear()
+        calibrate_fabric(0.1, net_seed=1, cfg=SMALL_ION)
+        assert calls == [SMALL_ION]
+        warm = calibrate_fabric(0.1, net_seed=2, cfg=SMALL_ION)
+        assert calls == [SMALL_ION]
+        calibrate_mod._healthy_mb.cache_clear()
+        assert warm == calibrate_fabric(0.1, net_seed=2, cfg=SMALL_ION)
+        assert calls == [SMALL_ION, SMALL_ION]
+
 
 class TestExhibitGolden:
     """Loss-0 row of the exhibit == the stock experiment matrix."""

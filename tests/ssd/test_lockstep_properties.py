@@ -1,7 +1,8 @@
 """Property tests: the block kernel and the lockstep replay.
 
 * :func:`~repro.ssd.scheduler.block_ends` finds each row's longest
-  run of distinct plane units.
+  run of distinct plane units, and over one plan's row range gives
+  what it gives over the whole stack, clipped at the plan's end.
 * The die, package and channel tables a lockstep step gathers from
   (:class:`~repro.ssd.scheduler.FlatResources`) equal
   :func:`~repro.ssd.scheduler.prepass`'s decode of every row, lane by
@@ -21,7 +22,8 @@
   the scalar recurrence falls; over narrow copies of its inputs, as
   the batch planner stacks them (uint16 plane units, int32 cell times
   and payloads, a one-byte sharing flag), it must give what the int64
-  inputs give.
+  inputs give.  A lane's ``done`` hook receives, once, the ends the
+  lane would otherwise keep.
 """
 
 from __future__ import annotations
@@ -232,6 +234,33 @@ def test_block_ends_are_the_longest_distinct_runs(units):
     assert got == [run_end(i) for i in range(len(units))]
 
 
+@given(
+    units=st.lists(st.integers(0, 6), min_size=1, max_size=60).map(
+        lambda u: np.asarray(u, dtype=np.uint16)
+    ),
+    cuts=st.sets(st.integers(0, 60), max_size=6),
+)
+def test_block_ends_per_plan_equal_the_clipped_whole_stack(units, cuts):
+    """The lockstep runs :func:`block_ends` over each plan's row range of
+    the stacked units, not over the whole stack: clipped at the plan's
+    end, both give every row the same block end."""
+    n = len(units)
+    bounds = [0, *sorted(c for c in cuts if 0 < c < n), n]
+    whole = block_ends(units)
+    for lo, hi in zip(bounds, bounds[1:]):
+        got = block_ends(units[lo:hi]) + lo
+        assert got.tolist() == np.minimum(whole[lo:hi], hi).tolist()
+    # the lockstep's own helper, over lanes of those ranges (two per
+    # range, as a cell's main and peak lanes)
+    lanes = [
+        Lane(None, None, lo, hi - lo, iter(()))  # type: ignore[arg-type]
+        for lo, hi in zip(bounds, bounds[1:]) for _ in range(2)
+    ]
+    stop = kernel_mod._lane_block_ends(units, lanes)
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert np.minimum(stop[lo:hi], hi).tolist() == np.minimum(whole[lo:hi], hi).tolist()
+
+
 @given(lanes=read_lanes())
 @settings(max_examples=150, deadline=None)
 def test_block_kernel_matches_recurrence(lanes):
@@ -428,6 +457,35 @@ def test_lockstep_matches_per_lane_device_runs(run):
                     assert np.array_equal(got[col], log[col]), col
         if switch.checks <= j:  # this run never reached switch point j
             break
+
+
+@given(run=planned_devices(), block=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_done_hooks_receive_the_recorded_ends(run, block):
+    """A lane's ``done`` hook runs once, as its commands run out, and
+    receives the ends the lane records without a hook, whether it
+    finishes in the block loop or on the scalar tail; the lane keeps
+    none of them."""
+    devices, bases = run
+    offsets = np.cumsum([0] + [d["n"] for d in devices]).tolist()
+    runs = []
+    for hooked in (False, True):
+        traces, lanes = _planned_lanes(devices, offsets)
+        got: dict = {}
+        if hooked:
+            for key, lane in lanes.items():
+                lane.done = lambda ends, key=key: got.setdefault(key, []).append(ends)
+        with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", 1 if block else 1 << 40):
+            lockstep(_inputs(bases[0]), list(lanes.values()))
+        if hooked:
+            assert all(len(got[key]) == 1 for key in lanes)
+            assert all(lane.ends.shape == (4, 0) for lane in lanes.values())
+            runs.append({key: ends for key, (ends,) in got.items()})
+        else:
+            runs.append({key: lane.ends for key, lane in lanes.items()})
+    want, got = runs
+    for key, ends in got.items():
+        assert ends.dtype == np.int64 and np.array_equal(ends, want[key]), key
 
 
 @given(run=planned_devices())
