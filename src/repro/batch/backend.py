@@ -7,11 +7,14 @@ pays one vectorized plan per cell, three narrow stacked input columns
 per row (:func:`~repro.batch.plan.stack_plans`), and one lockstep
 replay of every cell's main and peak lane (:mod:`repro.batch.scheduler`)
 that derives each step's resource ids and link times; the peak lane
-yields its aggregate bandwidth without a log.  Each main lane is
-measured the moment its commands run out, inside the lockstep: its
-rows are pre-passed, its log assembled from its recorded ends,
-measured by the metrics pass and dropped with the ends, so the matrix
-holds one log at a time and only the unfinished cells' ends.  The
+yields its aggregate bandwidth without a log.  Each main lane has a
+``done`` hook, so it alone records its rows' four interval ends, and
+is measured the moment its commands run out, inside the lockstep: its
+rows are pre-passed, its log assembled from the ends by
+:func:`~repro.ssd.scheduler.assemble_log` (the one builder of every
+transaction log, the scalar path's included), measured by the metrics
+pass and dropped with the ends, so the matrix holds one log at a time
+and only the unfinished cells' ends.  The
 metrics pass replays the media pattern peak only when the caller
 keeps :class:`~repro.ssd.metrics.RunMetrics` (``keep_metrics=True``):
 no :class:`ConfigResult` field reads it.
@@ -168,9 +171,9 @@ def run_cells_batch(
 
     def measure(main: MainReplay) -> RunMetrics:
         plan = main.plan
-        begun = time.perf_counter()
+        t0 = time.perf_counter()
         log = assemble_log(plan.lane("main"), main.meta, main.ends)
-        built = time.perf_counter()
+        t1 = time.perf_counter()
         # the pattern peak only feeds RunMetrics, so it is replayed
         # only when the caller keeps them
         m = compute_metrics_batch(
@@ -178,7 +181,7 @@ def run_cells_batch(
             pattern_peak=keep_metrics,
         )
         hook_seconds[(plan.label, plan.kind_name)] = (
-            built - begun, time.perf_counter() - built,
+            t1 - t0, time.perf_counter() - t1,
         )
         return m
 

@@ -144,10 +144,8 @@ class CellPlan:
         """Every pre-passed column of this cell's rows on ``link``: one
         :func:`~repro.ssd.scheduler.prepass` of the plan's rows."""
         device = self.path.device
-        (cols,) = prepass(
-            MediaConsts.of(device.geom, self.kind), (self.link(link),), *self.txns()
-        )
-        return cols
+        media = MediaConsts.of(device.geom, self.kind)
+        return prepass(media, self.link(link), *self.txns())
 
 
 def plan_cell(
@@ -193,8 +191,6 @@ def plan_cell(
     if need > device.ftl.n_logical_pages * pb:
         raise BatchUnsupported("layout exceeds device logical space")
     npages = -(-need // pb)
-    if npages > device.ftl.n_logical_pages:
-        raise BatchUnsupported("preload exceeds logical space")
     if npages > _ROW_MAX:
         raise BatchUnsupported("page numbers exceed the int32 row columns")
 

@@ -129,13 +129,15 @@ def replay_plans(
     inputs = plans[0].inputs  # every plan's: they come from one stack_plans call
     assert inputs is not None and all(p.inputs is inputs for p in plans)
 
-    def lane(plan: CellPlan, name: str, per_req_ns: int, trace: CommandTrace) -> Lane:
+    def lane(
+        plan: CellPlan, name: str, per_req_ns: int, trace: CommandTrace,
+        done: Optional[Callable[[np.ndarray], None]] = None,
+    ) -> Lane:
         device = plan.path.device
         commands = planned_commands(
             plan.groups, plan.posix_window, per_req_ns, device.readahead_bytes, trace
         )
-        link = plan.link(name)
-        return Lane(device.geom, link, plan.row0, plan.n, commands, name == "main")
+        return Lane(device.geom, plan.link(name), plan.row0, plan.n, commands, done)
 
     results: list[T] = [cast(T, None)] * len(plans)
 
@@ -149,11 +151,9 @@ def replay_plans(
     mains: list[Lane] = []
     peaks: list[Optional[tuple[Lane, CommandTrace]]] = []
     for i, (plan, peak) in enumerate(zip(plans, with_peak)):
-        host, trace = plan.path.device.host, CommandTrace()
-        overhead = plan.path.device.command_overhead_ns
-        main = lane(plan, "main", host.per_request_ns + overhead, trace)
-        main.done = finish(i, plan, trace)
-        mains.append(main)
+        device, trace = plan.path.device, CommandTrace()
+        per_req_ns = device.host.per_request_ns + device.command_overhead_ns
+        mains.append(lane(plan, "main", per_req_ns, trace, finish(i, plan, trace)))
         # the unconstrained interface has no per-request or command overhead
         trace = CommandTrace()
         peaks.append(

@@ -10,13 +10,20 @@ against an explicit queueing simulation.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..interconnect.links import INFINIBAND_QDR_4X, LinkSpec
 from ..sim import Resource, Simulator
 from .network import SharedLink
 
-__all__ = ["IonServiceConfig", "IonServiceReport", "simulate_ion_service"]
+__all__ = [
+    "IonServiceConfig",
+    "IonServiceReport",
+    "ion_pipeline",
+    "simulate_ion_service",
+]
 
 KiB = 1024
 MiB = 1024 * 1024
@@ -58,17 +65,26 @@ class IonServiceReport:
 
 def simulate_ion_service(cfg: IonServiceConfig = IonServiceConfig()) -> IonServiceReport:
     """Run the CN<->ION request/response pipeline to completion."""
+    report, _ = ion_pipeline(
+        cfg, lambda sim, wire: SharedLink(sim, wire, name="ib-port")
+    )
+    return report
+
+
+def ion_pipeline(
+    cfg: IonServiceConfig, port: Callable[[Simulator, LinkSpec], SharedLink]
+) -> tuple[IonServiceReport, SharedLink]:
+    """Run the CN<->ION pipeline over the shared IB port that ``port``
+    builds from the simulator and the wire (the link scaled to the
+    transport's payload efficiency).  Returns the report and the port."""
     if cfg.clients < 1 or cfg.bytes_per_client < cfg.rpc_bytes:
         raise ValueError("need at least one client and one RPC of data")
     sim = Simulator()
-    # scale the wire to the transport's payload efficiency
-    import dataclasses
-
-    wire_spec = dataclasses.replace(
+    wire = dataclasses.replace(
         cfg.link,
         packet_efficiency=cfg.link.packet_efficiency * cfg.transport_efficiency,
     )
-    port = SharedLink(sim, wire_spec, name="ib-port")
+    link = port(sim, wire)
     nsd = Resource(sim, capacity=cfg.nsd_threads, name="nsd-threads")
     ssd = Resource(sim, capacity=1, name="ion-ssd")
     ssd_ns_per_rpc = int(cfg.rpc_bytes * 1e9 / cfg.ssd_bytes_per_sec)
@@ -84,7 +100,7 @@ def simulate_ion_service(cfg: IonServiceConfig = IonServiceConfig()) -> IonServi
                 yield sim.timeout(ssd_ns_per_rpc)
             finally:
                 ssd.release()
-            yield from port.transfer(cfg.rpc_bytes)
+            yield from link.transfer(cfg.rpc_bytes)
         finally:
             nsd.release()
 
@@ -114,5 +130,5 @@ def simulate_ion_service(cfg: IonServiceConfig = IonServiceConfig()) -> IonServi
     report.aggregate_bytes_per_sec = (
         cfg.clients * cfg.bytes_per_client * 1e9 / end if end > 0 else 0.0
     )
-    report.link_utilization = port.utilization(end)
-    return report
+    report.link_utilization = link.utilization(end)
+    return report, link

@@ -358,8 +358,15 @@ class _Evaluator:
     def _closure_taint(
         self, node: ast.Lambda | ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Taint:
-        """A nested callable: unpicklable, plus whatever it captures."""
+        """A nested callable: unpicklable, plus whatever it captures.
+
+        It captures the enclosing taint of every name it loads but does
+        not bind itself: its parameters and its own assignment, import
+        and def targets are its locals, unless it declares them
+        ``nonlocal`` or ``global``."""
         own: set[str] = set()
+        shared: set[str] = set()
+        loads: list[str] = []
         body = node.body if isinstance(node.body, list) else [node.body]
         args = node.args
         for a in args.posonlyargs + args.args + args.kwonlyargs:
@@ -368,15 +375,26 @@ class _Evaluator:
             own.add(args.vararg.arg)
         if args.kwarg:
             own.add(args.kwarg.arg)
-        captured: list[Taint] = []
         for sub in body:
             for n in walk(sub):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                    if n.id in own:
-                        continue
-                    t = self.scope.taints.get(n.id)
-                    if t:
-                        captured.append(t)
+                if isinstance(n, ast.Name):
+                    if isinstance(n.ctx, ast.Load):
+                        loads.append(n.id)
+                    else:
+                        own.add(n.id)
+                elif isinstance(
+                    n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    own.add(n.name)
+                elif isinstance(n, ast.alias):
+                    own.add((n.asname or n.name).split(".")[0])
+                elif isinstance(n, (ast.Global, ast.Nonlocal)):
+                    shared.update(n.names)
+        own -= shared
+        taints = self.scope.taints
+        captured = [
+            t for name in loads if name not in own and (t := taints.get(name))
+        ]
         kind = "lambda"
         origin = self._at(
             "lambda" if isinstance(node, ast.Lambda) else f"def {node.name}",

@@ -5,7 +5,8 @@ The Table-2 experiment matrix reaches the ION analytically
 GPFS host path), so fabric loss cannot be injected there directly.
 This module runs the explicit DES pipeline of
 :func:`repro.cluster.ion.simulate_ion_service` — clients, NSD threads,
-SSD, shared IB port — with the port swapped for a
+SSD, shared IB port (:func:`repro.cluster.ion.ion_pipeline`) — with
+the port swapped for a
 :class:`~repro.netfault.link.PacketLink`, and reports the **delivered
 bandwidth factor**: degraded aggregate bandwidth over the healthy run's.
 
@@ -17,14 +18,12 @@ under fabric degradation without forking the experiment pipeline.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from ..cluster.ion import IonServiceConfig, simulate_ion_service
+from ..cluster.ion import IonServiceConfig, ion_pipeline, simulate_ion_service
 from ..faults.errors import LinkUnreachable
-from ..sim import Resource, Simulator
 from .link import PacketLink
 from .spec import NetFaultSpec
 from .stats import NetStatsRecorder
@@ -54,67 +53,13 @@ def simulate_packet_ion(
     the shared IB port packetized.  Returns ``(report, link)``; raises
     :class:`~repro.faults.errors.LinkUnreachable` out of the DES when
     the retransmission budget is exhausted."""
-    from ..cluster.ion import IonServiceReport
-
-    if cfg.clients < 1 or cfg.bytes_per_client < cfg.rpc_bytes:
-        raise ValueError("need at least one client and one RPC of data")
-    if netfault is None:
-        netfault = NetFaultSpec()
-    sim = Simulator()
-    wire_spec = dataclasses.replace(
-        cfg.link,
-        packet_efficiency=cfg.link.packet_efficiency * cfg.transport_efficiency,
+    spec = NetFaultSpec() if netfault is None else netfault
+    return ion_pipeline(
+        cfg,
+        lambda sim, wire: PacketLink(
+            sim, wire, spec, name="ib-port", fault_model=fault_model, stats=stats
+        ),
     )
-    port = PacketLink(
-        sim, wire_spec, netfault, name="ib-port", fault_model=fault_model,
-        stats=stats,
-    )
-    nsd = Resource(sim, capacity=cfg.nsd_threads, name="nsd-threads")
-    ssd = Resource(sim, capacity=1, name="ion-ssd")
-    ssd_ns_per_rpc = int(cfg.rpc_bytes * 1e9 / cfg.ssd_bytes_per_sec)
-    finish: dict[int, int] = {}
-
-    def rpc(client: int):
-        yield sim.timeout(cfg.rpc_overhead_ns)
-        yield nsd.acquire()
-        try:
-            yield ssd.acquire()
-            try:
-                yield sim.timeout(ssd_ns_per_rpc)
-            finally:
-                ssd.release()
-            yield from port.transfer(cfg.rpc_bytes)
-        finally:
-            nsd.release()
-
-    def client_proc(client: int):
-        n_rpcs = cfg.bytes_per_client // cfg.rpc_bytes
-        outstanding = []
-        for _i in range(n_rpcs):
-            while len(outstanding) >= cfg.client_window:
-                done = outstanding.pop(0)
-                if not done.triggered:
-                    yield done
-            outstanding.append(sim.process(rpc(client)))
-        for p in outstanding:
-            if not p.triggered:
-                yield p
-        finish[client] = sim.now
-
-    for c in range(cfg.clients):
-        sim.process(client_proc(c))
-    end = sim.run()
-
-    report = IonServiceReport(makespan_ns=end)
-    for c, t in finish.items():
-        report.per_client_bytes_per_sec[c] = (
-            cfg.bytes_per_client * 1e9 / t if t > 0 else 0.0
-        )
-    report.aggregate_bytes_per_sec = (
-        cfg.clients * cfg.bytes_per_client * 1e9 / end if end > 0 else 0.0
-    )
-    report.link_utilization = port.utilization(end)
-    return report, port
 
 
 @lru_cache(maxsize=16)

@@ -198,7 +198,7 @@ def media_pattern_peak(log: TxnLog, geom: Geometry, kind: NVMKind) -> float:
         lockstep(step_cols(media, *rows), [lane])
         (end,) = done
     else:
-        (cols,) = prepass(media, (link,), *rows)
+        cols = prepass(media, link, *rows)
         end = recurrence(cols.lists(), 0, n, 0, Resources(geom))
     payload = int(log["nbytes"][log["kind_code"] == 0].sum())
     return payload * 1e9 / end if end > 0 else 0.0

@@ -44,20 +44,23 @@ The timing kernel has two halves, shared by every replay:
   lanes through it side by side (the batch backend's planned cells),
   and steps every all-READ pattern peak of :mod:`repro.ssd.metrics`.
 
-:class:`TransactionScheduler` pre-passes each submitted command's
-transaction block (the FTL's int64 ``(n, 5)`` columns,
-:data:`~repro.ssd.ftl.TXN_COLUMNS`) as is and runs it through the
-scalar recurrence; :meth:`TransactionScheduler.finish` builds the
-23-column log from the submitted blocks' pre-passed columns,
-concatenated.  The lockstep replay builds its log from one gather of
-the lane's pre-pass (:func:`assemble_log`).  The media pattern peak of
-a log with writes (:func:`repro.ssd.metrics.media_pattern_peak`) calls
-the two halves directly.
+Every replay records the same four numbers per row: its cell,
+flash-bus, channel and host ends.  :func:`assemble_log` alone builds
+the 23-column log (:class:`TxnLog`) from them, the replayed commands
+and the rows' pre-pass, deriving each start as the end less the row's
+duration there.  :class:`TransactionScheduler` pre-passes each
+submitted command's transaction block (the FTL's int64 ``(n, 5)``
+columns, :data:`~repro.ssd.ftl.TXN_COLUMNS`) as is, runs it through the
+scalar recurrence and keeps the pre-pass and the ends for
+:meth:`TransactionScheduler.finish`; a lockstep lane hands its ends to
+its ``done`` hook.  The media pattern peak of a log with writes
+(:func:`repro.ssd.metrics.media_pattern_peak`) calls the two halves
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Generator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -141,12 +144,6 @@ _ROW_COLS = {
     "flat": "flat",
     "pib": "pib",
 }
-
-#: log columns of :func:`recurrence`'s ``out``, in its order
-_BOUND_COLS = (
-    "cell_start", "cell_end", "fb_start", "fb_end",
-    "ch_start", "ch_end", "h_start", "h_end",
-)
 
 @dataclass
 class TxnLog:
@@ -316,26 +313,23 @@ def step_cols(
 
 def prepass(
     media: MediaConsts,
-    links: Sequence[Link],
+    link: Link,
     op: np.ndarray,
     flat: np.ndarray,
     nbytes: np.ndarray,
     group: np.ndarray,
     pib: np.ndarray,
     same_cmd: Optional[np.ndarray] = None,
-) -> list[LaneCols]:
-    """Every per-row timing input of a transaction stream, one lane per
-    link: :func:`step_cols`, the unit's decode and the link's times."""
+) -> LaneCols:
+    """Every per-row timing input of a transaction stream on ``link``:
+    :func:`step_cols`, the unit's decode and the link's times."""
     step = step_cols(media, op, flat, nbytes, group, pib, same_cmd)
     plane, chan, pkg, die = media.decode(step.unit)
-    lanes = []
-    for link in links:
-        fb, hb, cmd = link_times(nbytes, step.shared, *link)
-        lanes.append(LaneCols(
-            **vars(step), plane=plane, chan=chan, pkg=pkg, die=die,
-            fb=fb, hb=hb, cmd=cmd, op=op, flat=flat, group=group, pib=pib,
-        ))
-    return lanes
+    fb, hb, cmd = link_times(nbytes, step.shared, *link)
+    return LaneCols(
+        **vars(step), plane=plane, chan=chan, pkg=pkg, die=die,
+        fb=fb, hb=hb, cmd=cmd, op=op, flat=flat, group=group, pib=pib,
+    )
 
 
 class Resources:
@@ -363,16 +357,16 @@ def recurrence(
     hi: int,
     arrival: int,
     res: Resources,
-    out: Optional[list[list[int]]] = None,
+    out: Optional[Sequence[list[int]]] = None,
     at: int = 0,
 ) -> int:
     """Schedule rows ``lo:hi`` of ``cols`` (:meth:`LaneCols.lists`).
 
     Every row arrives at ``arrival``; ``res`` advances in place.  With
-    ``out``, the k-th row's interval bounds — cell, flash bus, channel
-    and host, start then end — land at index ``at + k`` of the eight
-    ``out`` lists.  Returns the latest completion: host transfer end
-    for reads, media completion for writes and erases.
+    ``out``, the k-th row's cell, flash-bus, channel and host ends land
+    at index ``at + k`` of the four ``out`` lists; an erase's bus and
+    host ends are its cell end.  Returns the latest completion: host
+    transfer end for reads, media completion for writes and erases.
     """
     op_l, unit_l, die_l, pkg_l, chan_l, cell_l, fb_l, hb_l, cmd_l = cols
     chan_free = res.chan_free
@@ -382,7 +376,7 @@ def recurrence(
     host_free = res.host_free
     record = out is not None
     if out is not None:
-        cs_l, ce_l, fs_l, fe_l, ss_l, se_l, hs_l, he_l = out
+        ce_l, fe_l, se_l, he_l = out
     READ, WRITE = OpCode.READ, OpCode.WRITE
     completion = arrival
     k = at
@@ -458,18 +452,14 @@ def recurrence(
             c_end = c_start + cell_l[i]
             die_free[die_g] = c_end
             plane_free[unit] = c_end
-            f_start = f_end = s_start = s_end = h_start = h_end = c_end
+            f_end = s_end = h_end = c_end
             if c_end > completion:
                 completion = c_end
 
         if record:
-            cs_l[k] = c_start
             ce_l[k] = c_end
-            fs_l[k] = f_start
             fe_l[k] = f_end
-            ss_l[k] = s_start
             se_l[k] = s_end
-            hs_l[k] = h_start
             he_l[k] = h_end
             k += 1
 
@@ -667,10 +657,6 @@ BREAK_EVEN_ROWS = 512
 Commands = Generator[tuple[int, int, int], int, None]
 
 
-def _no_ends() -> np.ndarray:
-    return np.empty((4, 0), dtype=np.int64)
-
-
 @dataclass
 class Lane:
     """One replay that :func:`lockstep` steps."""
@@ -682,15 +668,12 @@ class Lane:
     lo: int
     n: int
     commands: Commands
-    #: keep the rows' cell, flash-bus, channel and host ends (in replay
-    #: order) in the rows of ``ends``, an int64 ``(4, n)`` buffer of the
-    #: lane's own; the commands of a recording lane must cover each of
-    #: its rows once
-    record: bool = False
-    ends: np.ndarray = field(default_factory=_no_ends)
-    #: called with ``ends`` as soon as the command source is exhausted,
-    #: while the other lanes go on; the lane then drops them, so a hook
-    #: that keeps nothing frees them before :func:`lockstep` returns
+    #: a lane with a hook records its rows' cell, flash-bus, channel and
+    #: host ends, in replay order, and its commands must cover each of
+    #: its rows once; the hook receives them as an int64 ``(4, n)``
+    #: array as soon as the command source is exhausted, while the
+    #: other lanes go on, and :func:`lockstep` keeps no reference to
+    #: them after
     done: Optional[Callable[[np.ndarray], None]] = None
 
 
@@ -704,13 +687,6 @@ def _next_window(commands: Commands, done: Optional[int]):
     except StopIteration:
         return None
     return lo, hi, arrival
-
-
-def _retire(lane: Lane) -> None:
-    """Hand a finished lane's ends to its hook, keeping no reference."""
-    if lane.done is not None:
-        ends, lane.ends = lane.ends, _no_ends()
-        lane.done(ends)
 
 
 def _lane_block_ends(unit: np.ndarray, lanes: Sequence[Lane]) -> np.ndarray:
@@ -733,13 +709,13 @@ def _lane_block_ends(unit: np.ndarray, lanes: Sequence[Lane]) -> np.ndarray:
 def lockstep(inputs: StepCols, lanes: Sequence[Lane]) -> None:
     """Replay every lane to the end of its command source.
 
-    ``inputs`` hold every lane's rows; lane rows must be READs.  A
-    recording lane's ``ends`` become its rows' cell, flash-bus, channel
-    and host ends in replay order, one slice copy per block step.  A
-    lane's ``done`` hook runs the moment its commands run out, in the
-    block loop or after its scalar tail, and the lane drops its ends
-    then.  Blocks are found over each lane's row range, never over all
-    of ``inputs`` at once.
+    ``inputs`` hold every lane's rows; lane rows must be READs.  Each
+    lane with a ``done`` hook records its rows' cell, flash-bus, channel
+    and host ends in replay order into a buffer of its own, one slice
+    copy per block step, and its hook receives the buffer the moment
+    its commands run out, in the block loop or after its scalar tail.
+    Blocks are found over each lane's row range, never over all of
+    ``inputs`` at once.
     """
     n_lanes = len(lanes)
     res = FlatResources([lane.geom for lane in lanes])
@@ -751,15 +727,22 @@ def lockstep(inputs: StepCols, lanes: Sequence[Lane]) -> None:
     arrival = np.zeros(n_lanes, dtype=np.int64)
     comp = np.zeros(n_lanes, dtype=np.int64)  # current command's completion
 
-    rec = np.array([lane.record for lane in lanes], dtype=bool)
+    # the recording lanes' end buffers, dropped as each is handed over
+    ends = {
+        k: np.empty((4, lane.n), dtype=np.int64)
+        for k, lane in enumerate(lanes) if lane.done is not None
+    }
+    rec = np.array([lane.done is not None for lane in lanes], dtype=bool)
     at = np.zeros(n_lanes, dtype=np.int64)  # rows recorded so far
-    for lane in lanes:
-        if lane.record:
-            lane.ends = np.empty((4, lane.n), dtype=np.int64)
+
+    def retire(k: int) -> None:
+        done = lanes[k].done
+        if done is not None:
+            done(ends.pop(k))
 
     def start(k: int, window) -> bool:
         if window is None:
-            _retire(lanes[k])
+            retire(k)
             return False
         lo, end, arr = window
         pos[k] = lanes[k].lo + lo
@@ -801,7 +784,7 @@ def lockstep(inputs: StepCols, lanes: Sequence[Lane]) -> None:
                     kept.tolist(), first[r].tolist(), kept_rows.tolist(),
                     at[kept].tolist(),
                 ):
-                    lanes[k].ends[:, a : a + n] = out[:, f : f + n]
+                    ends[k][:, a : a + n] = out[:, f : f + n]
                 at[kept] += kept_rows
             comp[live] = np.maximum(comp[live], out[3, first + rows - 1])
             pos[live] = e
@@ -816,20 +799,22 @@ def lockstep(inputs: StepCols, lanes: Sequence[Lane]) -> None:
     for k in live.tolist():
         _finish_scalar(inputs, lanes[k], res.lane(k),
                        int(pos[k]), int(hi[k]), int(arrival[k]), int(comp[k]),
-                       int(at[k]))
-        _retire(lanes[k])
+                       ends.get(k), int(at[k]))
+        retire(k)
 
 
 def _finish_scalar(
-    inputs: StepCols, lane: Lane, res, lo: int, hi: int, arrival: int, comp: int, at: int
+    inputs: StepCols, lane: Lane, res, lo: int, hi: int, arrival: int, comp: int,
+    buf: Optional[np.ndarray], at: int,
 ) -> None:
     """Replay the rest of ``lane`` on the scalar recurrence.
 
     The lane's current command runs from input row ``lo`` to ``hi``,
-    with its completion so far ``comp``; ``at`` rows are recorded
-    already.  The lane's rows are derived once, as a block step derives
-    them; each command's rows become Python lists only when it comes
-    up, so the rows the block kernel replayed are never converted (a
+    with its completion so far ``comp``; the rows' ends land in ``buf``
+    (when the lane records) after the ``at`` rows recorded already.
+    The lane's rows are derived once, as a block step derives them;
+    each command's rows become Python lists only when it comes up, so
+    the rows the block kernel replayed are never converted (a
     multi-client lane's later commands may lie below its current one).
     """
     die_of, pkg_of, chan_of = unit_ids(lane.geom)
@@ -839,13 +824,7 @@ def _finish_scalar(
         unit, die_of[unit], pkg_of[unit], chan_of[unit], inputs.cell_ns[rows],
         *link_times(inputs.nbytes[rows], inputs.shared[rows], *lane.link),
     )
-    ends: list[list[int]] = []
-    out = None
-    if lane.record:
-        # the four starts are never read back: one scratch list takes them
-        scratch = [0] * (lane.n - at)
-        ends = [[0] * (lane.n - at) for _ in range(4)]
-        out = [lst for end in ends for lst in (scratch, end)]
+    out = None if buf is None else [[0] * (lane.n - at) for _ in range(4)]
     lo -= lane.lo
     hi -= lane.lo
     k = 0
@@ -858,8 +837,8 @@ def _finish_scalar(
             break
         lo, hi, arrival = nxt
         comp = arrival
-    if ends:
-        lane.ends[:, at : at + k] = [vals[:k] for vals in ends]
+    if buf is not None:
+        buf[:, at : at + k] = [vals[:k] for vals in out]
 
 
 class TransactionScheduler:
@@ -878,25 +857,15 @@ class TransactionScheduler:
         self.kind = kind or geometry.kind
         self.res = Resources(geometry)
         self._media = MediaConsts.of(geometry, self.kind)
-        self._links = (Link.of(bus, host),)
-        #: the log's row columns (:data:`_ROW_COLS`) of each submitted
-        #: transaction block's pre-pass, stacked: one array per block
-        self._chunks: list[np.ndarray] = []
+        self._link = Link.of(bus, host)
+        #: each submitted transaction block's pre-pass
+        self._chunks: list[LaneCols] = []
         #: (req, client, kind code, arrival, lo, hi) per submitted
         #: command; lo:hi index the concatenated chunks
         self._meta: list[tuple[int, int, int, int, int, int]] = []
-        #: the recurrence's eight interval-bound columns, preallocated
-        self._out: list[list[int]] = [[] for _ in range(8)]
+        #: the recurrence's four interval-end columns
+        self._ends: list[list[int]] = [[], [], [], []]
         self._n = 0
-
-    def _reserve(self, extra: int) -> None:
-        """Grow the interval-bound lists to hold ``extra`` more rows."""
-        have = len(self._out[0])
-        need = self._n + extra
-        if need > have:
-            grow = [0] * max(need - have, have)
-            for col in self._out:
-                col.extend(grow)
 
     # ------------------------------------------------------------------
     def submit(
@@ -920,13 +889,13 @@ class TransactionScheduler:
         n = len(txns)
         if n == 0:
             return arrival
-        (chunk,) = prepass(self._media, self._links, *txns.T)
-        self._chunks.append(
-            np.stack([getattr(chunk, col) for col in _ROW_COLS.values()])
-        )
-        self._reserve(n)
+        chunk = prepass(self._media, self._link, *txns.T)
+        self._chunks.append(chunk)
+        zeros = [0] * n
+        for col in self._ends:
+            col.extend(zeros)
         lo = self._n
-        completion = recurrence(chunk.lists(), 0, n, arrival, self.res, self._out, lo)
+        completion = recurrence(chunk.lists(), 0, n, arrival, self.res, self._ends, lo)
         self._meta.append(
             (req_id, client, KIND_CODES.get(kind_label, 0), arrival, lo, lo + n)
         )
@@ -936,13 +905,16 @@ class TransactionScheduler:
     # ------------------------------------------------------------------
     def finish(self) -> TxnLog:
         """The columnar log of every replayed row, in replay order."""
-        n = self._n
-        if n == 0:
-            return _empty_log()
-        # transaction blocks replay in submission order, so the log's
-        # row columns are the pre-passed chunks' columns, concatenated
-        rows = dict(zip(_ROW_COLS, np.concatenate(self._chunks, axis=1)))
-        return _log_of(rows, *_meta_runs(self._meta), [out[:n] for out in self._out])
+        # the blocks' pre-passes become one, which later submits extend:
+        # the blocks are freed before the log is built
+        self._chunks = [LaneCols(**{
+            f.name: np.concatenate(
+                [getattr(chunk, f.name) for chunk in self._chunks]
+                or [np.empty(0, dtype=np.int64)]  # nothing submitted
+            )
+            for f in fields(LaneCols)
+        })]
+        return assemble_log(self._chunks[0], self._meta, self._ends)
 
     @property
     def n_txns(self) -> int:
@@ -952,62 +924,44 @@ class TransactionScheduler:
 def assemble_log(
     lane: LaneCols,
     meta: Sequence[tuple[int, int, int, int, int, int]],
-    ends: Sequence[np.ndarray],
+    ends: Sequence[Union[Sequence[int], np.ndarray]],
 ) -> TxnLog:
-    """The 23-column log of an all-READ lane's replayed commands, in
-    replay order.
+    """The 23-column log of a lane's replayed commands, in replay order.
 
     ``meta`` holds one (req, client, kind code, arrival, lo, hi) tuple
     per replayed command, whose rows are ``lo:hi`` of ``lane``.
     ``ends`` are the replayed rows' cell, flash-bus, channel and host
-    ends in log order (a :class:`Lane`'s recorded ``ends``); the starts
-    follow from the rows' durations.  The gathered rows are widened to
-    int64, whatever the lane's dtypes.
+    ends in log order (what :func:`recurrence` writes and a
+    :class:`Lane`'s hook receives); each start is its end less the
+    row's duration there, but for an erase, whose flash-bus, channel
+    and host intervals are empty at its cell end.  The gathered rows
+    are widened to int64, whatever the lane's dtypes.
     """
-    n = len(ends[0])
-    if n == 0:
-        return _empty_log()
-    meta_a, lens = _meta_runs(meta)
-    starts = np.cumsum(lens) - lens
+    meta_a = np.asarray(meta, dtype=np.int64).reshape(-1, 6)
+    lens = meta_a[:, 5] - meta_a[:, 4]
+    n = int(lens.sum())
     # lane row of each log row, in replay order
-    idx = np.repeat(meta_a[:, 4] - starts, lens) + np.arange(n, dtype=np.int64)
+    idx = np.repeat(meta_a[:, 4] - (np.cumsum(lens) - lens), lens)
+    idx += np.arange(n, dtype=np.int64)
 
     def gather(col: np.ndarray) -> np.ndarray:
         return col[idx].astype(np.int64, copy=False)
 
     cols = {name: gather(getattr(lane, col)) for name, col in _ROW_COLS.items()}
-    fb = gather(lane.fb)
-    c_end, f_end, s_end, h_end = (np.asarray(e, dtype=np.int64) for e in ends)
-    bounds = [
-        c_end - gather(lane.cell_ns), c_end, f_end - fb, f_end,
-        s_end - gather(lane.cmd) - fb, s_end, h_end - gather(lane.hb), h_end,
-    ]
-    return _log_of(cols, meta_a, lens, bounds)
-
-
-def _empty_log() -> TxnLog:
-    return TxnLog({name: np.empty(0, dtype=np.int64) for name in LOG_COLUMNS})
-
-
-def _meta_runs(
-    meta: Sequence[tuple[int, int, int, int, int, int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``meta`` as an int64 array, and each command's row count."""
-    meta_a = np.asarray(meta, dtype=np.int64)
-    return meta_a, meta_a[:, 5] - meta_a[:, 4]
-
-
-def _log_of(
-    cols: dict[str, np.ndarray],
-    meta_a: np.ndarray,
-    lens: np.ndarray,
-    bounds: Sequence[Union[Sequence[int], np.ndarray]],
-) -> TxnLog:
-    """The log from its row columns (:data:`_ROW_COLS`), in log order,
-    each command's meta and row count, and all eight interval bounds."""
     for j, name in enumerate(("req", "client", "kind_code", "arrival")):
         cols[name] = np.repeat(meta_a[:, j], lens)
-    cols.update(zip(_BOUND_COLS, (np.asarray(b, dtype=np.int64) for b in bounds)))
+    # an erase holds only its die: its flash-bus, channel and host
+    # intervals are empty at its cell end, whatever it would move
+    moves = cols["op"] != OpCode.ERASE
+    busy = [gather(col) for col in (lane.cell_ns, lane.fb, lane.cmd, lane.hb)]
+    for b in busy[1:]:
+        b *= moves
+    busy[2] += busy[1]  # the channel carries the command cycles and the data
+    # each duration array becomes its start, in place
+    for name, end, b in zip(("cell", "fb", "ch", "h"), ends, busy):
+        end = np.asarray(end, dtype=np.int64)
+        cols[f"{name}_start"] = np.subtract(end, b, out=b)
+        cols[f"{name}_end"] = end
     # reads complete on the media with the channel transfer and for
     # the requester with the host transfer; writes and erases with
     # the cell operation

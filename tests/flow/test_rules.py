@@ -99,3 +99,12 @@ def test_flow_findings_carry_fingerprints_for_baselining():
     # fingerprints hash (rule, path, snippet) so they survive line
     # shifts; the two FLOW001 hits on the one sim_span line share one
     assert len(findings) == 8 and len(fps) == 7
+
+
+def test_closure_locals_do_not_capture_same_named_outer_names():
+    """A closure's own ``t0``/``t1`` are its locals, not the enclosing
+    function's wall-clock ``t0``; a ``nonlocal`` name still is the
+    enclosing one."""
+    assert run_flow(FIXTURES / "closures" / "shadow.py") == []
+    hits = run_flow(FIXTURES / "closures" / "rebind.py")
+    assert [(f.rule, f.line) for f in hits] == [("FLOW001", 22)]

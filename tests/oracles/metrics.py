@@ -42,9 +42,9 @@ def media_pattern_peak(log: TxnLog, geom: Geometry, kind: NVMKind) -> float:
     n = len(log)
     if n == 0:
         return 0.0
-    (lane,) = prepass(
+    lane = prepass(
         MediaConsts.of(geom, kind),
-        (Link.of(INFINITE_BUS, INFINITE_HOST),),
+        Link.of(INFINITE_BUS, INFINITE_HOST),
         log["op"],
         log["flat"],
         log["nbytes"],

@@ -22,8 +22,8 @@
   the scalar recurrence falls; over narrow copies of its inputs, as
   the batch planner stacks them (uint16 plane units, int32 cell times
   and payloads, a one-byte sharing flag), it must give what the int64
-  inputs give.  A lane's ``done`` hook receives, once, the ends the
-  lane would otherwise keep.
+  inputs give.  A lane's ``done`` hook receives, once, its rows'
+  interval ends.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def read_lanes(draw):
         cuts = draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else set()
         bounds = [0, *sorted(cuts), n]
         cmd_of_row = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        (cols,) = prepass(
-            MediaConsts.of(geom, geom.kind), (Link.of(bus, host),), *rows.T,
+        cols = prepass(
+            MediaConsts.of(geom, geom.kind), Link.of(bus, host), *rows.T,
             same_cmd=cmd_of_row,
         )
         arrivals = [draw(st.integers(0, 2_000_000)) for _ in bounds[1:]]
@@ -133,13 +133,13 @@ def read_lanes(draw):
 def _scalar(geom, cols, bounds, arrivals):
     res = Resources(geom)
     n = bounds[-1]
-    out = [[0] * n for _ in range(8)]
+    out = [[0] * n for _ in range(4)]
     lists = cols.lists()
     done = [
         recurrence(lists, lo, hi, arrival, res, out, lo)
         for lo, hi, arrival in zip(bounds[:-1], bounds[1:], arrivals)
     ]
-    return [np.array(col, dtype=np.int64) for col in out[1::2]], done
+    return [np.array(col, dtype=np.int64) for col in out], done
 
 
 def _stepped(lanes):
@@ -205,8 +205,8 @@ def test_unit_tables_equal_the_prepass_decode(geoms, data):
             st.lists(st.integers(0, geom.total_pages - 1), min_size=1, max_size=20)
         ))
         zeros = np.zeros_like(flat)
-        (lane,) = prepass(
-            MediaConsts.of(geom, geom.kind), (Link(0.0, 0.0, 0),),
+        lane = prepass(
+            MediaConsts.of(geom, geom.kind), Link(0.0, 0.0, 0),
             zeros, flat, zeros, zeros - 1, zeros,
         )
         unit = lane.unit + res.unit0[k]
@@ -352,15 +352,14 @@ def planned_devices(draw):
             window=draw(st.integers(1, 3)),
             record=[draw(st.booleans()), draw(st.booleans())],
         ))
-    lanes = [
-        prepass(
-            MediaConsts.of(d["geom"], d["geom"].kind),
-            [Link.of(*link) for link in d["links"]],
-            *d.pop("rows").T,
-            same_cmd=d.pop("cmd_ord"),
-        )
-        for d in devices
-    ]
+    lanes = []
+    for d in devices:
+        media = MediaConsts.of(d["geom"], d["geom"].kind)
+        rows, cmd_ord = d.pop("rows"), d.pop("cmd_ord")
+        lanes.append([
+            prepass(media, Link.of(*link), *rows.T, same_cmd=cmd_ord)
+            for link in d["links"]
+        ])
 
     bases = [
         LaneCols(**{
@@ -412,22 +411,25 @@ class SwitchAt:
         return self._switch()
 
 
-def _planned_lanes(devices, offsets):
-    """A fresh command trace and lockstep lane per device and link."""
-    traces, lanes = {}, {}
+def _planned_lanes(devices, offsets, every=False):
+    """A fresh command trace and lockstep lane per device and link, and
+    the ends each lane's ``done`` hook receives, a list per lane; a lane
+    has a hook where its device's ``record`` flag says, or ``every``."""
+    traces, lanes, ends = {}, {}, {}
     for (i, d), lo in zip(enumerate(devices), offsets):
         for link in (0, 1):
             bus, host = d["links"][link]
             trace = traces[i, link] = CommandTrace()
+            hooked = every or d["record"][link]
             lanes[i, link] = Lane(
                 d["geom"], Link.of(bus, host), lo, d["n"],
                 planned_commands(
                     d["groups"], d["window"], host.per_request_ns + d["overhead"],
                     d["readahead"], trace,
                 ),
-                record=d["record"][link],
+                ends.setdefault((i, link), []).append if hooked else None,
             )
-    return traces, lanes
+    return traces, lanes, ends
 
 
 @given(run=planned_devices())
@@ -442,16 +444,17 @@ def test_lockstep_matches_per_lane_device_runs(run):
     }
     for j in itertools.count():
         switch = SwitchAt(j)
-        traces, lanes = _planned_lanes(devices, offsets)
+        traces, lanes, ends = _planned_lanes(devices, offsets)
         with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", switch):
             lockstep(_inputs(bases[0]), list(lanes.values()))
         for (i, link), log in want.items():
-            d, trace, lane = devices[i], traces[i, link], lanes[i, link]
+            d, trace = devices[i], traces[i, link]
             assert trace.last_done == (int(log["done"].max()) if len(log) else 0)
-            if lane.record:
+            if (i, link) in ends:
+                (lane_ends,) = ends[i, link]
                 got = assemble_log(
                     _window(bases[link], slice(offsets[i], offsets[i] + d["n"])),
-                    trace.meta, lane.ends,
+                    trace.meta, lane_ends,
                 )
                 for col in LOG_COLUMNS:
                     assert np.array_equal(got[col], log[col]), col
@@ -463,29 +466,22 @@ def test_lockstep_matches_per_lane_device_runs(run):
 @settings(max_examples=40, deadline=None)
 def test_done_hooks_receive_the_recorded_ends(run, block):
     """A lane's ``done`` hook runs once, as its commands run out, and
-    receives the ends the lane records without a hook, whether it
-    finishes in the block loop or on the scalar tail; the lane keeps
-    none of them."""
+    receives its rows' cell, flash-bus, channel and host ends in replay
+    order — the end columns of the log ``SSDevice.run`` gives the lane
+    alone — whether it finishes in the block loop or on the scalar
+    tail."""
     devices, bases = run
     offsets = np.cumsum([0] + [d["n"] for d in devices]).tolist()
-    runs = []
-    for hooked in (False, True):
-        traces, lanes = _planned_lanes(devices, offsets)
-        got: dict = {}
-        if hooked:
-            for key, lane in lanes.items():
-                lane.done = lambda ends, key=key: got.setdefault(key, []).append(ends)
-        with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", 1 if block else 1 << 40):
-            lockstep(_inputs(bases[0]), list(lanes.values()))
-        if hooked:
-            assert all(len(got[key]) == 1 for key in lanes)
-            assert all(lane.ends.shape == (4, 0) for lane in lanes.values())
-            runs.append({key: ends for key, (ends,) in got.items()})
-        else:
-            runs.append({key: lane.ends for key, lane in lanes.items()})
-    want, got = runs
-    for key, ends in got.items():
-        assert ends.dtype == np.int64 and np.array_equal(ends, want[key]), key
+    _, lanes, ends = _planned_lanes(devices, offsets, every=True)
+    with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", 1 if block else 1 << 40):
+        lockstep(_inputs(bases[0]), list(lanes.values()))
+    assert ends.keys() == lanes.keys()
+    for (i, link), calls in ends.items():
+        d, lo = devices[i], offsets[i]
+        log = _device_run(d, link, _window(bases[link], slice(lo, lo + d["n"])))
+        want = np.stack([log[c] for c in ("cell_end", "fb_end", "ch_end", "h_end")])
+        (got,) = calls
+        assert got.dtype == np.int64 and np.array_equal(got, want), (i, link)
 
 
 @given(run=planned_devices())
@@ -507,12 +503,12 @@ def test_lockstep_over_narrow_inputs_equals_int64_inputs(run):
     for break_even in (1, 1 << 40):
         runs = []
         for cols in (wide, narrow):
-            traces, lanes = _planned_lanes(devices, offsets)
+            traces, lanes, ends = _planned_lanes(devices, offsets, every=True)
             with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", break_even):
                 lockstep(cols, list(lanes.values()))
             runs.append({
-                key: (traces[key].meta, traces[key].last_done, lane.ends)
-                for key, lane in lanes.items()
+                key: (traces[key].meta, traces[key].last_done, ends[key][0])
+                for key in lanes
             })
         want, got = runs
         for key, (meta, last_done, ends) in got.items():

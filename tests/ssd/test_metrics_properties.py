@@ -211,8 +211,8 @@ def _lockstep_log(geom, host, batches):
     bounds = np.cumsum([0, *lens]).tolist()
     rows = np.concatenate([txns for txns, _, _ in cmds])
     link = Link.of(ONFI3_SDR400, host)
-    (base,) = prepass(
-        MediaConsts.of(geom, geom.kind), (link,), *rows.T,
+    base = prepass(
+        MediaConsts.of(geom, geom.kind), link, *rows.T,
         same_cmd=np.repeat(np.arange(len(cmds)), lens),
     )
 
@@ -220,14 +220,16 @@ def _lockstep_log(geom, host, batches):
         for lo, hi, (_, arrival, _) in zip(bounds, bounds[1:], cmds):
             yield lo, hi, arrival
 
-    lane = Lane(geom, link, 0, len(rows), commands(), record=True)
+    got: list[np.ndarray] = []
+    lane = Lane(geom, link, 0, len(rows), commands(), got.append)
     with mock.patch.object(kernel_mod, "BREAK_EVEN_ROWS", 1):  # every row on the kernel
         lockstep(base, [lane])
+    (ends,) = got
     meta = [
         (req, client, 0, arrival, lo, hi)
         for req, ((_, arrival, client), lo, hi) in enumerate(zip(cmds, bounds, bounds[1:]))
     ]
-    return assemble_log(base, meta, lane.ends)
+    return assemble_log(base, meta, ends)
 
 
 #: each serial resource's interval family: (resource column, start, end);

@@ -209,9 +209,9 @@ class TestBookkeeping:
         calls: list[int] = []
         real = scheduler_mod.prepass
 
-        def spy(media, links, op, *rest, **kwargs):
+        def spy(media, link, op, *rest, **kwargs):
             calls.append(len(op))
-            return real(media, links, op, *rest, **kwargs)
+            return real(media, link, op, *rest, **kwargs)
 
         monkeypatch.setattr(scheduler_mod, "prepass", spy)
         blocks = [

@@ -1,6 +1,7 @@
 """Property tests: the one timing kernel against the scalar oracle.
 
-Random small geometries and mixed READ/WRITE/ERASE streams with
+Random small geometries and mixed READ/WRITE/ERASE streams (erases
+with no payload, as the FTL emits them, or with some) with
 multi-plane groups, arbitrary arrivals and arbitrary submit
 boundaries:
 
@@ -62,11 +63,17 @@ def streams(draw):
     for _ in range(draw(st.integers(1, 12))):
         group = draw(st.sampled_from((-1, 0, 1, 2)))
         for _ in range(draw(st.integers(1, 3))):
+            op = draw(st.sampled_from((OpCode.READ, OpCode.WRITE, OpCode.ERASE)))
+            # an erase moves no payload as DeviceFTL emits it, but the
+            # kernel must not rely on that
+            payload = st.integers(1, geom.page_bytes)
+            if op == OpCode.ERASE:
+                payload = st.one_of(st.just(0), payload)
             rows.append(
                 (
-                    draw(st.sampled_from((OpCode.READ, OpCode.WRITE, OpCode.ERASE))),
+                    op,
                     draw(st.integers(0, 4 * geom.total_pages)),
-                    draw(st.integers(1, geom.page_bytes)),
+                    draw(payload),
                     group,
                     draw(st.integers(0, 3 * geom.pages_per_block)),
                 )
@@ -116,15 +123,15 @@ def test_raw_submits_match_reference_oracle(run):
 @settings(max_examples=150, deadline=None)
 def test_prepassed_windows_match_raw_submits(run):
     geom, bus, host, commands = run
-    media, links = MediaConsts.of(geom, geom.kind), (Link.of(bus, host),)
+    media, link = MediaConsts.of(geom, geom.kind), Link.of(bus, host)
     cols = np.concatenate([txns for txns, *_ in commands]).T
     cmd_of_row = np.repeat(np.arange(len(commands)), [len(c[0]) for c in commands])
-    (lane,) = prepass(media, links, *cols, same_cmd=cmd_of_row)
+    lane = prepass(media, link, *cols, same_cmd=cmd_of_row)
     starts = np.cumsum([0] + [len(c[0]) for c in commands]).tolist()
     for c, (txns, *_) in enumerate(commands):
         if not len(txns):
             continue
-        (own,) = prepass(media, links, *txns.T)
+        own = prepass(media, link, *txns.T)
         rows = slice(starts[c], starts[c + 1])
         for f in dataclasses.fields(LaneCols):
             assert np.array_equal(getattr(lane, f.name)[rows], getattr(own, f.name)), f.name
